@@ -10,10 +10,11 @@ across workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
                      vec_eq, vec_from_dense, vec_is_zero, vec_scale, vec_sub)
-from .report import Check, Report
+from .report import Check, Report, sweep
 from .scalar import scalar, zero_like
 
 
@@ -390,78 +391,49 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
     cached = algebra._cache.get("verify_star_algebra")
     if cached is not None:
         return cached
-    checks = []
     n = algebra.dim
+    one = scalar(1)
     unit = algebra.unit
-
-    witness = None
-    for i in range(n):
-        e = {i: scalar(1)}
-        if not vec_eq(algebra.multiply_vec(unit, e), e):
-            witness = ("left", i)
-            break
-        if not vec_eq(algebra.multiply_vec(e, unit), e):
-            witness = ("right", i)
-            break
-    checks.append(Check("unit_law", witness is None, witness))
-
-    witness = None
     mult = algebra.mult
-    for i in range(n):
-        for j in range(n):
-            ij = mult.get((i, j), {})
-            for k in range(n):
-                left = algebra.multiply_vec(ij, {k: scalar(1)})
-                right = algebra.multiply_vec({i: scalar(1)}, mult.get((j, k), {}))
-                if not vec_eq(left, right):
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("associativity", witness is None, witness))
+    star_cols = algebra.star.cols
 
-    witness = None
-    for i in range(n):
-        e = {i: scalar(1)}
-        if not vec_eq(algebra.star_vec(algebra.star_vec(e)), e):
-            witness = (i,)
-            break
-    checks.append(Check("star_involutive", witness is None, witness))
+    def unit_law(side_i):
+        side, i = side_i
+        e = {i: one}
+        prod = algebra.multiply_vec(unit, e) if side == "left" else algebra.multiply_vec(e, unit)
+        return vec_eq(prod, e)
 
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            lhs = algebra.star_vec(mult.get((i, j), {}))
-            rhs = algebra.multiply_vec(algebra.star.cols[j], algebra.star.cols[i])
-            if not vec_eq(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    checks.append(Check("star_antimultiplicative", witness is None, witness))
+    def associative(ijk):
+        i, j, k = ijk
+        return vec_eq(algebra.multiply_vec(mult.get((i, j), {}), {k: one}),
+                      algebra.multiply_vec({i: one}, mult.get((j, k), {})))
 
-    checks.append(Check("star_unit", vec_eq(algebra.star_vec(unit), unit), ()))
+    checks = [
+        sweep("unit_law", ((side, i) for i in range(n) for side in ("left", "right")),
+              unit_law),
+        sweep("associativity", product(range(n), repeat=3), associative),
+        sweep("star_involutive", range(n),
+              lambda i: vec_eq(algebra.star_vec(algebra.star_vec({i: one})), {i: one})),
+        sweep("star_antimultiplicative", product(range(n), repeat=2),
+              lambda ij: vec_eq(algebra.star_vec(mult.get(ij, {})),
+                                algebra.multiply_vec(star_cols[ij[1]], star_cols[ij[0]]))),
+        Check("star_unit", vec_eq(algebra.star_vec(unit), unit), ()),
+    ]
 
     if isinstance(algebra, BlockAlgebra):
         ok = algebra.dim == sum(b * b for b in algebra.blocks)
         checks.append(Check("block_dimension", ok, () if ok else (algebra.dim,)))
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                g = _functional(algebra.trace, algebra.multiply_vec(
-                    algebra.star_vec({j: scalar(1)}), {i: scalar(1)}))
-                if i == j:
-                    if g is None or not g.is_real() or not g.re > 0:
-                        witness = (i, j)
-                        break
-                elif g is not None and not g.is_zero():
-                    witness = (i, j)
-                    break
-            if witness:
-                break
-        checks.append(Check("trace_gram_diagonal_positive", witness is None, witness))
+
+        def gram_entry(ij):
+            i, j = ij
+            g = _functional(algebra.trace,
+                            algebra.multiply_vec(algebra.star_vec({j: one}), {i: one}))
+            if i == j:
+                return g is not None and g.is_real() and g.re > 0
+            return g is None or g.is_zero()
+
+        checks.append(sweep("trace_gram_diagonal_positive", product(range(n), repeat=2),
+                            gram_entry))
 
     report = Report(algebra.label or "star-algebra", checks)
     algebra._cache["verify_star_algebra"] = report

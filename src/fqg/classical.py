@@ -12,14 +12,15 @@ summation identity, and the proof chain for families on the dual of Γ.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
-from .algebra import Element, InvalidDataError, StarAlgebra
+from .algebra import Element, InvalidDataError, StarAlgebra, tensor_vec
 from .groups import FiniteGroup, group_from_table
 from .hopf import QuantumGroup
-from .linalg import LinearMap, vec_add_into, vec_eq, vec_is_zero
-from .qfamily import (HopfOnTarget, QuantumFamily, check_action, check_family,
-                      is_automorphism_family)
-from .report import Check, Report
+from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is_zero
+from .qfamily import (HopfOnTarget, QuantumFamily, check_action, hom_indices,
+                      hom_predicate, is_automorphism_family)
+from .report import Check, Report, sweep
 from .scalar import backend_cached, scalar
 
 
@@ -104,19 +105,23 @@ class MagicMatrix:
         return "MagicMatrix(order=%d, target=%r)" % (self.group.order, self.target.label)
 
 
+def _entries_of(alpha: LinearMap, n: int, m: int):
+    """p[x][y] with α(e_y) = Σ_x e_x ⊗ p[x][y], for α from dimension n into n·m."""
+    entries = [[dict() for _ in range(n)] for _ in range(n)]
+    for y in range(n):
+        for r, c in alpha.cols[y].items():
+            x, q = divmod(r, m)
+            entries[x][y][q] = c
+    return entries
+
+
 def extract_matrix(qf: QuantumFamily) -> MagicMatrix:
     """Read p_{x,y} off the columns of α(δ_y) = Σ_x δ_x ⊗ p_{x,y}."""
     cached = qf._cache.get("magic_matrix")
     if cached is not None:
         return cached
     group = group_of_function_algebra(qf.source)
-    n = group.order
-    m = qf.target_algebra.dim
-    entries = [[dict() for _ in range(n)] for _ in range(n)]
-    for y in range(n):
-        for r, c in qf.alpha.cols[y].items():
-            x, q = divmod(r, m)
-            entries[x][y][q] = c
+    entries = _entries_of(qf.alpha, group.order, qf.target_algebra.dim)
     matrix = MagicMatrix(group, qf.target_algebra, entries)
     qf._cache["magic_matrix"] = matrix
     return matrix
@@ -129,6 +134,55 @@ def _mul(b: StarAlgebra, u: dict, v: dict) -> dict:
     if not u or not v:
         return {}
     return b.multiply_vec(u, v)
+
+
+def _sum(vectors) -> dict:
+    acc: dict = {}
+    for v in vectors:
+        vec_add_into(acc, v)
+    return acc
+
+
+def _entry_checks(b: StarAlgebra, p, names):
+    """The named entry relations of the matrix ``p`` of elements of ``b``, in
+    the order given; shared by the pointwise, magic-unitary and dual-group
+    batteries."""
+    n = len(p)
+
+    def self_adjoint(xy):
+        e = p[xy[0]][xy[1]]
+        return vec_eq(b.star_vec(e), e)
+
+    def idempotent(xy):
+        e = p[xy[0]][xy[1]]
+        return vec_eq(_mul(b, e, e), e)
+
+    def cells():
+        return product(range(n), repeat=2)
+
+    # lazy index generators: each sweep stops at its first failure
+    relations = {
+        "entries_self_adjoint": (cells(), self_adjoint),
+        "entries_idempotent": (cells(), idempotent),
+        "entries_projections": (cells(), lambda xy: self_adjoint(xy) and idempotent(xy)),
+        "row_sums_one": (range(n), lambda x: vec_eq(_sum(p[x]), b.unit)),
+        "column_sums_one": (range(n), lambda y: vec_eq(_sum(row[y] for row in p), b.unit)),
+        "row_orthogonality": (
+            ((x, y, z) for x in range(n) for y in range(n) if p[x][y]
+             for z in range(n) if z != y),
+            lambda w: vec_is_zero(_mul(b, p[w[0]][w[1]], p[w[0]][w[2]]))),
+        "column_orthogonality": (
+            ((x, y, z) for y in range(n) for x in range(n) if p[x][y]
+             for z in range(n) if z != x),
+            lambda w: vec_is_zero(_mul(b, p[w[0]][w[1]], p[w[2]][w[1]]))),
+    }
+    return [sweep(name, *relations[name]) for name in names]
+
+
+def _commute(b: StarAlgebra, p):
+    """(x1, y1, x2, y2) ↦ whether p[x1][y1] and p[x2][y2] commute."""
+    return lambda w: vec_eq(_mul(b, p[w[0]][w[1]], p[w[2]][w[3]]),
+                            _mul(b, p[w[2]][w[3]], p[w[0]][w[1]]))
 
 
 def check_pointwise_relations(matrix: MagicMatrix) -> Report:
@@ -144,70 +198,18 @@ def check_pointwise_relations(matrix: MagicMatrix) -> Report:
     n = grp.order
     inv = grp.inverse
     tbl = grp.table
-    unit = b.unit
-    checks = []
 
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if not vec_eq(b.star_vec(p[x][y]), p[x][y]):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(Check("entries_self_adjoint", witness is None, witness or ()))
+    def conv_hom(xyz):
+        x, y, z = xyz
+        terms = (_mul(b, p[u][y], p[tbl[inv[u]][x]][z]) for u in range(n) if p[u][y])
+        return vec_eq(_sum(terms), p[x][tbl[y][z]])
 
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if not vec_eq(_mul(b, p[x][y], p[x][y]), p[x][y]):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(Check("entries_idempotent", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        acc: dict = {}
-        for y in range(n):
-            vec_add_into(acc, p[x][y])
-        if not vec_eq(acc, unit):
-            witness = (x,)
-            break
-    checks.append(Check("row_sums_one", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if not vec_eq(b.star_vec(p[x][y]), p[inv[x]][inv[y]]):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(Check("conv_adjoint_symmetry", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                acc = {}
-                for u in range(n):
-                    puy = p[u][y]
-                    if not puy:
-                        continue
-                    term = _mul(b, puy, p[tbl[inv[u]][x]][z])
-                    if term:
-                        vec_add_into(acc, term)
-                if not vec_eq(acc, p[x][tbl[y][z]]):
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("conv_hom_relation", witness is None, witness or ()))
-
+    checks = _entry_checks(b, p, ("entries_self_adjoint", "entries_idempotent", "row_sums_one"))
+    checks += [
+        sweep("conv_adjoint_symmetry", product(range(n), repeat=2),
+              lambda xy: vec_eq(b.star_vec(p[xy[0]][xy[1]]), p[inv[xy[0]]][inv[xy[1]]])),
+        sweep("conv_hom_relation", product(range(n), repeat=3), conv_hom),
+    ]
     report = Report("pointwise-relations", checks)
     matrix._cache["pointwise"] = report
     return report
@@ -218,75 +220,9 @@ def check_magic_unitary(matrix: MagicMatrix) -> Report:
     cached = matrix._cache.get("magic")
     if cached is not None:
         return cached
-    grp = matrix.group
-    b = matrix.target
-    p = matrix.entries
-    n = grp.order
-    unit = b.unit
-    checks = []
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            e = p[x][y]
-            if not vec_eq(b.star_vec(e), e) or not vec_eq(_mul(b, e, e), e):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(Check("entries_projections", witness is None, witness or ()))
-
-    witness = None
-    for y in range(n):
-        acc: dict = {}
-        for x in range(n):
-            vec_add_into(acc, p[x][y])
-        if not vec_eq(acc, unit):
-            witness = (y,)
-            break
-    checks.append(Check("column_sums_one", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        acc = {}
-        for y in range(n):
-            vec_add_into(acc, p[x][y])
-        if not vec_eq(acc, unit):
-            witness = (x,)
-            break
-    checks.append(Check("row_sums_one", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if not p[x][y]:
-                continue
-            for z in range(n):
-                if z != y and not vec_is_zero(_mul(b, p[x][y], p[x][z])):
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("row_orthogonality", witness is None, witness or ()))
-
-    witness = None
-    for y in range(n):
-        for x in range(n):
-            if not p[x][y]:
-                continue
-            for z in range(n):
-                if z != x and not vec_is_zero(_mul(b, p[x][y], p[z][y])):
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("column_orthogonality", witness is None, witness or ()))
-
-    report = Report("magic-unitary", checks)
+    names = ("entries_projections", "column_sums_one", "row_sums_one",
+             "row_orthogonality", "column_orthogonality")
+    report = Report("magic-unitary", _entry_checks(matrix.target, matrix.entries, names))
     matrix._cache["magic"] = report
     return report
 
@@ -306,61 +242,22 @@ def check_dualact_consequences(matrix: MagicMatrix) -> Report:
     tbl = grp.table
     e = grp.identity
     unit = b.unit
-    checks = []
 
-    witness = None
-    for u in range(n):
-        row_u = p[u]
-        for y in range(n):
-            puy = row_u[y]
-            if not puy:
-                continue
-            invu = inv[u]
-            for x in range(n):
-                lead = tbl[invu][x]
-                px = p[x]
-                for z in range(n):
-                    lhs = _mul(b, puy, px[tbl[y][z]])
-                    rhs = _mul(b, puy, p[lead][z])
-                    if not vec_eq(lhs, rhs):
-                        witness = (u, x, y, z)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("localized_relation", witness is None, witness or ()))
+    def localized(w):
+        u, x, y, z = w
+        puy = p[u][y]
+        return vec_eq(_mul(b, puy, p[x][tbl[y][z]]), _mul(b, puy, p[tbl[inv[u]][x]][z]))
 
-    checks.append(Check("unit_entry", vec_eq(p[e][e], unit), ()))
-
-    witness = None
-    for y in range(n):
-        expected = unit if y == e else {}
-        if not vec_eq(p[e][y], expected):
-            witness = (y,)
-            break
-    checks.append(Check("border_row", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        expected = unit if x == e else {}
-        if not vec_eq(p[x][e], expected):
-            witness = (x,)
-            break
-    checks.append(Check("border_column", witness is None, witness or ()))
-
-    witness = None
-    for u in range(n):
-        for y in range(n):
-            if not vec_eq(p[inv[u]][inv[y]], p[u][y]):
-                witness = (u, y)
-                break
-        if witness:
-            break
-    checks.append(Check("inverse_symmetry", witness is None, witness or ()))
-
+    checks = [
+        sweep("localized_relation",
+              ((u, x, y, z) for u in range(n) for y in range(n) if p[u][y]
+               for x in range(n) for z in range(n)), localized),
+        Check("unit_entry", vec_eq(p[e][e], unit), ()),
+        sweep("border_row", range(n), lambda y: vec_eq(p[e][y], unit if y == e else {})),
+        sweep("border_column", range(n), lambda x: vec_eq(p[x][e], unit if x == e else {})),
+        sweep("inverse_symmetry", product(range(n), repeat=2),
+              lambda uy: vec_eq(p[inv[uy[0]]][inv[uy[1]]], p[uy[0]][uy[1]])),
+    ]
     report = Report("dual-action-consequences", checks)
     matrix._cache["dualact"] = report
     return report
@@ -380,139 +277,48 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
     tbl = grp.table
     orders = [grp.element_order(x) for x in range(n)]
     exponent = grp.exponent()
-    checks = []
-
-    witness = None
+    # pw[x][k] = x^k for k <= exponent + 1; powers of x cycle with period
+    # ord(x), so pw[x][2:ord(x) + 2] runs over all of them
+    pw = [[grp.identity] for _ in range(n)]
     for x in range(n):
-        for y in range(n):
-            if orders[x] != orders[y] and not vec_is_zero(p[x][y]):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(Check("order_mismatch_zero", witness is None, witness or ()))
+        for _ in range(exponent + 1):
+            pw[x].append(tbl[pw[x][-1]][x])
+    live = [(x, y) for x in range(n) for y in range(n) if p[x][y]]
 
-    # powers of x cycle with period ord(x), so exponents 1..ord(x) cover all
-    witness = None
-    for x in range(n):
-        powers = _powers(grp, x)
-        for xn in powers:
-            for y in range(n):
-                pxy = p[x][y]
-                if not pxy:
-                    continue
-                for z in range(n):
-                    q = p[xn][z]
-                    if not q:
-                        continue
-                    if not vec_eq(_mul(b, pxy, q), _mul(b, q, pxy)):
-                        witness = (x, y, xn, z)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("power_row_commutation", witness is None, witness or ()))
+    def dominated(w):
+        x, y, xn, yn = w
+        return vec_eq(_mul(b, p[x][y], p[xn][yn]), p[x][y])
 
-    witness = None
-    for x in range(n):
-        powers = _powers(grp, x)
-        for xn in powers:
-            for y in range(n):
-                pyx = p[y][x]
-                if not pyx:
-                    continue
-                for z in range(n):
-                    q = p[z][xn]
-                    if not q:
-                        continue
-                    if not vec_eq(_mul(b, pyx, q), _mul(b, q, pyx)):
-                        witness = (y, x, z, xn)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("power_column_commutation", witness is None, witness or ()))
+    def inductive(w):
+        x, y, k, u = w
+        expected = p[x][y] if u == y else {}
+        return vec_eq(_mul(b, p[x][y], p[pw[x][k + 1]][tbl[pw[y][k]][u]]), expected)
 
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            pxy = p[x][y]
-            if not pxy:
-                continue
-            xn, yn = x, y
-            for _ in range(exponent):
-                xn = tbl[xn][x]
-                yn = tbl[yn][y]
-                if not vec_eq(_mul(b, pxy, p[xn][yn]), pxy):
-                    witness = (x, y, xn, yn)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("power_domination", witness is None, witness or ()))
+    def shift(w):
+        x, y, z, u = w
+        return vec_eq(_mul(b, p[x][y], p[z][u]), _mul(b, p[x][y], p[tbl[x][z]][tbl[y][u]]))
 
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            pxy = p[x][y]
-            if not pxy:
-                continue
-            xk1, yk = x, grp.identity
-            for k in range(1, exponent + 1):
-                xk1 = tbl[xk1][x]          # x^{k+1}
-                yk = tbl[yk][y]            # y^k
-                for u in range(n):
-                    expected = pxy if u == y else {}
-                    if not vec_eq(_mul(b, pxy, p[xk1][tbl[yk][u]]), expected):
-                        witness = (x, y, k, u)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("inductive_relation", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            pxy = p[x][y]
-            if not pxy:
-                continue
-            for z in range(n):
-                xz = tbl[x][z]
-                for u in range(n):
-                    if not vec_eq(_mul(b, pxy, p[z][u]), _mul(b, pxy, p[xz][tbl[y][u]])):
-                        witness = (x, y, z, u)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("shift_relation", witness is None, witness or ()))
-
+    checks = [
+        sweep("order_mismatch_zero", product(range(n), repeat=2),
+              lambda xy: orders[xy[0]] == orders[xy[1]] or vec_is_zero(p[xy[0]][xy[1]])),
+        sweep("power_row_commutation",
+              ((x, y, xn, z) for x in range(n) for xn in pw[x][2:orders[x] + 2]
+               for y in range(n) if p[x][y] for z in range(n) if p[xn][z]), _commute(b, p)),
+        sweep("power_column_commutation",
+              ((y, x, z, xn) for x in range(n) for xn in pw[x][2:orders[x] + 2]
+               for y in range(n) if p[y][x] for z in range(n) if p[z][xn]), _commute(b, p)),
+        sweep("power_domination",
+              ((x, y, xn, yn) for x, y in live for xn, yn in zip(pw[x][2:], pw[y][2:])),
+              dominated),
+        sweep("inductive_relation",
+              ((x, y, k, u) for x, y in live for k in range(1, exponent + 1) for u in range(n)),
+              inductive),
+        sweep("shift_relation",
+              ((x, y, z, u) for x, y in live for z in range(n) for u in range(n)), shift),
+    ]
     report = Report("order-properties", checks)
     matrix._cache["order"] = report
     return report
-
-
-def _powers(grp: FiniteGroup, x: int):
-    out = []
-    p = x
-    for _ in range(grp.element_order(x)):
-        p = grp.table[p][x]
-        out.append(p)
-    return out
 
 
 def check_cyclic_identity(matrix: MagicMatrix) -> Report:
@@ -528,41 +334,21 @@ def check_cyclic_identity(matrix: MagicMatrix) -> Report:
         raise InvalidDataError("cyclic identity needs a cyclic group")
     b = matrix.target
     p = matrix.entries
-    checks = []
-
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    witness = None
-    for x in generators:
-        for d in divisors:
-            xd = grp.power(x, d)
-            for s in range(n):
-                sd = grp.power(s, d)
-                acc: dict = {}
-                for v in range(n):
-                    if grp.power(v, d) == sd:
-                        vec_add_into(acc, p[x][v])
-                if not vec_eq(acc, p[xd][sd]):
-                    witness = (x, d, s)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("power_sum_identity", witness is None, witness or ()))
 
-    witness = None
+    def power_sum(w):
+        x, d, s = w
+        sd = grp.power(s, d)
+        acc = _sum(p[x][v] for v in range(n) if grp.power(v, d) == sd)
+        return vec_eq(acc, p[grp.power(x, d)][sd])
+
     flat = [(x, y) for x in range(n) for y in range(n) if p[x][y]]
-    for i, (x1, y1) in enumerate(flat):
-        a1 = p[x1][y1]
-        for (x2, y2) in flat[i + 1:]:
-            a2 = p[x2][y2]
-            if not vec_eq(_mul(b, a1, a2), _mul(b, a2, a1)):
-                witness = (x1, y1, x2, y2)
-                break
-        if witness:
-            break
-    checks.append(Check("entrywise_commutation", witness is None, witness or ()))
-
+    checks = [
+        sweep("power_sum_identity",
+              ((x, d, s) for x in generators for d in divisors for s in range(n)), power_sum),
+        sweep("entrywise_commutation",
+              (a1 + a2 for i, a1 in enumerate(flat) for a2 in flat[i + 1:]), _commute(b, p)),
+    ]
     report = Report("cyclic-identity", checks)
     matrix._cache["cyclic"] = report
     return report
@@ -730,114 +516,30 @@ def check_dual_group_theorem(qf: QuantumFamily) -> Report:
     n = group.order
     b = qf.target_algebra
     m = b.dim
-    tbl = group.table
-    unit = b.unit
     eps_b = qf.hopf_on_target.counit
     cp_b = qf.hopf_on_target.coproduct
-
-    # α(λ_x) = Σ_y λ_y ⊗ u_{y,x}
-    u = [[dict() for _ in range(n)] for _ in range(n)]
-    for x in range(n):
-        for r, c in qf.alpha.cols[x].items():
-            y, q = divmod(r, m)
-            u[y][x][q] = c
-
-    checks = []
     one = scalar(1)
+    u = _entries_of(qf.alpha, n, m)  # α(λ_x) = Σ_y λ_y ⊗ u_{y,x}
 
-    witness = None
-    for y in range(n):
-        for x in range(n):
-            val = eps_b.apply(u[y][x]).get(0)
-            expected_zero = x != y
-            if expected_zero:
-                if val is not None and not val.is_zero():
-                    witness = (y, x)
-                    break
-            else:
-                if val is None or not (val - one).is_zero():
-                    witness = (y, x)
-                    break
-        if witness:
-            break
-    checks.append(Check("counit_of_entries", witness is None, witness or ()))
+    def coproduct_of_entries(xy):
+        x, y = xy
+        rhs: dict = {}
+        for z in range(n):
+            vec_add_into(rhs, tensor_vec(u[x][z], u[z][y], m))
+        return vec_eq(cp_b.apply(u[x][y]), rhs)
 
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            lhs = cp_b.apply(u[x][y])
-            rhs: dict = {}
-            for z in range(n):
-                uxz = u[x][z]
-                uzy = u[z][y]
-                if not uxz or not uzy:
-                    continue
-                for i, ci in uxz.items():
-                    base = i * m
-                    for j, cj in uzy.items():
-                        k = base + j
-                        cur = rhs.get(k)
-                        t = ci * cj if cur is None else cur + ci * cj
-                        if t.is_zero():
-                            rhs.pop(k, None)
-                        else:
-                            rhs[k] = t
-            if not vec_eq(lhs, rhs):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(Check("coproduct_of_entries", witness is None, witness or ()))
-
-    witness = None
-    for y in range(n):
-        for x in range(n):
-            if not vec_eq(_mul(b, u[y][x], u[y][x]), u[y][x]):
-                witness = (y, x)
-                break
-        if witness:
-            break
-    checks.append(Check("entries_idempotent", witness is None, witness or ()))
-
-    witness = None
-    for y in range(n):
-        for x in range(n):
-            if not vec_eq(b.star_vec(u[y][x]), u[y][x]):
-                witness = (y, x)
-                break
-        if witness:
-            break
-    checks.append(Check("entries_self_adjoint", witness is None, witness or ()))
-
-    witness = None
-    for x in range(n):
-        acc: dict = {}
-        for y in range(n):
-            vec_add_into(acc, u[y][x])
-        if not vec_eq(acc, unit):
-            witness = (x,)
-            break
-    checks.append(Check("column_sums_one", witness is None, witness or ()))
-
-    witness = None
-    for y in range(n):
-        for x in range(n):
-            if not u[y][x]:
-                continue
-            for z in range(n):
-                if z != x and not vec_is_zero(_mul(b, u[y][x], u[y][z])):
-                    witness = (y, x, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("row_orthogonality", witness is None, witness or ()))
+    checks = [
+        sweep("counit_of_entries", product(range(n), repeat=2),
+              lambda yx: entry_eq(eps_b.apply(u[yx[0]][yx[1]]).get(0),
+                                  one if yx[0] == yx[1] else None)),
+        sweep("coproduct_of_entries", product(range(n), repeat=2), coproduct_of_entries),
+    ]
+    checks += _entry_checks(b, u, ("entries_idempotent", "entries_self_adjoint",
+                                   "column_sums_one", "row_orthogonality"))
 
     # transposed family on functions over Γ, against the opposite coproduct
     from .constructors import function_algebra
 
-    fun = function_algebra(group)
     beta_cols = []
     for x in range(n):
         col = {}
@@ -845,44 +547,16 @@ def check_dual_group_theorem(qf: QuantumFamily) -> Report:
             for q, c in u[x][y].items():
                 col[y * m + q] = c
         beta_cols.append(col)
-    beta = QuantumFamily(fun, b, LinearMap(n, n * m, beta_cols),
+    beta = QuantumFamily(function_algebra(group), b, LinearMap(n, n * m, beta_cols),
                          qf.hopf_on_target.opposite(), "beta(%s)" % qf.label)
-    fam = check_family(beta)
-    beta_hom = fam.check("unital_star_hom").passed
-    checks.append(Check("transposed_family_star_hom", beta_hom,
-                        () if beta_hom else tuple(fam.check("unital_star_hom").witness)))
-    act = check_action(beta)
-    checks.append(Check("transposed_family_action", act.passed,
-                        () if act.passed else tuple(act.checks[0].witness)))
-
-    witness = None
-    for x in range(n):
-        collapsed: dict = {}
-        for r, c in beta.alpha.cols[x].items():
-            y, q = divmod(r, m)
-            e = eps_b.cols[q].get(0)
-            if e is None:
-                continue
-            cur = collapsed.get(y)
-            t = c * e if cur is None else cur + c * e
-            if t.is_zero():
-                collapsed.pop(y, None)
-            else:
-                collapsed[y] = t
-        if not vec_eq(collapsed, {x: one}):
-            witness = (x,)
-            break
-    checks.append(Check("transposed_counit_slice", witness is None, witness or ()))
-
-    witness = None
-    for y in range(n):
-        acc = {}
-        for x in range(n):
-            vec_add_into(acc, u[y][x])
-        if not vec_eq(acc, unit):
-            witness = (y,)
-            break
-    checks.append(Check("row_sums_one", witness is None, witness or ()))
+    action = check_action(beta).checks[0]
+    checks += [
+        sweep("transposed_family_star_hom", hom_indices(n), hom_predicate(beta)),
+        Check("transposed_family_action", action.passed, action.witness),
+        sweep("transposed_counit_slice", range(n),
+              lambda x: vec_eq(leg_apply(eps_b, beta.alpha.cols[x], m, 1), {x: one})),
+    ]
+    checks += _entry_checks(b, u, ("row_sums_one",))
 
     verdict, _ = is_automorphism_family(qf)
     checks.append(Check("automorphism_family", verdict, ()))

@@ -37,7 +37,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "table"], default=sup,
                         dest="fmt")
     common.add_argument("-o", "--output", default=sup,
-                        help="also write the output to this file")
+                        help="write the JSON payload to this file")
     common.add_argument("--skip-verify", action="store_true", default=sup,
                         help="trust quantum-group data in input files")
     return common
@@ -91,14 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload_json: str, table_text: str) -> None:
-    body = payload_json if args.fmt == "json" else table_text + "\n"
+    """-o FILE gets the JSON payload and stdout the table; without -o, stdout
+    gets the body --format asks for."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        if args.fmt == "json":
-            sys.stdout.write(table_text + "\n")
+            fh.write(payload_json)
+        sys.stdout.write(table_text + "\n")
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(payload_json if args.fmt == "json" else table_text + "\n")
 
 
 def _report_exit(reports) -> int:

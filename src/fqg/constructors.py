@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import product
 
 from .algebra import StarAlgebra
 from .fourier import dual_pair
 from .groups import FiniteGroup
 from .hopf import QuantumGroup
-from .linalg import LinearMap, vec_eq
-from .report import Check, Report
+from .linalg import LinearMap, vec_eq, vec_scale
+from .report import Check, Report, sweep
 from .scalar import CFloat, backend_cached, backend_name, scalar
 
 
@@ -98,98 +99,43 @@ def check_fundamental_examples(group: FiniteGroup) -> Report:
     w = scalar(Fraction(1, n))
     fun = function_algebra(group)
     grp = group_algebra(group)
-    checks = []
 
     from .fourier import conv_table
 
-    ct_fun = conv_table(fun)
-    witness = None
-    for g in range(n):
-        for h in range(n):
-            if not vec_eq(ct_fun.get((g, h), {}), {group.mul(g, h): w}):
-                witness = (g, h)
-                break
-        if witness:
-            break
-    checks.append(Check("fun_convolution_formula", witness is None, witness or ()))
-
-    witness = None
-    for g in range(n):
-        if not vec_eq(fun.bullet_vec({g: one}), {group.inv(g): one}):
-            witness = (g,)
-            break
-    checks.append(Check("fun_conv_adjoint_formula", witness is None, witness or ()))
-
-    ct_grp = conv_table(grp)
-    witness = None
-    for g in range(n):
-        for h in range(n):
-            expected = {h: one} if g == h else {}
-            if not vec_eq(ct_grp.get((g, h), {}), expected):
-                witness = (g, h)
-                break
-        if witness:
-            break
-    checks.append(Check("grp_convolution_formula", witness is None, witness or ()))
-
-    witness = None
-    for g in range(n):
-        if not vec_eq(grp.bullet_vec({g: one}), {g: one}):
-            witness = (g,)
-            break
-    checks.append(Check("grp_conv_adjoint_formula", witness is None, witness or ()))
-
-    pair = dual_pair(fun)
+    ct_fun, ct_grp = conv_table(fun), conv_table(grp)
+    pair, pair_grp = dual_pair(fun), dual_pair(grp)
     fr = pair.fourier
-
-    witness = None
-    for g in range(n):
-        if not vec_eq(fr.cols[g], {g: w}):
-            witness = (g,)
-            break
-    checks.append(Check("fun_fourier_matrix", witness is None, witness or ()))
-
-    witness = None
-    for g1 in range(n):
-        for g2 in range(n):
-            lhs = pair.dual.algebra.multiply_vec(fr.cols[g1], fr.cols[g2])
-            rhs = {k: w * c for k, c in fr.cols[group.mul(g1, g2)].items()}
-            if not vec_eq(lhs, rhs):
-                witness = (g1, g2)
-                break
-        if witness:
-            break
-    checks.append(Check("fourier_product_formula", witness is None, witness or ()))
+    big = scalar(n)
 
     # the dual coproduct makes F(δ_g) grouplike up to the factor n, which is
     # exactly what the isomorphism F(δ_g) ↦ (1/n)λ_g needs to intertwine the
     # grouplike coproduct of the group ring
-    big = scalar(n)
-    witness = None
-    for g in range(n):
-        lhs = pair.dual.coproduct.apply(fr.cols[g])
+    def grouplike(g):
         fg = fr.cols[g]
-        rhs = {i * n + j: big * ci * cj
-               for i, ci in fg.items() for j, cj in fg.items()}
-        if not vec_eq(lhs, rhs):
-            witness = (g,)
-            break
-    checks.append(Check("fourier_coproduct_grouplike", witness is None, witness or ()))
+        rhs = {i * n + j: big * ci * cj for i, ci in fg.items() for j, cj in fg.items()}
+        return vec_eq(pair.dual.coproduct.apply(fg), rhs)
 
-    iso = quantum_group_data_equal(pair.dual, grp)
-    checks.append(Check("dual_of_fun_is_grp", iso, () if iso else ("data",)))
-
-    pair_grp = dual_pair(grp)
-    witness = None
-    for g in range(n):
-        if not vec_eq(pair_grp.fourier.cols[g], {group.inv(g): one}):
-            witness = (g,)
-            break
-    checks.append(Check("grp_fourier_formula", witness is None, witness or ()))
-
-    fun_dual_of_grp = quantum_group_data_equal(pair_grp.dual, fun)
-    checks.append(Check("dual_of_grp_is_fun", fun_dual_of_grp, () if fun_dual_of_grp else ("data",)))
-
+    fun_iso = quantum_group_data_equal(pair.dual, grp)
+    grp_iso = quantum_group_data_equal(pair_grp.dual, fun)
+    checks = [
+        sweep("fun_convolution_formula", product(range(n), repeat=2),
+              lambda gh: vec_eq(ct_fun.get(gh, {}), {group.mul(*gh): w})),
+        sweep("fun_conv_adjoint_formula", range(n),
+              lambda g: vec_eq(fun.bullet_vec({g: one}), {group.inv(g): one})),
+        sweep("grp_convolution_formula", product(range(n), repeat=2),
+              lambda gh: vec_eq(ct_grp.get(gh, {}), {gh[1]: one} if gh[0] == gh[1] else {})),
+        sweep("grp_conv_adjoint_formula", range(n),
+              lambda g: vec_eq(grp.bullet_vec({g: one}), {g: one})),
+        sweep("fun_fourier_matrix", range(n), lambda g: vec_eq(fr.cols[g], {g: w})),
+        sweep("fourier_product_formula", product(range(n), repeat=2),
+              lambda gg: vec_eq(pair.dual.algebra.multiply_vec(fr.cols[gg[0]], fr.cols[gg[1]]),
+                                vec_scale(fr.cols[group.mul(*gg)], w))),
+        sweep("fourier_coproduct_grouplike", range(n), grouplike),
+        Check("dual_of_fun_is_grp", fun_iso, () if fun_iso else ("data",)),
+        sweep("grp_fourier_formula", range(n),
+              lambda g: vec_eq(pair_grp.fourier.cols[g], {group.inv(g): one})),
+        Check("dual_of_grp_is_fun", grp_iso, () if grp_iso else ("data",)),
+    ]
     return Report("fundamental(%s)" % (group.label or group.order), checks)
 
 
@@ -215,35 +161,18 @@ def pontryagin_character_check(n: int) -> Report:
         cols.append(col)
     t = LinearMap(n, n, cols)
 
-    checks = []
-    witness = None
-    for g in range(n):
-        for h in range(n):
-            lhs = t.apply(grp.algebra.basis_product(g, h))
-            rhs = fun.algebra.multiply_vec(t.cols[g], t.cols[h])
-            if not vec_eq(lhs, rhs):
-                witness = (g, h)
-                break
-        if witness:
-            break
-    checks.append(Check("multiplicative", witness is None, witness or ()))
-
-    checks.append(Check("unital", vec_eq(t.apply(grp.algebra.unit), fun.algebra.unit), ()))
-
-    witness = None
-    for g in range(n):
-        lhs = t.apply(grp.algebra.star.cols[g])
-        rhs = fun.algebra.star_vec(t.cols[g])
-        if not vec_eq(lhs, rhs):
-            witness = (g,)
-            break
-    checks.append(Check("star_preserving", witness is None, witness or ()))
-
-    tt = t.tensor(t)
-    checks.append(Check("coproduct_intertwined",
-                        fun.coproduct.compose(t) == tt.compose(grp.coproduct), ()))
-    checks.append(Check("counit_intertwined", fun.counit.compose(t) == grp.counit, ()))
-    checks.append(Check("antipode_intertwined",
-                        fun.antipode.compose(t) == t.compose(grp.antipode), ()))
-    checks.append(Check("haar_intertwined", fun.haar_state.compose(t) == grp.haar_state, ()))
+    checks = [
+        sweep("multiplicative", product(range(n), repeat=2),
+              lambda gh: vec_eq(t.apply(grp.algebra.basis_product(*gh)),
+                                fun.algebra.multiply_vec(t.cols[gh[0]], t.cols[gh[1]]))),
+        Check("unital", vec_eq(t.apply(grp.algebra.unit), fun.algebra.unit), ()),
+        sweep("star_preserving", range(n),
+              lambda g: vec_eq(t.apply(grp.algebra.star.cols[g]),
+                               fun.algebra.star_vec(t.cols[g]))),
+        Check("coproduct_intertwined",
+              fun.coproduct.compose(t) == t.tensor(t).compose(grp.coproduct), ()),
+        Check("counit_intertwined", fun.counit.compose(t) == grp.counit, ()),
+        Check("antipode_intertwined", fun.antipode.compose(t) == t.compose(grp.antipode), ()),
+        Check("haar_intertwined", fun.haar_state.compose(t) == grp.haar_state, ()),
+    ]
     return Report("characters(Z%d)" % n, checks)

@@ -8,10 +8,12 @@ the evaluation pairing, which on these coordinates is the identity matrix.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import InvalidDataError, Element, StarAlgebra
 from .hopf import QuantumGroup, verify_quantum_group
-from .linalg import LinearMap, vec_add_into, vec_eq, vec_scale
-from .report import Check, Report
+from .linalg import LinearMap, entry_eq, vec_add_into, vec_eq, vec_scale
+from .report import Check, Report, sweep
 from .scalar import scalar
 
 
@@ -219,70 +221,34 @@ def verify_fourier_identities(pair: DualPair) -> Report:
     ct = conv_table(g)
     ct_dual = conv_table(d)
     h_eta = g.haar_of_eta()
-    checks = []
+    one = scalar(1)
 
-    witness = None
-    for i in range(n):
-        fi = fr.cols[i]
-        for j in range(n):
-            lhs = fr.apply(ct.get((i, j), {}))
-            rhs = d.algebra.multiply_vec(fi, fr.cols[j])
-            if not vec_eq(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    checks.append(Check("fourier_convolution", witness is None, witness or ()))
+    def dual_convolution(ij):
+        i, j = ij
+        lhs = vec_scale(fr.apply(g.algebra.basis_product(i, j)), h_eta)
+        rhs: dict = {}
+        for p, cp in fr.cols[j].items():
+            for q, cq in fr.cols[i].items():
+                terms = ct_dual.get((p, q))
+                if terms is not None:
+                    vec_add_into(rhs, terms, cp * cq)
+        return vec_eq(lhs, rhs)
 
-    witness = None
-    for i in range(n):
-        lhs = d.algebra.star_vec(fr.cols[i])
-        rhs = fr.apply(g.bullet_map().cols[i])
-        if not vec_eq(lhs, rhs):
-            witness = (i,)
-            break
-    checks.append(Check("fourier_star", witness is None, witness or ()))
-
-    checks.append(Check("fourier_antipode",
-                        d.antipode.compose(fr) == fr.compose(g.antipode), ()))
-
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            lhs = vec_scale(fr.apply(g.algebra.basis_product(i, j)), h_eta)
-            rhs: dict = {}
-            for p, cp in fr.cols[j].items():
-                for q, cq in fr.cols[i].items():
-                    terms = ct_dual.get((p, q))
-                    if terms is not None:
-                        vec_add_into(rhs, terms, cp * cq)
-            if not vec_eq(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    checks.append(Check("fourier_dual_convolution", witness is None, witness or ()))
-
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            lhs = g.counit_of(ct.get((i, j), {}))
-            rhs = g.haar_of(g.algebra.multiply_vec(g.antipode.cols[j], {i: scalar(1)}))
-            if not _opt_eq(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    checks.append(Check("counit_of_convolution", witness is None, witness or ()))
-
-    witness = None
-    for i in range(n):
-        lhs = d.bullet_vec(fr.cols[i])
-        rhs = fr.apply(g.algebra.star.cols[i])
-        if not vec_eq(lhs, rhs):
-            witness = (i,)
-            break
-    checks.append(Check("fourier_conv_adjoint", witness is None, witness or ()))
+    checks = [
+        sweep("fourier_convolution", product(range(n), repeat=2),
+              lambda ij: vec_eq(fr.apply(ct.get(ij, {})),
+                                d.algebra.multiply_vec(fr.cols[ij[0]], fr.cols[ij[1]]))),
+        sweep("fourier_star", range(n),
+              lambda i: vec_eq(d.algebra.star_vec(fr.cols[i]),
+                               fr.apply(g.bullet_map().cols[i]))),
+        Check("fourier_antipode", d.antipode.compose(fr) == fr.compose(g.antipode), ()),
+        sweep("fourier_dual_convolution", product(range(n), repeat=2), dual_convolution),
+        sweep("counit_of_convolution", product(range(n), repeat=2),
+              lambda ij: entry_eq(g.counit_of(ct.get(ij, {})), g.haar_of(
+                  g.algebra.multiply_vec(g.antipode.cols[ij[1]], {ij[0]: one})))),
+        sweep("fourier_conv_adjoint", range(n),
+              lambda i: vec_eq(d.bullet_vec(fr.cols[i]), fr.apply(g.algebra.star.cols[i]))),
+    ]
 
     report = Report("fourier(%s)" % g.label, checks)
     cache["fourier_identities"] = report
@@ -310,10 +276,3 @@ def check_iteration_lemma(pair: DualPair) -> Report:
     cache["iteration_lemma"] = report
     return report
 
-
-def _opt_eq(x, y) -> bool:
-    if x is None:
-        return y is None or y.is_zero()
-    if y is None:
-        return x.is_zero()
-    return (x - y).is_zero()

@@ -10,10 +10,12 @@ exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .algebra import InvalidDataError, StarAlgebra, tensor_mult, tensor_star, tensor_vec
-from .linalg import LinearMap, nullspace_basis, vec_add_into, vec_eq, vec_scale
-from .report import Check, Report
+from .linalg import (LinearMap, entry_eq, leg_apply, nullspace_basis, vec_add_into,
+                     vec_eq, vec_scale)
+from .report import Check, Report, sweep
 from .scalar import QQi, scalar, zero_like
 
 
@@ -176,86 +178,6 @@ def solve_haar_element(algebra: StarAlgebra, counit: LinearMap) -> dict:
 # -- verification -------------------------------------------------------------
 
 
-def _lift_first(coproduct: LinearMap, v: dict, n: int) -> dict:
-    """(Δ⊗id) applied to a sparse vector over A⊗A."""
-    acc: dict = {}
-    for r, c in v.items():
-        a, b = divmod(r, n)
-        for r2, c2 in coproduct.cols[a].items():
-            k = r2 * n + b
-            cur = acc.get(k)
-            t = c * c2 if cur is None else cur + c * c2
-            if t.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = t
-    return acc
-
-
-def _lift_second(coproduct: LinearMap, v: dict, n: int) -> dict:
-    """(id⊗Δ) applied to a sparse vector over A⊗A."""
-    acc: dict = {}
-    for r, c in v.items():
-        a, b = divmod(r, n)
-        base = a * n * n
-        for r2, c2 in coproduct.cols[b].items():
-            k = base + r2
-            cur = acc.get(k)
-            t = c * c2 if cur is None else cur + c * c2
-            if t.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = t
-    return acc
-
-
-def _contract_functional(fmap: LinearMap, v: dict, n: int, leg: int) -> dict:
-    """Apply a 1 x n functional to one leg of a sparse vector over A⊗A."""
-    acc: dict = {}
-    cols = fmap.cols
-    for r, c in v.items():
-        a, b = divmod(r, n)
-        idx, keep = (a, b) if leg == 0 else (b, a)
-        f = cols[idx].get(0)
-        if f is None:
-            continue
-        cur = acc.get(keep)
-        t = c * f if cur is None else cur + c * f
-        if t.is_zero():
-            acc.pop(keep, None)
-        else:
-            acc[keep] = t
-    return acc
-
-
-def _apply_to_leg(m: LinearMap, v: dict, n: int, leg: int) -> dict:
-    """Apply an n x n map to one leg of a sparse vector over A⊗A."""
-    acc: dict = {}
-    cols = m.cols
-    for r, c in v.items():
-        a, b = divmod(r, n)
-        if leg == 0:
-            for r2, c2 in cols[a].items():
-                k = r2 * n + b
-                cur = acc.get(k)
-                t = c * c2 if cur is None else cur + c * c2
-                if t.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = t
-        else:
-            base = a * n
-            for r2, c2 in cols[b].items():
-                k = base + r2
-                cur = acc.get(k)
-                t = c * c2 if cur is None else cur + c * c2
-                if t.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = t
-    return acc
-
-
 def _mult_map_apply(algebra: StarAlgebra, v: dict) -> dict:
     """Multiplication A⊗A → A applied to a sparse vector."""
     n = algebra.dim
@@ -277,127 +199,68 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
 
     from .algebra import verify_star_algebra
 
-    checks = list(verify_star_algebra(g.algebra).checks)
     a = g.algebra
     n = a.dim
     one = scalar(1)
     delta, eps, anti, h = g.coproduct, g.counit, g.antipode, g.haar_state
     unit = a.unit
+    eta = g.haar_element
 
-    def sweep(name, fn, indices):
-        witness = None
-        for idx in indices:
-            if not fn(idx):
-                witness = idx if isinstance(idx, tuple) else (idx,)
-                break
-        checks.append(Check(name, witness is None, witness or ()))
-
-    sweep("coassociativity",
-          lambda j: vec_eq(_lift_first(delta, delta.cols[j], n),
-                           _lift_second(delta, delta.cols[j], n)),
-          range(n))
-
-    sweep("counit_law",
-          lambda j: vec_eq(_contract_functional(eps, delta.cols[j], n, 0), {j: one})
-          and vec_eq(_contract_functional(eps, delta.cols[j], n, 1), {j: one}),
-          range(n))
-
-    unit_tensor = tensor_vec(unit, unit, n)
-    checks.append(Check("coproduct_unital", vec_eq(delta.apply(unit), unit_tensor), ()))
-
-    sweep("coproduct_multiplicative",
-          lambda ij: vec_eq(delta.apply(a.basis_product(ij[0], ij[1])),
-                            tensor_mult(a, a, delta.cols[ij[0]], delta.cols[ij[1]])),
-          ((i, j) for i in range(n) for j in range(n)))
-
-    sweep("coproduct_star",
-          lambda i: vec_eq(delta.apply(a.star.cols[i]),
-                           tensor_star(a, a, delta.cols[i])),
-          range(n))
-
-    eps_unit = eps.apply(unit).get(0)
-    checks.append(Check("counit_unital",
-                        eps_unit is not None and (eps_unit - one).is_zero(), ()))
+    def on_both_legs(f, v, target):
+        return all(vec_eq(leg_apply(f, v, n, leg), target) for leg in (0, 1))
 
     def eps_hom(ij):
-        i, j = ij
-        lhs = eps.apply(a.basis_product(i, j)).get(0)
-        ei = eps.cols[i].get(0)
-        ej = eps.cols[j].get(0)
+        ei, ej = eps.cols[ij[0]].get(0), eps.cols[ij[1]].get(0)
         rhs = None if (ei is None or ej is None) else ei * ej
-        return _opt_eq(lhs, rhs)
+        return entry_eq(eps.apply(a.basis_product(*ij)).get(0), rhs)
 
-    sweep("counit_multiplicative", eps_hom, ((i, j) for i in range(n) for j in range(n)))
-
-    sweep("counit_star",
-          lambda i: _opt_eq(eps.apply(a.star.cols[i]).get(0),
-                            (lambda v: v.conj() if v is not None else None)(eps.cols[i].get(0))),
-          range(n))
+    def eps_star(i):
+        ei = eps.cols[i].get(0)
+        return entry_eq(eps.apply(a.star.cols[i]).get(0), None if ei is None else ei.conj())
 
     def antipode_law(j):
-        d = delta.cols[j]
-        left = _mult_map_apply(a, _apply_to_leg(anti, d, n, 0))
-        right = _mult_map_apply(a, _apply_to_leg(anti, d, n, 1))
         target = vec_scale(unit, eps.cols[j].get(0))
-        return vec_eq(left, target) and vec_eq(right, target)
-
-    sweep("antipode_law", antipode_law, range(n))
-
-    ident = LinearMap.identity(n, one)
-    checks.append(Check("antipode_involutive", anti.compose(anti) == ident, ()))
-
-    sweep("antipode_star",
-          lambda i: vec_eq(anti.apply(a.star.cols[i]), a.star_vec(anti.cols[i])),
-          range(n))
-
-    h_unit = h.apply(unit).get(0)
-    checks.append(Check("haar_unital",
-                        h_unit is not None and (h_unit - one).is_zero(), ()))
-
-    def haar_invariant(j):
-        d = delta.cols[j]
-        hj = h.cols[j].get(0)
-        target = vec_scale(unit, hj)
-        return (vec_eq(_contract_functional(h, d, n, 1), target)
-                and vec_eq(_contract_functional(h, d, n, 0), target))
-
-    sweep("haar_invariance", haar_invariant, range(n))
-
-    checks.append(Check("haar_antipode_invariant", h.compose(anti) == h, ()))
-
-    sweep("haar_tracial",
-          lambda ij: _opt_eq(h.apply(a.basis_product(ij[0], ij[1])).get(0),
-                             h.apply(a.basis_product(ij[1], ij[0])).get(0)),
-          ((i, j) for i in range(n) for j in range(i, n)))
-
-    checks.append(_gram_positivity_check(g))
-
-    eta = g.haar_element
-    eps_eta = eps.apply(eta).get(0)
-    checks.append(Check("haar_element_counit",
-                        eps_eta is not None and (eps_eta - one).is_zero(), ()))
-
-    sweep("haar_element_absorbing",
-          lambda i: vec_eq(a.multiply_vec({i: one}, eta),
-                           vec_scale(eta, eps.cols[i].get(0))),
-          range(n))
+        return all(vec_eq(_mult_map_apply(a, leg_apply(anti, delta.cols[j], n, leg)), target)
+                   for leg in (0, 1))
 
     h_eta = g.haar_of_eta()
-    expected = scalar(Fraction(1, n))
-    checks.append(Check("haar_element_value",
-                        (h_eta - expected).is_zero(), (str(h_eta),) if not (h_eta - expected).is_zero() else ()))
+    h_eta_ok = (h_eta - scalar(Fraction(1, n))).is_zero()
+    checks = list(verify_star_algebra(a).checks) + [
+        sweep("coassociativity", range(n),
+              lambda j: vec_eq(leg_apply(delta, delta.cols[j], n, 0),
+                               leg_apply(delta, delta.cols[j], n, 1))),
+        sweep("counit_law", range(n), lambda j: on_both_legs(eps, delta.cols[j], {j: one})),
+        Check("coproduct_unital", vec_eq(delta.apply(unit), tensor_vec(unit, unit, n)), ()),
+        sweep("coproduct_multiplicative", product(range(n), repeat=2),
+              lambda ij: vec_eq(delta.apply(a.basis_product(*ij)),
+                                tensor_mult(a, a, delta.cols[ij[0]], delta.cols[ij[1]]))),
+        sweep("coproduct_star", range(n),
+              lambda i: vec_eq(delta.apply(a.star.cols[i]), tensor_star(a, a, delta.cols[i]))),
+        Check("counit_unital", entry_eq(eps.apply(unit).get(0), one), ()),
+        sweep("counit_multiplicative", product(range(n), repeat=2), eps_hom),
+        sweep("counit_star", range(n), eps_star),
+        sweep("antipode_law", range(n), antipode_law),
+        Check("antipode_involutive", anti.compose(anti) == LinearMap.identity(n, one), ()),
+        sweep("antipode_star", range(n),
+              lambda i: vec_eq(anti.apply(a.star.cols[i]), a.star_vec(anti.cols[i]))),
+        Check("haar_unital", entry_eq(h.apply(unit).get(0), one), ()),
+        sweep("haar_invariance", range(n),
+              lambda j: on_both_legs(h, delta.cols[j], vec_scale(unit, h.cols[j].get(0)))),
+        Check("haar_antipode_invariant", h.compose(anti) == h, ()),
+        sweep("haar_tracial", ((i, j) for i in range(n) for j in range(i, n)),
+              lambda ij: entry_eq(h.apply(a.basis_product(*ij)).get(0),
+                                  h.apply(a.basis_product(ij[1], ij[0])).get(0))),
+        _gram_positivity_check(g),
+        Check("haar_element_counit", entry_eq(eps.apply(eta).get(0), one), ()),
+        sweep("haar_element_absorbing", range(n),
+              lambda i: vec_eq(a.multiply_vec({i: one}, eta),
+                               vec_scale(eta, eps.cols[i].get(0)))),
+        Check("haar_element_value", h_eta_ok, () if h_eta_ok else (str(h_eta),)),
+    ]
 
     report = Report(g.label or "quantum-group", checks)
     g._cache["verify_report"] = report
     return report
-
-
-def _opt_eq(x, y) -> bool:
-    if x is None:
-        return y is None or y.is_zero()
-    if y is None:
-        return x.is_zero()
-    return (x - y).is_zero()
 
 
 def _gram_positivity_check(g: QuantumGroup) -> Check:
@@ -446,20 +309,15 @@ def check_haar_antipode_identity(g: QuantumGroup) -> Report:
     one = scalar(1)
     h, delta, anti = g.haar_state, g.coproduct, g.antipode
     unit = a.unit
-    witness = None
-    for b in range(n):
-        db = delta.cols[b]
-        for c in range(n):
-            unit_c = tensor_vec(unit, {c: one}, n)
-            lhs = anti.apply(_contract_functional(h, tensor_mult(a, a, db, unit_c), n, 1))
-            b_tensor = tensor_vec(unit, {b: one}, n)
-            rhs = _contract_functional(h, tensor_mult(a, a, b_tensor, delta.cols[c]), n, 1)
-            if not vec_eq(lhs, rhs):
-                witness = (b, c)
-                break
-        if witness:
-            break
+
+    def identity(bc):
+        b, c = bc
+        unit_c = tensor_vec(unit, {c: one}, n)
+        lhs = anti.apply(leg_apply(h, tensor_mult(a, a, delta.cols[b], unit_c), n, 1))
+        b_unit = tensor_vec(unit, {b: one}, n)
+        return vec_eq(lhs, leg_apply(h, tensor_mult(a, a, b_unit, delta.cols[c]), n, 1))
+
     report = Report(g.label or "quantum-group",
-                    [Check("haar_antipode_identity", witness is None, witness or ())])
+                    [sweep("haar_antipode_identity", product(range(n), repeat=2), identity)])
     g._cache["haar_antipode_identity"] = report
     return report

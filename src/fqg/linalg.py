@@ -81,6 +81,15 @@ def vec_eq(u: dict, v: dict) -> bool:
     return True
 
 
+def entry_eq(x, y) -> bool:
+    """Equality of two entries where None stands for a structural zero."""
+    if x is None:
+        return y is None or y.is_zero()
+    if y is None:
+        return x.is_zero()
+    return (x - y).is_zero()
+
+
 def vec_from_dense(coeffs) -> dict:
     return {i: s for i, s in enumerate(coeffs) if not s.is_zero()}
 
@@ -105,14 +114,6 @@ class LinearMap:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_entries(cls, source_dim, target_dim, entries, source="", target=""):
-        cols = [dict() for _ in range(source_dim)]
-        for (r, c), s in entries.items():
-            if not s.is_zero():
-                cols[c][r] = s
-        return cls(source_dim, target_dim, cols, source, target)
-
-    @classmethod
     def from_rows(cls, rows, source="", target=""):
         target_dim = len(rows)
         source_dim = len(rows[0]) if rows else 0
@@ -129,18 +130,11 @@ class LinearMap:
     def identity(cls, n, one, label=""):
         return cls(n, n, [{i: one} for i in range(n)], label, label)
 
-    @classmethod
-    def zero_map(cls, source_dim, target_dim, source="", target=""):
-        return cls(source_dim, target_dim, [{} for _ in range(source_dim)], source, target)
-
     # -- access --------------------------------------------------------
 
     def entry(self, r, c):
         """Entry (r, c); None stands for a structural zero."""
         return self.cols[c].get(r)
-
-    def column(self, c) -> dict:
-        return dict(self.cols[c])
 
     def apply(self, vec: dict) -> dict:
         cols = self.cols
@@ -294,6 +288,32 @@ def _unit_like(sample):
     from .scalar import CFloat
 
     return CFloat(1.0)
+
+
+def leg_apply(m: LinearMap, v: dict, right_dim: int, leg: int) -> dict:
+    """Apply ``m`` to leg 0 or leg 1 of a sparse vector over X⊗Y.
+
+    ``right_dim`` is dim Y.  ``m`` may be square, a coproduct (n → n²) or a
+    1 x n functional; the result lives on m(X)⊗Y or X⊗m(Y), row-major.
+    """
+    cols = m.cols
+    td = m.target_dim
+    acc: dict = {}
+    for r, c in v.items():
+        x, y = divmod(r, right_dim)
+        if leg == 0:
+            col, base, step = cols[x], y, right_dim
+        else:
+            col, base, step = cols[y], x * td, 1
+        for r2, c2 in col.items():
+            k = base + r2 * step
+            cur = acc.get(k)
+            t = c * c2 if cur is None else cur + c * c2
+            if t.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = t
+    return acc
 
 
 def flip_map(dim_a: int, dim_b: int, one) -> LinearMap:

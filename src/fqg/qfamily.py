@@ -10,14 +10,15 @@ duality predicates through the Fourier transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (InvalidDataError, StarAlgebra, scalar_algebra,
                       tensor_algebra, tensor_mult, tensor_star, tensor_vec)
 from .fourier import conv_table, dual_pair
 from .hopf import QuantumGroup
-from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
-                     vec_eq, vec_scale)
-from .report import Check, Report
+from .linalg import (LinearMap, flip_map, leg_apply, rank_of_vectors,
+                     vec_add_into, vec_eq, vec_scale)
+from .report import Check, Report, first_failure, sweep
 from .scalar import scalar
 
 
@@ -79,38 +80,50 @@ def identity_family(g: QuantumGroup, target: StarAlgebra | None = None,
 # -- the basic predicate battery ----------------------------------------------
 
 
+def hom_indices(n: int, identities=("unit", "multiplicative", "star")):
+    """The tagged indices of α's *-homomorphism identities, in check order."""
+    for identity in identities:
+        if identity == "unit":
+            yield ("unit",)
+        elif identity == "multiplicative":
+            yield from (("multiplicative", i, j) for i in range(n) for j in range(n))
+        else:
+            yield from (("star", i) for i in range(n))
+
+
+def hom_predicate(qf: QuantumFamily):
+    """Whether α satisfies the identity at a tagged index: ("unit",) for
+    α(1) = 1⊗1, ("multiplicative", i, j) for α(e_i e_j) = α(e_i)α(e_j) and
+    ("star", i) for α(e_i*) = α(e_i)*."""
+    a, b, alpha = qf.source.algebra, qf.target_algebra, qf.alpha
+
+    def holds(idx):
+        if idx[0] == "unit":
+            return vec_eq(alpha.apply(a.unit), tensor_vec(a.unit, b.unit, b.dim))
+        if idx[0] == "multiplicative":
+            i, j = idx[1:]
+            return vec_eq(alpha.apply(a.basis_product(i, j)),
+                          tensor_mult(a, b, alpha.cols[i], alpha.cols[j]))
+        i = idx[1]
+        return vec_eq(alpha.apply(a.star.cols[i]), tensor_star(a, b, alpha.cols[i]))
+    return holds
+
+
+def functional_predicate(qf: QuantumFamily, f: LinearMap):
+    """i ↦ whether (f⊗id)α(e_i) = f(e_i)·1, for a 1 x n functional f."""
+    b = qf.target_algebra
+    return lambda i: vec_eq(leg_apply(f, qf.alpha.cols[i], b.dim, 0),
+                            vec_scale(b.unit, f.cols[i].get(0)))
+
+
 def check_family(qf: QuantumFamily) -> Report:
     """Unital *-homomorphism property and the Podles spanning condition."""
     cached = qf._cache.get("check_family")
     if cached is not None:
         return cached
-    a = qf.source.algebra
-    b = qf.target_algebra
-    n, m = a.dim, b.dim
+    n, m = qf.source.dim, qf.target_algebra.dim
     alpha = qf.alpha
-    checks = []
-
-    witness = None
-    if not vec_eq(alpha.apply(a.unit), tensor_vec(a.unit, b.unit, m)):
-        witness = ("unit",)
-    if witness is None:
-        for i in range(n):
-            for j in range(n):
-                lhs = alpha.apply(a.basis_product(i, j))
-                rhs = tensor_mult(a, b, alpha.cols[i], alpha.cols[j])
-                if not vec_eq(lhs, rhs):
-                    witness = ("multiplicative", i, j)
-                    break
-            if witness:
-                break
-    if witness is None:
-        for i in range(n):
-            lhs = alpha.apply(a.star.cols[i])
-            rhs = tensor_star(a, b, alpha.cols[i])
-            if not vec_eq(lhs, rhs):
-                witness = ("star", i)
-                break
-    checks.append(Check("unital_star_hom", witness is None, witness or ()))
+    checks = [sweep("unital_star_hom", hom_indices(n), hom_predicate(qf))]
 
     slices = []
     for j in range(n):
@@ -145,99 +158,50 @@ def check_convolution_preservation(qf: QuantumFamily) -> Report:
     n, m = a.dim, b.dim
     alpha = qf.alpha
     ct = conv_table(g)
-    checks = []
-
-    witness = None
-    for i in range(n):
-        ai = alpha.cols[i]
-        for j in range(n):
-            lhs = alpha.apply(ct.get((i, j), {}))
-            rhs: dict = {}
-            aj = alpha.cols[j]
-            for p, cp in ai.items():
-                x1, b1 = divmod(p, m)
-                for q, cq in aj.items():
-                    x2, b2 = divmod(q, m)
-                    conv_terms = ct.get((x1, x2))
-                    if conv_terms is None:
-                        continue
-                    b_terms = b.mult.get((b1, b2))
-                    if b_terms is None:
-                        continue
-                    c = cp * cq
-                    for k1, c1 in conv_terms.items():
-                        base = k1 * m
-                        cc = c * c1
-                        for k2, c2 in b_terms.items():
-                            k = base + k2
-                            cur = rhs.get(k)
-                            t = cc * c2 if cur is None else cur + cc * c2
-                            if t.is_zero():
-                                rhs.pop(k, None)
-                            else:
-                                rhs[k] = t
-            if not vec_eq(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    checks.append(Check("conv_product", witness is None, witness or ()))
-
     bullet = g.bullet_map()
-    witness = None
-    for i in range(n):
-        lhs = alpha.apply(bullet.cols[i])
+
+    def conv_product(ij):
+        i, j = ij
+        rhs: dict = {}
+        for p, cp in alpha.cols[i].items():
+            x1, b1 = divmod(p, m)
+            for q, cq in alpha.cols[j].items():
+                x2, b2 = divmod(q, m)
+                conv_terms = ct.get((x1, x2))
+                if conv_terms is None:
+                    continue
+                b_terms = b.mult.get((b1, b2))
+                if b_terms is None:
+                    continue
+                c = cp * cq
+                for k1, c1 in conv_terms.items():
+                    base = k1 * m
+                    cc = c * c1
+                    for k2, c2 in b_terms.items():
+                        k = base + k2
+                        cur = rhs.get(k)
+                        t = cc * c2 if cur is None else cur + cc * c2
+                        if t.is_zero():
+                            rhs.pop(k, None)
+                        else:
+                            rhs[k] = t
+        return vec_eq(alpha.apply(ct.get(ij, {})), rhs)
+
+    def conv_adjoint(i):
         rhs: dict = {}
         for p, c in alpha.cols[i].items():
             x, q = divmod(p, m)
-            piece = tensor_vec(bullet.cols[x], b.star.cols[q], m)
-            vec_add_into(rhs, piece, c.conj())
-        if not vec_eq(lhs, rhs):
-            witness = (i,)
-            break
-    checks.append(Check("conv_adjoint", witness is None, witness or ()))
+            vec_add_into(rhs, tensor_vec(bullet.cols[x], b.star.cols[q], m), c.conj())
+        return vec_eq(alpha.apply(bullet.cols[i]), rhs)
 
-    checks.append(Check("haar_element",
-                        vec_eq(alpha.apply(g.haar_element),
-                               tensor_vec(g.haar_element, b.unit, m)), ()))
-
-    witness = None
-    for i in range(n):
-        collapsed: dict = {}
-        for r, c in alpha.cols[i].items():
-            x, q = divmod(r, m)
-            e = g.counit.cols[x].get(0)
-            if e is None:
-                continue
-            cur = collapsed.get(q)
-            t = c * e if cur is None else cur + c * e
-            if t.is_zero():
-                collapsed.pop(q, None)
-            else:
-                collapsed[q] = t
-        if not vec_eq(collapsed, vec_scale(b.unit, g.counit.cols[i].get(0))):
-            witness = (i,)
-            break
-    checks.append(Check("counit", witness is None, witness or ()))
-
-    witness = None
-    for i in range(n):
-        collapsed = {}
-        for r, c in alpha.cols[i].items():
-            x, q = divmod(r, m)
-            e = g.haar_state.cols[x].get(0)
-            if e is None:
-                continue
-            cur = collapsed.get(q)
-            t = c * e if cur is None else cur + c * e
-            if t.is_zero():
-                collapsed.pop(q, None)
-            else:
-                collapsed[q] = t
-        if not vec_eq(collapsed, vec_scale(b.unit, g.haar_state.cols[i].get(0))):
-            witness = (i,)
-            break
-    checks.append(Check("haar_state", witness is None, witness or ()))
+    eta_ok = vec_eq(alpha.apply(g.haar_element), tensor_vec(g.haar_element, b.unit, m))
+    checks = [
+        sweep("conv_product", product(range(n), repeat=2), conv_product),
+        sweep("conv_adjoint", range(n), conv_adjoint),
+        Check("haar_element", eta_ok, ()),
+        sweep("counit", range(n), functional_predicate(qf, g.counit)),
+        sweep("haar_state", range(n), functional_predicate(qf, g.haar_state)),
+    ]
 
     report = Report(qf.label, checks)
     qf._cache["conv_preservation"] = report
@@ -287,61 +251,6 @@ def double_hat_formula_matches(qf: QuantumFamily) -> bool:
     return hh == target
 
 
-def _hat_unital(qf_hat: QuantumFamily) -> bool:
-    d = qf_hat.source.algebra
-    b = qf_hat.target_algebra
-    return vec_eq(qf_hat.alpha.apply(d.unit), tensor_vec(d.unit, b.unit, b.dim))
-
-
-def _hat_multiplicative(qf_hat: QuantumFamily):
-    d = qf_hat.source.algebra
-    b = qf_hat.target_algebra
-    n = d.dim
-    alpha = qf_hat.alpha
-    for i in range(n):
-        for j in range(n):
-            lhs = alpha.apply(d.basis_product(i, j))
-            rhs = tensor_mult(d, b, alpha.cols[i], alpha.cols[j])
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
-
-
-def _hat_star_preserving(qf_hat: QuantumFamily):
-    d = qf_hat.source.algebra
-    b = qf_hat.target_algebra
-    alpha = qf_hat.alpha
-    for i in range(d.dim):
-        lhs = alpha.apply(d.star.cols[i])
-        rhs = tensor_star(d, b, alpha.cols[i])
-        if not vec_eq(lhs, rhs):
-            return False
-    return True
-
-
-def _hat_haar_preserving(qf_hat: QuantumFamily):
-    d = qf_hat.source
-    b = qf_hat.target_algebra
-    m = b.dim
-    alpha = qf_hat.alpha
-    for i in range(d.dim):
-        collapsed: dict = {}
-        for r, c in alpha.cols[i].items():
-            x, q = divmod(r, m)
-            e = d.haar_state.cols[x].get(0)
-            if e is None:
-                continue
-            cur = collapsed.get(q)
-            t = c * e if cur is None else cur + c * e
-            if t.is_zero():
-                collapsed.pop(q, None)
-            else:
-                collapsed[q] = t
-        if not vec_eq(collapsed, vec_scale(b.unit, d.haar_state.cols[i].get(0))):
-            return False
-    return True
-
-
 def verify_dual_equivalences(qf: QuantumFamily) -> Report:
     """The four if-and-only-if links between a family and its dual family.
 
@@ -353,15 +262,19 @@ def verify_dual_equivalences(qf: QuantumFamily) -> Report:
         return cached
     conv = check_convolution_preservation(qf)
     qf_hat = hat(qf)
+    n = qf_hat.source.dim
+    hom = hom_predicate(qf_hat)
+
+    def hat_holds(identity):
+        return first_failure(hom_indices(n, (identity,)), hom) is None
+
+    haar = functional_predicate(qf_hat, qf_hat.source.haar_state)
     items = [
-        ("item1_multiplicative", conv.check("conv_product").passed,
-         _hat_multiplicative(qf_hat)),
-        ("item2_star", conv.check("conv_adjoint").passed,
-         _hat_star_preserving(qf_hat)),
-        ("item3_unital", conv.check("haar_element").passed,
-         _hat_unital(qf_hat)),
+        ("item1_multiplicative", conv.check("conv_product").passed, hat_holds("multiplicative")),
+        ("item2_star", conv.check("conv_adjoint").passed, hat_holds("star")),
+        ("item3_unital", conv.check("haar_element").passed, hat_holds("unit")),
         ("item4_haar_state", conv.check("counit").passed,
-         _hat_haar_preserving(qf_hat)),
+         first_failure(range(n), haar) is None),
     ]
     checks = [Check(name, primal == dual, (primal, dual))
               for name, primal, dual in items]
@@ -411,21 +324,7 @@ def compose(beta: QuantumFamily, gamma: QuantumFamily) -> QuantumFamily:
     c = gamma.target_algebra
     mb, mc = b.dim, c.dim
     n = g.dim
-    cols = []
-    for j in range(n):
-        acc: dict = {}
-        for r, cv in gamma.alpha.cols[j].items():
-            x, q = divmod(r, mc)
-            for r2, cv2 in beta.alpha.cols[x].items():
-                u, p = divmod(r2, mb)
-                k = (u * mb + p) * mc + q
-                cur = acc.get(k)
-                t = cv * cv2 if cur is None else cur + cv * cv2
-                if t.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = t
-        cols.append(acc)
+    cols = [leg_apply(beta.alpha, col, mc, 0) for col in gamma.alpha.cols]
     target = tensor_algebra(b, c)
     alpha = LinearMap(n, n * target.dim, cols)
 
@@ -451,39 +350,13 @@ def check_action(qf: QuantumFamily) -> Report:
         return cached
     if qf.hopf_on_target is None:
         raise InvalidDataError("action check needs coproduct data on the target")
-    g = qf.source
-    n = g.dim
     m = qf.target_algebra.dim
     alpha = qf.alpha
     cp = qf.hopf_on_target.coproduct
-    witness = None
-    for j in range(n):
-        lhs: dict = {}
-        rhs: dict = {}
-        for r, c in alpha.cols[j].items():
-            x, q = divmod(r, m)
-            base = x * m * m
-            for r2, c2 in cp.cols[q].items():
-                k = base + r2
-                cur = lhs.get(k)
-                t = c * c2 if cur is None else cur + c * c2
-                if t.is_zero():
-                    lhs.pop(k, None)
-                else:
-                    lhs[k] = t
-            for r2, c2 in alpha.cols[x].items():
-                u, p = divmod(r2, m)
-                k = (u * m + p) * m + q
-                cur = rhs.get(k)
-                t = c * c2 if cur is None else cur + c * c2
-                if t.is_zero():
-                    rhs.pop(k, None)
-                else:
-                    rhs[k] = t
-        if not vec_eq(lhs, rhs):
-            witness = (j,)
-            break
-    report = Report(qf.label, [Check("action_equation", witness is None, witness or ())])
+    report = Report(qf.label, [sweep(
+        "action_equation", range(qf.source.dim),
+        lambda j: vec_eq(leg_apply(cp, alpha.cols[j], m, 1),
+                         leg_apply(alpha, alpha.cols[j], m, 0)))])
     qf._cache["check_action"] = report
     return report
 

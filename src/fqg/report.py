@@ -35,6 +35,25 @@ class Check:
         }
 
 
+def first_failure(indices, pred):
+    """The first index where ``pred`` fails, as a tuple; None when all pass.
+
+    ``indices`` is consumed only up to the failure, so a lazy generator stops
+    there.  A scalar index is returned as a 1-tuple.
+    """
+    for idx in indices:
+        if not pred(idx):
+            return idx if isinstance(idx, tuple) else (idx,)
+    return None
+
+
+def sweep(name: str, indices, pred) -> Check:
+    """The check ``name``: ``pred`` holds on every index, else the first
+    failing index is the witness."""
+    witness = first_failure(indices, pred)
+    return Check(name, witness is None, witness or ())
+
+
 @dataclass
 class Report:
     subject: str

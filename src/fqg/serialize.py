@@ -38,7 +38,7 @@ def matrix_to_dense(m: LinearMap):
 def matrix_from_dense(rows, source_dim=None, target_dim=None) -> LinearMap:
     try:
         parsed = [[parse_scalar(*cell) for cell in row] for row in rows]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad matrix entry: %s" % exc)
     if not parsed:
         raise InvalidDataError("empty matrix")
@@ -53,13 +53,14 @@ def vector_to_list(v: dict, dim: int):
     return [_pair(v[i]) if i in v else list(_ZERO_PAIR) for i in range(dim)]
 
 
-def vector_from_list(lst) -> dict:
-    out = {}
-    for i, cell in enumerate(lst):
-        s = parse_scalar(*cell)
-        if not s.is_zero():
-            out[i] = s
-    return out
+def vector_from_list(lst, dim: int) -> dict:
+    try:
+        parsed = [parse_scalar(*cell) for cell in lst]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDataError("bad vector entry: %s" % exc)
+    if len(parsed) != dim:
+        raise InvalidDataError("vector has %d entries, expected %d" % (len(parsed), dim))
+    return {i: s for i, s in enumerate(parsed) if not s.is_zero()}
 
 
 def algebra_to_dict(a: StarAlgebra) -> dict:
@@ -97,10 +98,10 @@ def algebra_from_dict(d: dict) -> StarAlgebra:
             s = parse_scalar(re, im)
             if not s.is_zero():
                 mult.setdefault((int(i), int(j)), {})[int(k)] = s
-        unit = vector_from_list(d["unit"])
+        unit = vector_from_list(d["unit"], dim)
         star = matrix_from_dense(d["star"], dim, dim)
         return StarAlgebra(dim, mult, unit, star, d.get("label", ""))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InvalidDataError):
             raise
         raise InvalidDataError("malformed algebra: %s" % exc)
@@ -131,7 +132,7 @@ def quantum_group_from_dict(d: dict, verify: bool = True) -> QuantumGroup:
     else:
         haar = solve_haar_state(algebra, coproduct)
     if "haar_element" in d:
-        eta = vector_from_list(d["haar_element"])
+        eta = vector_from_list(d["haar_element"], n)
     else:
         eta = solve_haar_element(algebra, counit)
     g = QuantumGroup(algebra, coproduct, counit, antipode, haar, eta,

@@ -1,8 +1,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fqg.linalg import (LinearMap, flip_map, nullspace_basis, rank_of_vectors,
-                        vec_eq)
+from fqg.linalg import (LinearMap, flip_map, leg_apply, nullspace_basis,
+                        rank_of_vectors, vec_eq)
 from fqg.scalar import QQi, use_backend, CFloat
 
 ONE = QQi(1)
@@ -95,3 +95,28 @@ def test_nullspace_annihilates_and_has_complementary_dimension(rows):
                 if i in v:
                     acc = c * v[i] if acc is None else acc + c * v[i]
             assert acc is None or acc.is_zero()
+
+
+def _random_map(rng, source_dim, target_dim):
+    cols = [{r: QQi(rng.randint(-3, 3), rng.randint(-1, 1)) for r in range(target_dim)
+             if rng.random() < 0.6} for _ in range(source_dim)]
+    return LinearMap(source_dim, target_dim, cols)
+
+
+def test_leg_apply_matches_kronecker_reference():
+    import random
+
+    rng = random.Random(7)
+    dx, dy = 3, 2  # X and Y of different dimensions
+    for _ in range(5):
+        v = {k: QQi(rng.randint(-4, 4), rng.randint(-2, 2)) for k in range(dx * dy)
+             if rng.random() < 0.7}
+        for kind in ("square", "coproduct", "functional"):
+            for leg, d in ((0, dx), (1, dy)):
+                target = {"square": d, "coproduct": d * d, "functional": 1}[kind]
+                m = _random_map(rng, d, target)
+                if leg == 0:
+                    ref = m.tensor(LinearMap.identity(dy, ONE)).apply(v)
+                else:
+                    ref = LinearMap.identity(dx, ONE).tensor(m).apply(v)
+                assert vec_eq(leg_apply(m, v, dy, leg), ref), (kind, leg)

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 from fqg.constructors import quantum_group_data_equal
 from fqg.fourier import dual_pair
@@ -6,6 +7,10 @@ from fqg.groups import CATALOG
 from fqg.hopf import solve_haar_element, solve_haar_state
 from fqg.linalg import vec_eq
 from fqg.selftest import catalog_quantum_group, run_selftest, selftest_to_dict
+from fqg.serialize import canonical_json
+
+# `fqg selftest --format json`; the canonical output must not change
+GOLDEN = Path(__file__).parent / "data" / "selftest.json"
 
 
 def test_solvers_agree_with_stored_data_across_catalog():
@@ -34,6 +39,7 @@ def test_selftest_all_suites_pass():
     d = selftest_to_dict(reports)
     assert d["pass"] is True
     assert len(d["suites"]) == 12
+    assert canonical_json(d) == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_thread_pool_matches_sequential_run():

@@ -131,12 +131,32 @@ def test_cli_compose(tmp_path, capsys):
     assert main(["check-family", str(out)]) == 0
 
 
+def test_cli_readme_build_then_verify(tmp_path, monkeypatch, capsys):
+    # the README sequence, run as written: -o without --format json
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--group", "S3", "--kind", "fun", "-o", "s3.json"]) == 0
+    assert capsys.readouterr().out == "built fun(S3) (dim 6)\n"
+    assert quantum_group_data_equal(
+        quantum_group_from_dict(json.loads((tmp_path / "s3.json").read_text())),
+        function_algebra(named_group("S3")))
+    assert main(["verify", "s3.json"]) == 0
+
+
 def test_cli_malformed_input_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [input]")
+
+    base = quantum_group_to_dict(function_algebra(cyclic(3)))
+    for eta in ([["nan", "0"], ["0", "0"], ["0", "0"]], [["inf", "0"]] * 3,
+                [["1", "0"]], 5, "ab"):
+        path.write_text(canonical_json(dict(base, haar_element=eta)))
+        assert main(["verify", str(path)]) == 2, eta
+        assert capsys.readouterr().err.startswith("error: [input]"), eta
+    path.write_text(canonical_json(dict(base, mult=[[0, 0, 0, "inf", "0"]])))
+    assert main(["verify", str(path)]) == 2
 
 
 def test_cli_skip_verify_flag(tmp_path):
