@@ -13,6 +13,15 @@ from itertools import product
 
 from .algebra import InvalidDataError
 
+# Largest group order accepted: the multiplication table has order**2 cells
+# and its validation is cubic in the order.  S4 x S4 (576) still fits.
+MAX_GROUP_ORDER = 1024
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise InvalidDataError("group order %d exceeds the limit %d" % (n, MAX_GROUP_ORDER))
+
 
 class FiniteGroup:
     __slots__ = ("order", "table", "identity", "inverse", "label", "_cache")
@@ -126,6 +135,7 @@ class FiniteGroup:
 
 def group_from_table(table, label="") -> FiniteGroup:
     """Validate a multiplication table and reindex so the identity is 0."""
+    _check_order(len(table))
     g = FiniteGroup(table, label)
     if g.identity == 0:
         return g
@@ -168,6 +178,7 @@ def _perm_closure(gens):
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidDataError("cyclic group order must be >= 1")
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return group_from_table(table, "Z%d" % n)
 
@@ -185,6 +196,7 @@ def dihedral(n: int) -> FiniteGroup:
     # the vertex permutation action is only faithful from n = 3 on
     if n < 3:
         raise InvalidDataError("dihedral requires n >= 3")
+    _check_order(2 * n)
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
     return _perm_group(_perm_closure([rot, ref]), "D%d" % n)
@@ -213,6 +225,7 @@ def quaternion8() -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n, m = a.order, b.order
+    _check_order(n * m)
     table = [[0] * (n * m) for _ in range(n * m)]
     for (i1, j1) in product(range(n), range(m)):
         for (i2, j2) in product(range(n), range(m)):
@@ -227,7 +240,7 @@ def klein4() -> FiniteGroup:
     return g
 
 
-_NAME_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
+_NAME_RE = re.compile(r"^([A-Za-z]+)(\d{0,9})$")
 
 
 @lru_cache(maxsize=None)

@@ -3,15 +3,16 @@
 Vectors are plain ``{index: scalar}`` dicts with zero entries omitted.
 Linear maps are concrete matrices stored column-sparse; the full shape is
 always declared, so every entry is retrievable even when not stored.
-Rank uses fraction-free (Bareiss) elimination on the exact backend to keep
-intermediate rationals from blowing up; the float backend pivots by
-magnitude against the global tolerance.
+On the exact backend, rank clears each row's denominators and runs
+fraction-free (Bareiss) elimination on Gaussian integers held as (re, im)
+pairs of Python ints, so no rational arithmetic happens inside the
+elimination; the float backend pivots by magnitude against the global
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .scalar import QQi, tolerance, zero_like
 
@@ -325,80 +326,71 @@ def flip_map(dim_a: int, dim_b: int, one) -> LinearMap:
     return LinearMap(dim_a * dim_b, dim_b * dim_a, cols)
 
 
-def _clear_denominators(row):
-    """Scale a row of QQi in place so every component is a Gaussian integer."""
-    l = 1
-    for s in row:
-        l = math.lcm(l, s.re.denominator, s.im.denominator)
-    if l != 1:
-        f = QQi(Fraction(l))
-        for i, s in enumerate(row):
-            row[i] = s * f
-    return row
-
-
 def rank_of_vectors(vectors, dim: int) -> int:
     """Rank of a family of sparse vectors inside a dim-dimensional space.
 
-    Exact backend: fraction-free (Bareiss) elimination after clearing
-    denominators.  Float backend: partial-pivot elimination with the global
+    Exact backend: fraction-free (Bareiss) elimination on Gaussian-integer
+    rows.  Float backend: partial-pivot elimination with the global
     tolerance deciding what counts as zero.
     """
-    rows = []
-    sample = None
-    for v in vectors:
-        if not vec_is_zero(v):
-            rows.append(v)
-            if sample is None:
-                sample = next(iter(v.values()))
+    rows = [v for v in vectors if not vec_is_zero(v)]
     if not rows:
         return 0
-    zero = zero_like(sample)
-    dense = [[v.get(c, zero) for c in range(dim)] for v in rows]
+    sample = next(iter(rows[0].values()))
     if type(sample) is QQi:
-        return _rank_bareiss(dense, dim)
-    return _rank_float(dense, dim)
+        return _rank_bareiss([_gaussian_integer_row(v, dim) for v in rows], dim)
+    zero = zero_like(sample)
+    return _rank_float([[v.get(c, zero) for c in range(dim)] for v in rows], dim)
+
+
+_GZERO = (0, 0)
+
+
+def _gaussian_integer_row(v: dict, dim: int) -> list:
+    """Dense row of (re, im) int pairs: the QQi vector v times the lcm of its
+    denominators, a nonzero scale that leaves the rank unchanged."""
+    l = 1
+    for s in v.values():
+        l = math.lcm(l, s.re.denominator, s.im.denominator)
+    row = [_GZERO] * dim
+    for c, s in v.items():
+        re, im = s.re, s.im
+        row[c] = (re.numerator * (l // re.denominator), im.numerator * (l // im.denominator))
+    return row
 
 
 def _rank_bareiss(m, ncols) -> int:
-    for row in m:
-        _clear_denominators(row)
+    """Rank of a matrix over Z[i] given as rows of (re, im) int pairs.
+
+    Bareiss elimination: row_i <- (a*row_i - f*pivot_row) / p, with a the
+    pivot, f the entry of row_i below it and p the previous pivot.  By
+    Sylvester's identity every such quotient lies in Z[i], so it is computed
+    exactly as (t*conj(p)) // N(p) componentwise.  Eliminates ``m`` in place.
+    """
     nrows = len(m)
-    prev = None
+    pr, pi, pn = 1, 0, 1  # previous pivot and its norm
     r = 0
     for c in range(ncols):
-        if r == nrows or r == ncols:
+        if r == nrows:
             break
-        piv = None
         for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                piv = i
+            if m[i][c] != _GZERO:
                 break
-        if piv is None:
+        else:
             continue
-        if piv != r:
-            m[piv], m[r] = m[r], m[piv]
-        pr = m[r]
-        pv = pr[c]
+        m[i], m[r] = m[r], m[i]
+        top = m[r]
+        ar, ai = top[c]
         for i in range(r + 1, nrows):
-            ri = m[i]
-            f = ri[c]
-            if f.is_zero():
-                if prev is not None:
-                    for j in range(c + 1, ncols):
-                        ri[j] = (pv * ri[j]) / prev
-                else:
-                    for j in range(c + 1, ncols):
-                        ri[j] = pv * ri[j]
-            else:
-                if prev is not None:
-                    for j in range(c + 1, ncols):
-                        ri[j] = (pv * ri[j] - f * pr[j]) / prev
-                else:
-                    for j in range(c + 1, ncols):
-                        ri[j] = pv * ri[j] - f * pr[j]
-            ri[c] = zero_like(pv)
-        prev = pv
+            row = m[i]
+            fr, fi = row[c]
+            for j in range(c + 1, ncols):
+                xr, xi = row[j]
+                yr, yi = top[j]
+                tr = ar * xr - ai * xi - fr * yr + fi * yi
+                ti = ar * xi + ai * xr - fr * yi - fi * yr
+                row[j] = ((tr * pr + ti * pi) // pn, (ti * pr - tr * pi) // pn)
+        pr, pi, pn = ar, ai, ar * ar + ai * ai
         r += 1
     return r
 

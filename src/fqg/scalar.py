@@ -229,7 +229,20 @@ def format_scalar(s) -> tuple[str, str]:
     return (repr(s.re), repr(s.im))
 
 
+# Largest decimal exponent a number string may carry: Fraction("1e99999999")
+# would compute 10**99999999 before anything could reject the value.
+MAX_EXPONENT = 1000
+
+
 def _number_from_string(text: str) -> Fraction:
+    if "e" in text or "E" in text:
+        exponent = text.lower().rpartition("e")[2]
+        try:
+            too_large = abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:
+            too_large = False  # not an exponent; the parse below rejects or reads it
+        if too_large:
+            raise ValueError("exponent of %.40r exceeds %d" % (text, MAX_EXPONENT))
     try:
         return Fraction(text)
     except ValueError:
@@ -247,13 +260,14 @@ def parse_scalar(re_text: str, im_text: str = "0"):
 
 def backend_cached(fn):
     """Memoize a constructor whose output embeds scalars of the active
-    backend; the cache key carries the backend so exact and float results
-    never shadow each other."""
+    backend; the cache key carries the backend, and for the float backend its
+    tolerance, so results built under one setting never answer for another."""
     cached = lru_cache(maxsize=None)(lambda _backend, *args: fn(*args))
 
     @wraps(fn)
     def wrapper(*args):
-        return cached(_state.name, *args)
+        name = _state.name
+        return cached(name if name == EXACT else (name, _state.tol), *args)
 
     wrapper.cache_clear = cached.cache_clear
     return wrapper

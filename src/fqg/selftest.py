@@ -291,17 +291,18 @@ def worker_count() -> int:
         return 1
 
 
+def _timed(fn):
+    start = time.perf_counter()
+    rep = fn()
+    rep.elapsed = time.perf_counter() - start
+    return rep
+
+
 def run_selftest():
     """Run every suite; returns the list of Reports in a fixed order."""
     workers = worker_count()
     if workers == 1:
-        reports = []
-        for fn in SUITES:
-            start = time.perf_counter()
-            rep = fn()
-            rep.elapsed = time.perf_counter() - start
-            reports.append(rep)
-        return reports
+        return [_timed(fn) for fn in SUITES]
 
     from .scalar import backend_name, set_backend, tolerance
 
@@ -310,7 +311,7 @@ def run_selftest():
     def call(fn):
         # backend selection is thread-local; propagate the caller's choice
         set_backend(name, tol)
-        return fn()
+        return _timed(fn)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(call, fn) for fn in SUITES]

@@ -2,7 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fqg.linalg import (LinearMap, flip_map, leg_apply, nullspace_basis,
-                        rank_of_vectors, vec_eq)
+                        rank_of_vectors, vec_add_into, vec_eq)
 from fqg.scalar import QQi, use_backend, CFloat
 
 ONE = QQi(1)
@@ -39,6 +39,40 @@ entries = st.builds(QQi, fractions, fractions)
 def test_bareiss_rank_matches_naive_elimination(rows):
     vecs = [{i: x for i, x in enumerate(row) if not x.is_zero()} for row in rows]
     assert rank_of_vectors(vecs, 4) == naive_rank(vecs, 4)
+
+
+# Gaussian integers that are not units, so Bareiss divides by pivots of norm > 1;
+# small integer entries keep the minors near the size of those norms, where a
+# wrong quotient shows as a wrong zero
+NON_UNITS = [QQi(2, 1), QQi(1, -2), QQi(3), QQi(-1, 3), QQi(0, 2)]
+small = st.builds(QQi, st.integers(-3, 3), st.integers(-3, 3))
+gaussian_entries = st.one_of(st.sampled_from(NON_UNITS), small, entries)
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """Rows that are combinations of fewer base rows: tall, wide or square."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 8))
+    nbase = draw(st.integers(1, max(1, nrows - 1)))
+    base = draw(st.lists(st.lists(gaussian_entries, min_size=ncols, max_size=ncols),
+                         min_size=nbase, max_size=nbase))
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(gaussian_entries, min_size=nbase, max_size=nbase))
+        acc = {}
+        for c, b in zip(coeffs, base):
+            vec_add_into(acc, {i: x for i, x in enumerate(b) if not x.is_zero()}, c)
+        rows.append(acc)
+    return rows, ncols, nbase
+
+
+@given(rank_deficient_rows())
+def test_rank_of_rank_deficient_gaussian_matrices_matches_naive(case):
+    rows, ncols, nbase = case
+    rank = rank_of_vectors(rows, ncols)
+    assert rank == naive_rank(rows, ncols)
+    assert rank <= nbase
 
 
 def test_rank_examples():

@@ -47,18 +47,21 @@ def test_thread_pool_matches_sequential_run():
     old = os.environ.get("FQG_THREADS")
     os.environ["FQG_THREADS"] = "3"
     try:
-        threaded = selftest_to_dict(run_selftest())
+        threaded_reports = run_selftest()
+        threaded = selftest_to_dict(threaded_reports)
     finally:
         if old is None:
             del os.environ["FQG_THREADS"]
         else:
             os.environ["FQG_THREADS"] = old
     assert threaded == sequential
+    assert all(rep.elapsed is not None for rep in threaded_reports)
 
 
 def test_backend_isolation_of_cached_constructors():
     from fqg.constructors import function_algebra
     from fqg.groups import named_group
+    from fqg.hopf import verify_quantum_group
     from fqg.scalar import CFloat, QQi, use_backend
 
     g = named_group("Z3")
@@ -68,3 +71,13 @@ def test_backend_isolation_of_cached_constructors():
         fl = function_algebra(g)
         assert type(next(iter(fl.algebra.unit.values()))) is CFloat
     assert function_algebra(g) is exact_before
+    # float results are memoised per tolerance, not per backend name alone
+    with use_backend("float", 1e-3):
+        loose = function_algebra(g)
+        assert "tol=0.001" in verify_quantum_group(loose).table()
+    with use_backend("float", 1e-12):
+        tight = function_algebra(g)
+        assert tight is not loose
+        assert "tol=1e-12" in verify_quantum_group(tight).table()
+    with use_backend("float", 1e-3):
+        assert function_algebra(g) is loose

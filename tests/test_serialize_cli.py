@@ -150,13 +150,24 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     assert err.startswith("error: [input]")
 
     base = quantum_group_to_dict(function_algebra(cyclic(3)))
+    # malformed entries, and exponents beyond the limit (refused before the power is built)
     for eta in ([["nan", "0"], ["0", "0"], ["0", "0"]], [["inf", "0"]] * 3,
-                [["1", "0"]], 5, "ab"):
+                [["1", "0"]], 5, "ab", [["1e99999999", "0"]] * 3, [["-1E-99999999", "0"]] * 3):
         path.write_text(canonical_json(dict(base, haar_element=eta)))
         assert main(["verify", str(path)]) == 2, eta
         assert capsys.readouterr().err.startswith("error: [input]"), eta
-    path.write_text(canonical_json(dict(base, mult=[[0, 0, 0, "inf", "0"]])))
-    assert main(["verify", str(path)]) == 2
+    for bad in ("inf", "1e99999999"):
+        path.write_text(canonical_json(dict(base, mult=[[0, 0, 0, bad, "0"]])))
+        assert main(["verify", str(path)]) == 2, bad
+        assert capsys.readouterr().err.startswith("error: [input]"), bad
+
+    # oversized groups are refused before any table is built
+    for name in ("Z100000", "D100000", "Z40xZ40", "Z" + "9" * 5000):
+        assert main(["build", "--group", name, "--kind", "fun"]) == 2, name[:12]
+        assert capsys.readouterr().err.startswith("error: [input]"), name[:12]
+    path.write_text(canonical_json({"order": 1025, "table": [[0]] * 1025}))
+    assert main(["build", "--group", str(path), "--kind", "fun"]) == 2
+    assert capsys.readouterr().err.startswith("error: [input]")
 
 
 def test_cli_skip_verify_flag(tmp_path):
