@@ -15,7 +15,7 @@ from itertools import product
 from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
                      vec_eq, vec_from_dense, vec_is_zero, vec_scale, vec_sub)
 from .report import Check, Report, sweep
-from .scalar import scalar, zero_like
+from .scalar import object_cache, scalar, zero_like
 
 
 class InvalidDataError(ValueError):
@@ -259,8 +259,13 @@ def tensor_vec(u: dict, v: dict, dim_b: int) -> dict:
 
 def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
     """Product of sparse vectors over A⊗B without materializing A⊗B."""
-    db = b.dim
-    am, bm = a.mult, b.mult
+    return _tensor_product(a.mult, b.mult, b.dim, u, v)
+
+
+def _tensor_product(am: dict, bm: dict, db: int, u: dict, v: dict) -> dict:
+    """Product of sparse vectors over a tensor product whose legs multiply by
+    the structure-constant tables ``am`` and ``bm``; ``db`` is the dimension
+    of the second leg."""
     acc: dict = {}
     for p, cp in u.items():
         x1, b1 = divmod(p, db)
@@ -386,11 +391,9 @@ def scalar_algebra(label="C") -> BlockAlgebra:
 # -- axiom verification ------------------------------------------------------
 
 
+@object_cache
 def verify_star_algebra(algebra: StarAlgebra) -> Report:
     """Check associativity, unit laws and involution axioms; report violations."""
-    cached = algebra._cache.get("verify_star_algebra")
-    if cached is not None:
-        return cached
     n = algebra.dim
     one = scalar(1)
     unit = algebra.unit
@@ -435,9 +438,7 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
         checks.append(sweep("trace_gram_diagonal_positive", product(range(n), repeat=2),
                             gram_entry))
 
-    report = Report(algebra.label or "star-algebra", checks)
-    algebra._cache["verify_star_algebra"] = report
-    return report
+    return Report(algebra.label or "star-algebra", checks)
 
 
 def _functional(fmap: LinearMap, vec: dict):

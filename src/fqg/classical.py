@@ -11,7 +11,6 @@ summation identity, and the proof chain for families on the dual of Γ.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .algebra import Element, InvalidDataError, StarAlgebra, tensor_vec
@@ -21,17 +20,15 @@ from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is
 from .qfamily import (HopfOnTarget, QuantumFamily, check_action, hom_indices,
                       hom_predicate, is_automorphism_family)
 from .report import Check, Report, sweep
-from .scalar import backend_cached, scalar
+from .scalar import backend_cached, object_cache, scalar
 
 
 # -- recovering the group from structure constants -----------------------------
 
 
+@object_cache
 def group_of_function_algebra(g: QuantumGroup) -> FiniteGroup:
     """Reconstruct Γ from fun(Γ): diagonal idempotent basis, group law in Δ."""
-    cached = g._cache.get("function_group")
-    if cached is not None:
-        return cached
     a = g.algebra
     if not a.has_pointwise_basis():
         raise InvalidDataError("source is not the function algebra of a finite group")
@@ -46,16 +43,12 @@ def group_of_function_algebra(g: QuantumGroup) -> FiniteGroup:
             table[i][j] = k
     if any(x is None for row in table for x in row):
         raise InvalidDataError("coproduct is not a group-law coproduct")
-    group = group_from_table(table, g.label)
-    g._cache["function_group"] = group
-    return group
+    return group_from_table(table, g.label)
 
 
+@object_cache
 def group_of_group_algebra(g: QuantumGroup) -> FiniteGroup:
     """Reconstruct Γ from the group ring: monomial products, grouplike Δ."""
-    cached = g._cache.get("ring_group")
-    if cached is not None:
-        return cached
     a = g.algebra
     n = a.dim
     one = scalar(1)
@@ -72,9 +65,7 @@ def group_of_group_algebra(g: QuantumGroup) -> FiniteGroup:
     for k in range(n):
         if not vec_eq(g.coproduct.cols[k], {k * n + k: one}):
             raise InvalidDataError("source coproduct is not grouplike")
-    group = group_from_table(table, g.label)
-    g._cache["ring_group"] = group
-    return group
+    return group_from_table(table, g.label)
 
 
 # -- the matrix of a family ------------------------------------------------------
@@ -115,16 +106,12 @@ def _entries_of(alpha: LinearMap, n: int, m: int):
     return entries
 
 
+@object_cache
 def extract_matrix(qf: QuantumFamily) -> MagicMatrix:
     """Read p_{x,y} off the columns of α(δ_y) = Σ_x δ_x ⊗ p_{x,y}."""
-    cached = qf._cache.get("magic_matrix")
-    if cached is not None:
-        return cached
     group = group_of_function_algebra(qf.source)
     entries = _entries_of(qf.alpha, group.order, qf.target_algebra.dim)
-    matrix = MagicMatrix(group, qf.target_algebra, entries)
-    qf._cache["magic_matrix"] = matrix
-    return matrix
+    return MagicMatrix(group, qf.target_algebra, entries)
 
 
 # -- relation sweeps ---------------------------------------------------------------
@@ -185,13 +172,11 @@ def _commute(b: StarAlgebra, p):
                             _mul(b, p[w[2]][w[3]], p[w[0]][w[1]]))
 
 
+@object_cache
 def check_pointwise_relations(matrix: MagicMatrix) -> Report:
     """Relations equivalent to α being a unital *-homomorphism for the
     pointwise structure, the *-map property for the convolution adjoint, and
     the convolution-homomorphism relation on the entries."""
-    cached = matrix._cache.get("pointwise")
-    if cached is not None:
-        return cached
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
@@ -210,30 +195,22 @@ def check_pointwise_relations(matrix: MagicMatrix) -> Report:
               lambda xy: vec_eq(b.star_vec(p[xy[0]][xy[1]]), p[inv[xy[0]]][inv[xy[1]]])),
         sweep("conv_hom_relation", product(range(n), repeat=3), conv_hom),
     ]
-    report = Report("pointwise-relations", checks)
-    matrix._cache["pointwise"] = report
-    return report
+    return Report("pointwise-relations", checks)
 
 
+@object_cache
 def check_magic_unitary(matrix: MagicMatrix) -> Report:
     """Projections with rows and columns summing to 1 and orthogonal entries."""
-    cached = matrix._cache.get("magic")
-    if cached is not None:
-        return cached
     names = ("entries_projections", "column_sums_one", "row_sums_one",
              "row_orthogonality", "column_orthogonality")
-    report = Report("magic-unitary", _entry_checks(matrix.target, matrix.entries, names))
-    matrix._cache["magic"] = report
-    return report
+    return Report("magic-unitary", _entry_checks(matrix.target, matrix.entries, names))
 
 
+@object_cache
 def check_dualact_consequences(matrix: MagicMatrix) -> Report:
     """Identities forced on an action once it preserves the convolution
     product, replayed in the order they are derived: the localized relation,
     then the unit entry, the border row and column, and inverse symmetry."""
-    cached = matrix._cache.get("dualact")
-    if cached is not None:
-        return cached
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
@@ -258,18 +235,14 @@ def check_dualact_consequences(matrix: MagicMatrix) -> Report:
         sweep("inverse_symmetry", product(range(n), repeat=2),
               lambda uy: vec_eq(p[inv[uy[0]]][inv[uy[1]]], p[uy[0]][uy[1]])),
     ]
-    report = Report("dual-action-consequences", checks)
-    matrix._cache["dualact"] = report
-    return report
+    return Report("dual-action-consequences", checks)
 
 
+@object_cache
 def check_order_properties(matrix: MagicMatrix) -> Report:
     """Order preservation: vanishing on mismatched orders, the power
     commutations, projection domination along powers, the inductive shift
     relation, and the two-sided rewrite of the convolution relation."""
-    cached = matrix._cache.get("order")
-    if cached is not None:
-        return cached
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
@@ -316,17 +289,13 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
         sweep("shift_relation",
               ((x, y, z, u) for x, y in live for z in range(n) for u in range(n)), shift),
     ]
-    report = Report("order-properties", checks)
-    matrix._cache["order"] = report
-    return report
+    return Report("order-properties", checks)
 
 
+@object_cache
 def check_cyclic_identity(matrix: MagicMatrix) -> Report:
     """On a cyclic group: the divisor summation identity for generators and
     full entrywise commutation of the matrix."""
-    cached = matrix._cache.get("cyclic")
-    if cached is not None:
-        return cached
     grp = matrix.group
     n = grp.order
     generators = [x for x in range(n) if grp.element_order(x) == n]
@@ -349,9 +318,7 @@ def check_cyclic_identity(matrix: MagicMatrix) -> Report:
         sweep("entrywise_commutation",
               (a1 + a2 for i, a1 in enumerate(flat) for a2 in flat[i + 1:]), _commute(b, p)),
     ]
-    report = Report("cyclic-identity", checks)
-    matrix._cache["cyclic"] = report
-    return report
+    return Report("cyclic-identity", checks)
 
 
 # -- automorphism enumeration -------------------------------------------------------
@@ -389,8 +356,13 @@ def enumerate_automorphisms_brute(group: FiniteGroup):
     return found
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(group: FiniteGroup):
+@object_cache
+def enumerate_automorphisms(group: FiniteGroup):
+    """All group automorphisms as permutation tuples, sorted, identity first.
+
+    Generator-image backtracking with order-profile pruning; candidate images
+    of a generator must have the generator's order.
+    """
     n = group.order
     if n > 24:
         raise InvalidDataError("automorphism enumeration is limited to order 24")
@@ -420,10 +392,7 @@ def _enumerate_cached(group: FiniteGroup):
     candidates = [[y for y in range(n) if order_of[y] == order_of[g]] for g in gens]
 
     found = []
-
-    from itertools import product as iproduct
-
-    for images in iproduct(*candidates):
+    for images in product(*candidates):
         psi = [None] * n
         psi[e] = e
         for x in bfs_order:
@@ -443,25 +412,13 @@ def _enumerate_cached(group: FiniteGroup):
                 break
         if ok:
             found.append(tuple(psi))
-    found = sorted(set(found))
-    return found
+    return sorted(set(found))
 
 
-def enumerate_automorphisms(group: FiniteGroup):
-    """All group automorphisms as permutation tuples, sorted, identity first.
-
-    Generator-image backtracking with order-profile pruning; candidate images
-    of a generator must have the generator's order.
-    """
-    return list(_enumerate_cached(group))
-
-
+@object_cache
 def automorphism_group(group: FiniteGroup):
     """Aut(Γ) as a FiniteGroup under composition (φχ)(y) = φ(χ(y)),
     together with the sorted automorphism list the indices refer to."""
-    cached = group._cache.get("aut_group")
-    if cached is not None:
-        return cached
     auts = enumerate_automorphisms(group)
     index = {psi: i for i, psi in enumerate(auts)}
     k = len(auts)
@@ -469,10 +426,7 @@ def automorphism_group(group: FiniteGroup):
     for i, phi in enumerate(auts):
         for j, chi in enumerate(auts):
             table[i][j] = index[tuple(phi[chi[y]] for y in range(group.order))]
-    aut = group_from_table(table, "Aut(%s)" % (group.label or group.order))
-    result = (aut, auts)
-    group._cache["aut_group"] = result
-    return result
+    return group_from_table(table, "Aut(%s)" % (group.label or group.order)), auts
 
 
 @backend_cached
@@ -501,15 +455,13 @@ def universal_classical_family(group: FiniteGroup) -> QuantumFamily:
 # -- families on the dual of a classical group ----------------------------------------
 
 
+@object_cache
 def check_dual_group_theorem(qf: QuantumFamily) -> Report:
     """Replay, in order, the proof chain showing that a convolution-preserving
     action on the dual of Γ is automatically a family of automorphisms:
     counit and coproduct of the entry matrix, idempotency, self-adjointness,
     column sums, row orthogonality, the transposed family on functions with
     the opposite coproduct, row sums, and finally the full predicate."""
-    cached = qf._cache.get("dual_group_theorem")
-    if cached is not None:
-        return cached
     if qf.hopf_on_target is None:
         raise InvalidDataError("the dual-group check needs Hopf data on the index algebra")
     group = group_of_group_algebra(qf.source)
@@ -561,6 +513,4 @@ def check_dual_group_theorem(qf: QuantumFamily) -> Report:
     verdict, _ = is_automorphism_family(qf)
     checks.append(Check("automorphism_family", verdict, ()))
 
-    report = Report("dual-group-theorem(%s)" % qf.label, checks)
-    qf._cache["dual_group_theorem"] = report
-    return report
+    return Report("dual-group-theorem(%s)" % qf.label, checks)

@@ -14,35 +14,30 @@ from .algebra import InvalidDataError, Element, StarAlgebra
 from .hopf import QuantumGroup, verify_quantum_group
 from .linalg import LinearMap, entry_eq, vec_add_into, vec_eq, vec_scale
 from .report import Check, Report, sweep
-from .scalar import scalar
+from .scalar import object_cache, scalar
 
 
 # -- convolution --------------------------------------------------------------
 
 
+@object_cache
 def pair_haar(g: QuantumGroup) -> dict:
     """Sparse table {(i, j): h(e_i e_j)}; also the Fourier matrix entries."""
-    cached = g._cache.get("pair_haar")
-    if cached is not None:
-        return cached
     table = {}
     for (i, j), terms in g.algebra.mult.items():
         v = g.haar_of(terms)
         if v is not None and not v.is_zero():
             table[(i, j)] = v
-    g._cache["pair_haar"] = table
     return table
 
 
+@object_cache
 def conv_table(g: QuantumGroup) -> dict:
     """Structure constants of the convolution product: (i, j) -> sparse vector.
 
     e_i ⋆ e_j = (h⊗id)(((S⊗id)Δ(e_j))(e_i⊗1)); with the second leg untouched
     this contracts to sum over Δ(e_j) terms (a, b) of h(S(e_a) e_i) e_b.
     """
-    cached = g._cache.get("conv_table")
-    if cached is not None:
-        return cached
     n = g.dim
     anti = g.antipode
     ph = pair_haar(g)
@@ -67,7 +62,6 @@ def conv_table(g: QuantumGroup) -> dict:
                     acc[b] = t
             if acc:
                 table[(i, j)] = acc
-    g._cache["conv_table"] = table
     return table
 
 
@@ -99,7 +93,7 @@ def conv_adjoint(g: QuantumGroup, x: Element) -> Element:
 class DualPair:
     """A quantum group, its dual, and the Fourier transforms between them."""
 
-    __slots__ = ("primal", "dual", "fourier", "fourier_inv", "fourier_dual")
+    __slots__ = ("primal", "dual", "fourier", "fourier_inv", "fourier_dual", "_cache")
 
     def __init__(self, primal, dual, fourier, fourier_inv, fourier_dual):
         self.primal = primal
@@ -107,6 +101,7 @@ class DualPair:
         self.fourier = fourier
         self.fourier_inv = fourier_inv
         self.fourier_dual = fourier_dual
+        self._cache = {}
 
     def __repr__(self):
         return "DualPair(%r)" % (self.primal.label,)
@@ -196,25 +191,18 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
     return DualPair(g, dual, fourier, fourier_inv, fourier_dual)
 
 
-def dual_pair(g: QuantumGroup, verify: bool = True) -> DualPair:
-    """Cached dual pair for a quantum group."""
-    cached = g._cache.get("dual_pair")
-    if cached is None:
-        cached = build_dual(g, verify)
-        g._cache["dual_pair"] = cached
-    return cached
+@object_cache
+def dual_pair(g: QuantumGroup) -> DualPair:
+    """Cached, verified dual pair for a quantum group."""
+    return build_dual(g)
 
 
 # -- identity batteries ---------------------------------------------------------
 
 
+@object_cache
 def verify_fourier_identities(pair: DualPair) -> Report:
     """The transform identities relating ⋆, the adjoints and the antipodes."""
-    cache = pair.primal._cache
-    cached = cache.get("fourier_identities")
-    if cached is not None:
-        return cached
-
     g, d = pair.primal, pair.dual
     n = g.dim
     fr = pair.fourier
@@ -249,18 +237,12 @@ def verify_fourier_identities(pair: DualPair) -> Report:
         sweep("fourier_conv_adjoint", range(n),
               lambda i: vec_eq(d.bullet_vec(fr.cols[i]), fr.apply(g.algebra.star.cols[i]))),
     ]
-
-    report = Report("fourier(%s)" % g.label, checks)
-    cache["fourier_identities"] = report
-    return report
+    return Report("fourier(%s)" % g.label, checks)
 
 
+@object_cache
 def check_iteration_lemma(pair: DualPair) -> Report:
     """Iterating the transform recovers h(η)·S; squaring gives h(η)² id."""
-    cache = pair.primal._cache
-    cached = cache.get("iteration_lemma")
-    if cached is not None:
-        return cached
     g = pair.primal
     h_eta = g.haar_of_eta()
     once = pair.fourier_dual.compose(pair.fourier)
@@ -269,10 +251,8 @@ def check_iteration_lemma(pair: DualPair) -> Report:
     twice = once.compose(once)
     ident = LinearMap.identity(g.dim, scalar(1)).scale(h_eta * h_eta)
     second = twice == ident
-    report = Report("fourier-iteration(%s)" % g.label, [
+    return Report("fourier-iteration(%s)" % g.label, [
         Check("iterate_is_scaled_antipode", first, () if first else ("matrix",)),
         Check("iterate_squared_is_scalar", second, () if second else ("matrix",)),
     ])
-    cache["iteration_lemma"] = report
-    return report
 

@@ -16,7 +16,7 @@ from .algebra import InvalidDataError, StarAlgebra, tensor_mult, tensor_star, te
 from .linalg import (LinearMap, entry_eq, leg_apply, nullspace_basis, vec_add_into,
                      vec_eq, vec_scale)
 from .report import Check, Report, sweep
-from .scalar import QQi, scalar, zero_like
+from .scalar import QQi, object_cache, scalar, zero_like
 
 
 class QuantumGroup:
@@ -63,14 +63,11 @@ class QuantumGroup:
         v = self.haar_of(self.haar_element)
         return v if v is not None else scalar(0)
 
+    @object_cache
     def bullet_map(self) -> LinearMap:
         """Linear part of the convolution adjoint a ↦ S(a*) (coefficients
         still get conjugated when applying it to a general vector)."""
-        bul = self._cache.get("bullet")
-        if bul is None:
-            bul = self.antipode.compose(self.algebra.star)
-            self._cache["bullet"] = bul
-        return bul
+        return self.antipode.compose(self.algebra.star)
 
     def bullet_vec(self, v: dict) -> dict:
         cols = self.bullet_map().cols
@@ -191,12 +188,9 @@ def _mult_map_apply(algebra: StarAlgebra, v: dict) -> dict:
     return acc
 
 
+@object_cache
 def verify_quantum_group(g: QuantumGroup) -> Report:
     """Full Hopf/Haar axiom battery; an empty failure list means pass."""
-    cached = g._cache.get("verify_report")
-    if cached is not None:
-        return cached
-
     from .algebra import verify_star_algebra
 
     a = g.algebra
@@ -258,9 +252,7 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         Check("haar_element_value", h_eta_ok, () if h_eta_ok else (str(h_eta),)),
     ]
 
-    report = Report(g.label or "quantum-group", checks)
-    g._cache["verify_report"] = report
-    return report
+    return Report(g.label or "quantum-group", checks)
 
 
 def _gram_positivity_check(g: QuantumGroup) -> Check:
@@ -299,11 +291,9 @@ def _gram_positivity_check(g: QuantumGroup) -> Check:
     return Check("haar_positive", True, ())
 
 
+@object_cache
 def check_haar_antipode_identity(g: QuantumGroup) -> Report:
     """S((id⊗h)(Δ(b)(1⊗c))) = (id⊗h)((1⊗b)Δ(c)) on all basis pairs."""
-    cached = g._cache.get("haar_antipode_identity")
-    if cached is not None:
-        return cached
     a = g.algebra
     n = a.dim
     one = scalar(1)
@@ -317,7 +307,5 @@ def check_haar_antipode_identity(g: QuantumGroup) -> Report:
         b_unit = tensor_vec(unit, {b: one}, n)
         return vec_eq(lhs, leg_apply(h, tensor_mult(a, a, b_unit, delta.cols[c]), n, 1))
 
-    report = Report(g.label or "quantum-group",
-                    [sweep("haar_antipode_identity", product(range(n), repeat=2), identity)])
-    g._cache["haar_antipode_identity"] = report
-    return report
+    return Report(g.label or "quantum-group",
+                  [sweep("haar_antipode_identity", product(range(n), repeat=2), identity)])

@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import (InvalidDataError, StarAlgebra, scalar_algebra,
+from .algebra import (InvalidDataError, StarAlgebra, _tensor_product, scalar_algebra,
                       tensor_algebra, tensor_mult, tensor_star, tensor_vec)
 from .fourier import conv_table, dual_pair
 from .hopf import QuantumGroup
 from .linalg import (LinearMap, flip_map, leg_apply, rank_of_vectors,
                      vec_add_into, vec_eq, vec_scale)
 from .report import Check, Report, first_failure, sweep
-from .scalar import scalar
+from .scalar import object_cache, scalar
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,9 @@ def functional_predicate(qf: QuantumFamily, f: LinearMap):
                             vec_scale(b.unit, f.cols[i].get(0)))
 
 
+@object_cache
 def check_family(qf: QuantumFamily) -> Report:
     """Unital *-homomorphism property and the Podles spanning condition."""
-    cached = qf._cache.get("check_family")
-    if cached is not None:
-        return cached
     n, m = qf.source.dim, qf.target_algebra.dim
     alpha = qf.alpha
     checks = [sweep("unital_star_hom", hom_indices(n), hom_predicate(qf))]
@@ -135,11 +133,10 @@ def check_family(qf: QuantumFamily) -> Report:
     rank = rank_of_vectors(slices, n)
     checks.append(Check("podles", rank == n, () if rank == n else (rank,)))
 
-    report = Report(qf.label, checks)
-    qf._cache["check_family"] = report
-    return report
+    return Report(qf.label, checks)
 
 
+@object_cache
 def check_convolution_preservation(qf: QuantumFamily) -> Report:
     """Which convolution structure the family preserves.
 
@@ -149,9 +146,6 @@ def check_convolution_preservation(qf: QuantumFamily) -> Report:
     counit:        (ε⊗id)α = ε(·)1
     haar_state:    (h⊗id)α = h(·)1
     """
-    cached = qf._cache.get("conv_preservation")
-    if cached is not None:
-        return cached
     g = qf.source
     a = g.algebra
     b = qf.target_algebra
@@ -161,30 +155,7 @@ def check_convolution_preservation(qf: QuantumFamily) -> Report:
     bullet = g.bullet_map()
 
     def conv_product(ij):
-        i, j = ij
-        rhs: dict = {}
-        for p, cp in alpha.cols[i].items():
-            x1, b1 = divmod(p, m)
-            for q, cq in alpha.cols[j].items():
-                x2, b2 = divmod(q, m)
-                conv_terms = ct.get((x1, x2))
-                if conv_terms is None:
-                    continue
-                b_terms = b.mult.get((b1, b2))
-                if b_terms is None:
-                    continue
-                c = cp * cq
-                for k1, c1 in conv_terms.items():
-                    base = k1 * m
-                    cc = c * c1
-                    for k2, c2 in b_terms.items():
-                        k = base + k2
-                        cur = rhs.get(k)
-                        t = cc * c2 if cur is None else cur + cc * c2
-                        if t.is_zero():
-                            rhs.pop(k, None)
-                        else:
-                            rhs[k] = t
+        rhs = _tensor_product(ct, b.mult, m, alpha.cols[ij[0]], alpha.cols[ij[1]])
         return vec_eq(alpha.apply(ct.get(ij, {})), rhs)
 
     def conv_adjoint(i):
@@ -203,14 +174,13 @@ def check_convolution_preservation(qf: QuantumFamily) -> Report:
         sweep("haar_state", range(n), functional_predicate(qf, g.haar_state)),
     ]
 
-    report = Report(qf.label, checks)
-    qf._cache["conv_preservation"] = report
-    return report
+    return Report(qf.label, checks)
 
 
 # -- duality ---------------------------------------------------------------------
 
 
+@object_cache
 def hat(qf: QuantumFamily) -> QuantumFamily:
     """The induced family on the dual, computed by both closed formulas.
 
@@ -218,9 +188,6 @@ def hat(qf: QuantumFamily) -> QuantumFamily:
     antipode, and through conjugation by the transform alone) must agree for
     every linear map; a mismatch means the duality layer itself is broken.
     """
-    cached = qf._cache.get("hat")
-    if cached is not None:
-        return cached
     g = qf.source
     pair = dual_pair(g)
     b = qf.target_algebra
@@ -236,10 +203,8 @@ def hat(qf: QuantumFamily) -> QuantumFamily:
         raise AssertionError(
             "the two dual-family formulas disagree; duality layer is inconsistent")
 
-    out = QuantumFamily(pair.dual, b, via_inverse, qf.hopf_on_target,
-                        "hat(%s)" % qf.label)
-    qf._cache["hat"] = out
-    return out
+    return QuantumFamily(pair.dual, b, via_inverse, qf.hopf_on_target,
+                         "hat(%s)" % qf.label)
 
 
 def double_hat_formula_matches(qf: QuantumFamily) -> bool:
@@ -251,15 +216,13 @@ def double_hat_formula_matches(qf: QuantumFamily) -> bool:
     return hh == target
 
 
+@object_cache
 def verify_dual_equivalences(qf: QuantumFamily) -> Report:
     """The four if-and-only-if links between a family and its dual family.
 
     Each check evaluates BOTH sides of one equivalence and passes when the
     booleans agree (true/true or false/false); the witness records the pair.
     """
-    cached = qf._cache.get("dual_equivalences")
-    if cached is not None:
-        return cached
     conv = check_convolution_preservation(qf)
     qf_hat = hat(qf)
     n = qf_hat.source.dim
@@ -278,11 +241,10 @@ def verify_dual_equivalences(qf: QuantumFamily) -> Report:
     ]
     checks = [Check(name, primal == dual, (primal, dual))
               for name, primal, dual in items]
-    report = Report(qf.label, checks)
-    qf._cache["dual_equivalences"] = report
-    return report
+    return Report(qf.label, checks)
 
 
+@object_cache
 def is_automorphism_family(qf: QuantumFamily, deep: bool = True):
     """Decide the automorphism-family property; returns (bool, report).
 
@@ -291,10 +253,6 @@ def is_automorphism_family(qf: QuantumFamily, deep: bool = True):
     When it holds and ``deep`` is set, the double-dual identity and the
     dual-family property are checked as well and included in the report.
     """
-    key = ("is_auto", deep)
-    cached = qf._cache.get(key)
-    if cached is not None:
-        return cached
     fam = check_family(qf)
     conv = check_convolution_preservation(qf)
     checks = [fam.check("unital_star_hom"), fam.check("podles"),
@@ -307,9 +265,7 @@ def is_automorphism_family(qf: QuantumFamily, deep: bool = True):
         dual_ok, _ = is_automorphism_family(hat(qf), deep=False)
         checks.append(Check("dual_family_automorphism", dual_ok, ()))
         verdict = verdict and ok and dual_ok
-    result = (verdict, Report(qf.label, checks))
-    qf._cache[key] = result
-    return result
+    return verdict, Report(qf.label, checks)
 
 
 # -- composition and actions -----------------------------------------------------
@@ -343,24 +299,21 @@ def compose(beta: QuantumFamily, gamma: QuantumFamily) -> QuantumFamily:
                          "compose(%s, %s)" % (beta.label, gamma.label))
 
 
+@object_cache
 def check_action(qf: QuantumFamily) -> Report:
     """The action equation (id⊗Δ_B)∘α = (α⊗id)∘α for a Hopf index algebra."""
-    cached = qf._cache.get("check_action")
-    if cached is not None:
-        return cached
     if qf.hopf_on_target is None:
         raise InvalidDataError("action check needs coproduct data on the target")
     m = qf.target_algebra.dim
     alpha = qf.alpha
     cp = qf.hopf_on_target.coproduct
-    report = Report(qf.label, [sweep(
+    return Report(qf.label, [sweep(
         "action_equation", range(qf.source.dim),
         lambda j: vec_eq(leg_apply(cp, alpha.cols[j], m, 1),
                          leg_apply(alpha, alpha.cols[j], m, 0)))])
-    qf._cache["check_action"] = report
-    return report
 
 
+@object_cache
 def slice_commutative(qf: QuantumFamily):
     """Slice a family over a pointwise (functions-on-a-finite-set) algebra.
 
@@ -368,9 +321,6 @@ def slice_commutative(qf: QuantumFamily):
     Hopf *-algebra automorphism of the source.  Non-pointwise index algebras
     are rejected.
     """
-    cached = qf._cache.get("slices")
-    if cached is not None:
-        return cached
     b = qf.target_algebra
     if not b.has_pointwise_basis():
         raise InvalidDataError(
@@ -389,7 +339,6 @@ def slice_commutative(qf: QuantumFamily):
         psi = LinearMap(n, n, cols)
         _verify_hopf_automorphism(g, psi, point)
         maps.append(psi)
-    qf._cache["slices"] = maps
     return maps
 
 

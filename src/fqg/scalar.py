@@ -11,6 +11,7 @@ and for the one cross-check that genuinely needs roots of unity.
 
 from __future__ import annotations
 
+import inspect
 import math
 import threading
 from contextlib import contextmanager
@@ -258,16 +259,44 @@ def parse_scalar(re_text: str, im_text: str = "0"):
     return CFloat(float(re_f), float(im_f))
 
 
+def _backend_key():
+    """What a memoised result depends on besides its arguments: the backend,
+    and for the float backend its tolerance."""
+    name = _state.name
+    return name if name == EXACT else (name, _state.tol)
+
+
 def backend_cached(fn):
     """Memoize a constructor whose output embeds scalars of the active
-    backend; the cache key carries the backend, and for the float backend its
-    tolerance, so results built under one setting never answer for another."""
+    backend; the cache key carries :func:`_backend_key`, so results built
+    under one setting never answer for another."""
     cached = lru_cache(maxsize=None)(lambda _backend, *args: fn(*args))
 
     @wraps(fn)
     def wrapper(*args):
-        name = _state.name
-        return cached(name if name == EXACT else (name, _state.tol), *args)
+        return cached(_backend_key(), *args)
 
     wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
+def object_cache(fn):
+    """Memoize ``fn(obj, *args)`` in ``obj._cache``, keyed by the function,
+    the remaining arguments (keywords and defaults bound to their positions)
+    and :func:`_backend_key`, so a result computed under one backend or
+    tolerance never answers for another.  The memo dies with the object."""
+    signature = inspect.signature(fn)
+    arity = len(signature.parameters) - 1
+
+    @wraps(fn)
+    def wrapper(obj, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = signature.bind(obj, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn, args, _backend_key())
+        if key not in obj._cache:
+            obj._cache[key] = fn(obj, *args)
+        return obj._cache[key]
+
     return wrapper

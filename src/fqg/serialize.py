@@ -19,12 +19,20 @@ from .scalar import format_scalar, parse_scalar
 
 _ZERO_PAIR = ("0", "0")
 
+# Largest dense matrix a file may carry, in cells (about 110 bytes each while
+# it is built): fun(Z1024)'s coproduct alone would need 1024**3 cells.
+MAX_DENSE_CELLS = 1 << 22
+
 
 def _pair(s) -> list:
     return list(format_scalar(s))
 
 
 def matrix_to_dense(m: LinearMap):
+    cells = m.target_dim * m.source_dim
+    if cells > MAX_DENSE_CELLS:
+        raise InvalidDataError("a %d x %d matrix has %d cells, above the output limit %d"
+                               % (m.target_dim, m.source_dim, cells, MAX_DENSE_CELLS))
     rows = []
     for r in range(m.target_dim):
         row = []

@@ -81,3 +81,39 @@ def test_backend_isolation_of_cached_constructors():
         assert "tol=1e-12" in verify_quantum_group(tight).table()
     with use_backend("float", 1e-3):
         assert function_algebra(g) is loose
+
+
+def test_memoised_verdicts_follow_the_backend_setting():
+    from fqg.classical import universal_classical_family
+    from fqg.constructors import function_algebra
+    from fqg.groups import named_group
+    from fqg.hopf import QuantumGroup, verify_quantum_group
+    from fqg.linalg import LinearMap
+    from fqg.qfamily import is_automorphism_family
+    from fqg.scalar import CFloat, use_backend
+
+    # (a) a float verdict on exact data never answers for the exact backend
+    g = function_algebra(named_group("Z3"))
+    with use_backend("float"):
+        assert verify_quantum_group(g).backend == "float"
+    exact = verify_quantum_group(g)
+    assert exact.passed and exact.backend == "exact"
+
+    # (b) a verdict at a loose tolerance never answers for a tight one
+    with use_backend("float", 1e-3):
+        fl = function_algebra(named_group("Z3"))
+        haar = LinearMap(3, 1, [{0: fl.haar_state.cols[i][0] + CFloat(d)}
+                                for i, d in enumerate((1e-6, -1e-6, 0.0))])
+        perturbed = QuantumGroup(fl.algebra, fl.coproduct, fl.counit, fl.antipode,
+                                 haar, fl.haar_element, fl.label)
+        assert verify_quantum_group(perturbed).passed
+    with use_backend("float", 1e-12):
+        tight = verify_quantum_group(perturbed)
+        assert not tight.check("haar_invariance").passed and tight.tol == 1e-12
+    with use_backend("float", 1e-3):
+        assert verify_quantum_group(perturbed).passed
+
+    # (c) a default argument and the same value passed by keyword share one entry
+    qf = universal_classical_family(named_group("Z3"))
+    assert is_automorphism_family(qf) is is_automorphism_family(qf, deep=True)
+    assert is_automorphism_family(qf, deep=False) is not is_automorphism_family(qf)

@@ -169,6 +169,16 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     assert main(["build", "--group", str(path), "--kind", "fun"]) == 2
     assert capsys.readouterr().err.startswith("error: [input]")
 
+    # a dense output matrix above MAX_DENSE_CELLS is refused before any row is
+    # built: fun(Z200)'s coproduct has 40000 x 200 cells
+    out = tmp_path / "z200.json"
+    for extra in ([], ["-o", str(out)]):
+        assert main(["build", "--group", "Z200", "--kind", "fun"] + extra) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [input]"), extra
+        assert "above the output limit" in captured.err and not captured.out, extra
+        assert not out.exists(), extra
+
 
 def test_cli_skip_verify_flag(tmp_path):
     g = function_algebra(cyclic(3))
