@@ -259,38 +259,66 @@ def tensor_vec(u: dict, v: dict, dim_b: int) -> dict:
 
 def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
     """Product of sparse vectors over A⊗B without materializing A⊗B."""
-    return _tensor_product(a.mult, b.mult, b.dim, u, v)
+    return _tensor_product(_mult_rows(a), b.mult, b.dim, u, v)
 
 
-def _tensor_product(am: dict, bm: dict, db: int, u: dict, v: dict) -> dict:
-    """Product of sparse vectors over a tensor product whose legs multiply by
-    the structure-constant tables ``am`` and ``bm``; ``db`` is the dimension
-    of the second leg."""
+def rows_of(table: dict) -> dict:
+    """A structure-constant table ``{(i, j): terms}`` indexed by its first
+    index, as ``{i: {j: terms}}``; the terms are shared, not copied."""
+    rows: dict = {}
+    for (i, j), terms in table.items():
+        rows.setdefault(i, {})[j] = terms
+    return rows
+
+
+@object_cache
+def _mult_rows(algebra: StarAlgebra) -> dict:
+    return rows_of(algebra.mult)
+
+
+def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict) -> dict:
+    """Product of sparse vectors over a tensor product whose first leg
+    multiplies by the table ``arows`` (indexed by :func:`rows_of`) and whose
+    second leg multiplies by the table ``bm``; ``db`` is the dimension of the
+    second leg.
+
+    ``v`` is grouped by its first-leg index, so each term of ``u`` visits only
+    the first-leg indices that both its row of ``arows`` and ``v`` contain,
+    walking whichever of the two is smaller.
+    """
+    vrows: dict = {}
+    for q, cq in v.items():
+        x2, b2 = divmod(q, db)
+        vrows.setdefault(x2, []).append((b2, cq))
     acc: dict = {}
     for p, cp in u.items():
         x1, b1 = divmod(p, db)
-        for q, cq in v.items():
-            x2, b2 = divmod(q, db)
-            ta = am.get((x1, x2))
-            if ta is None:
-                continue
-            tb = bm.get((b1, b2))
-            if tb is None:
-                continue
-            c = cp * cq
-            if c.is_zero():
-                continue
-            for k1, c1 in ta.items():
-                base = k1 * db
-                cc = c * c1
-                for k2, c2 in tb.items():
-                    k = base + k2
-                    cur = acc.get(k)
-                    t = cc * c2 if cur is None else cur + cc * c2
-                    if t.is_zero():
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = t
+        row = arows.get(x1)
+        if row is None:
+            continue
+        if len(row) < len(vrows):
+            hits = [(ta, vrows[x2]) for x2, ta in row.items() if x2 in vrows]
+        else:
+            hits = [(row[x2], vs) for x2, vs in vrows.items() if x2 in row]
+        for ta, vs in hits:
+            for b2, cq in vs:
+                tb = bm.get((b1, b2))
+                if tb is None:
+                    continue
+                c = cp * cq
+                if c.is_zero():
+                    continue
+                for k1, c1 in ta.items():
+                    base = k1 * db
+                    cc = c * c1
+                    for k2, c2 in tb.items():
+                        k = base + k2
+                        cur = acc.get(k)
+                        t = cc * c2 if cur is None else cur + cc * c2
+                        if t.is_zero():
+                            acc.pop(k, None)
+                        else:
+                            acc[k] = t
     return acc
 
 

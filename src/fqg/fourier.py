@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import InvalidDataError, Element, StarAlgebra
+from .algebra import InvalidDataError, Element, StarAlgebra, rows_of
 from .hopf import QuantumGroup, verify_quantum_group
 from .linalg import LinearMap, entry_eq, vec_add_into, vec_eq, vec_scale
 from .report import Check, Report, sweep
@@ -65,6 +65,12 @@ def conv_table(g: QuantumGroup) -> dict:
     return table
 
 
+@object_cache
+def _conv_rows(g: QuantumGroup) -> dict:
+    """:func:`conv_table` indexed by its first index, for the tensor kernel."""
+    return rows_of(conv_table(g))
+
+
 def conv_vec(g: QuantumGroup, u: dict, v: dict) -> dict:
     table = conv_table(g)
     acc: dict = {}
@@ -95,13 +101,13 @@ class DualPair:
 
     __slots__ = ("primal", "dual", "fourier", "fourier_inv", "fourier_dual", "_cache")
 
-    def __init__(self, primal, dual, fourier, fourier_inv, fourier_dual):
+    def __init__(self, primal, dual, fourier, fourier_inv, fourier_dual, cache=None):
         self.primal = primal
         self.dual = dual
         self.fourier = fourier
         self.fourier_inv = fourier_inv
         self.fourier_dual = fourier_dual
-        self._cache = {}
+        self._cache = {} if cache is None else cache
 
     def __repr__(self):
         return "DualPair(%r)" % (self.primal.label,)
@@ -192,9 +198,18 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
 
 
 @object_cache
+def _dual_parts(g: QuantumGroup) -> tuple:
+    """The verified dual pair of ``g`` without ``g`` itself: its other parts
+    and its memo dict.  Kept in ``g._cache``, so it must not refer back to
+    ``g``, or ``g`` and its memo would form a reference cycle."""
+    pair = build_dual(g)
+    return pair.dual, pair.fourier, pair.fourier_inv, pair.fourier_dual, pair._cache
+
+
 def dual_pair(g: QuantumGroup) -> DualPair:
-    """Cached, verified dual pair for a quantum group."""
-    return build_dual(g)
+    """Cached, verified dual pair for a quantum group.  Every pair returned
+    for ``g`` shares one ``_cache``, so its verdicts are computed once."""
+    return DualPair(g, *_dual_parts(g))
 
 
 # -- identity batteries ---------------------------------------------------------

@@ -10,11 +10,12 @@ import math
 import re
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .algebra import InvalidDataError
 
-# Largest group order accepted: the multiplication table has order**2 cells
-# and its validation is cubic in the order.  S4 x S4 (576) still fits.
+# Largest group order accepted: the multiplication table has order**2 cells.
+# S4 x S4 (576) still fits.
 MAX_GROUP_ORDER = 1024
 
 
@@ -27,7 +28,7 @@ class FiniteGroup:
     __slots__ = ("order", "table", "identity", "inverse", "label", "_cache")
 
     def __init__(self, table, label=""):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(tuple(map(int, row)) for row in table)
         n = len(table)
         if n == 0:
             raise InvalidDataError("empty multiplication table")
@@ -35,8 +36,8 @@ class FiniteGroup:
         for row in table:
             if len(row) != n or set(row) != rng:
                 raise InvalidDataError("table is not a Latin square (row defect)")
-        for j in range(n):
-            if {table[i][j] for i in range(n)} != rng:
+        for col in zip(*table):
+            if set(col) != rng:
                 raise InvalidDataError("table is not a Latin square (column defect)")
         identity = None
         for e in range(n):
@@ -45,21 +46,21 @@ class FiniteGroup:
                 break
         if identity is None:
             raise InvalidDataError("no identity element")
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise InvalidDataError(
-                            "multiplication is not associative at (%d, %d, %d)" % (a, b, c))
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == identity and table[b][a] == identity:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
+        if not _associative(table, _generators(table, identity)):
+            for a in range(n):
+                for b in range(n):
+                    ab = table[a][b]
+                    for c in range(n):
+                        if table[ab][c] != table[a][table[b][c]]:
+                            raise InvalidDataError(
+                                "multiplication is not associative at (%d, %d, %d)"
+                                % (a, b, c))
+        inverse = []
+        for a, row in enumerate(table):
+            b = row.index(identity)  # the one b with a·b = e, as rows are Latin
+            if table[b][a] != identity:
                 raise InvalidDataError("element %d has no inverse" % a)
+            inverse.append(b)
         self.order = n
         self.table = table
         self.identity = identity
@@ -107,30 +108,47 @@ class FiniteGroup:
 
     def generating_sequence(self):
         """A small generating list found greedily by closing subgroups."""
-        gens = []
-        closure = {self.identity}
-        while len(closure) < self.order:
-            g = next(x for x in range(self.order) if x not in closure)
-            gens.append(g)
-            closure = self._close(closure | {g})
-        return gens
-
-    def _close(self, seed):
-        elems = set(seed)
-        frontier = list(elems)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in list(elems):
-                    for c in (self.table[a][b], self.table[b][a]):
-                        if c not in elems:
-                            elems.add(c)
-                            fresh.append(c)
-            frontier = fresh
-        return elems
+        return _generators(self.table, self.identity)
 
     def __repr__(self):
         return "FiniteGroup(%r, order=%d)" % (self.label, self.order)
+
+
+def _generators(table, identity):
+    """A generating list of the magma with this table, found greedily: the
+    least element outside the closure of the ones before it.  Each closure
+    grows from the last one, so only products with a new element are formed,
+    O(n^2) in all."""
+    n = len(table)
+    cols = list(zip(*table))
+    gens = []
+    elems = {identity}
+    while len(elems) < n:
+        g = next(x for x in range(n) if x not in elems)
+        gens.append(g)
+        frontier = {g}
+        while frontier:
+            elems |= frontier
+            pick = itemgetter(*elems)  # two or more items, so it returns a tuple
+            fresh = set()
+            for a in frontier:
+                fresh.update(pick(table[a]), pick(cols[a]))  # a·b and b·a
+            frontier = fresh - elems
+    return gens
+
+
+def _associative(table, gens) -> bool:
+    """Light's associativity test: (x·a)·y = x·(a·y) for every x, y and every
+    generator a.  The elements a passing it are closed under the product, so
+    the whole table is associative iff the generators pass: O(n^2) per
+    generator instead of O(n^3)."""
+    for a in gens:
+        times_a = itemgetter(*table[a])  # n >= 2 items, so it returns a tuple
+        for x, row_x in enumerate(table):
+            # row x at the columns a·y holds x·(a·y) for every y
+            if table[row_x[a]] != times_a(row_x):
+                return False
+    return True
 
 
 def group_from_table(table, label="") -> FiniteGroup:

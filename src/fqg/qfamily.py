@@ -14,7 +14,7 @@ from itertools import product
 
 from .algebra import (InvalidDataError, StarAlgebra, _tensor_product, scalar_algebra,
                       tensor_algebra, tensor_mult, tensor_star, tensor_vec)
-from .fourier import conv_table, dual_pair
+from .fourier import _conv_rows, conv_table, dual_pair
 from .hopf import QuantumGroup
 from .linalg import (LinearMap, flip_map, leg_apply, rank_of_vectors,
                      vec_add_into, vec_eq, vec_scale)
@@ -152,10 +152,11 @@ def check_convolution_preservation(qf: QuantumFamily) -> Report:
     n, m = a.dim, b.dim
     alpha = qf.alpha
     ct = conv_table(g)
+    ct_rows = _conv_rows(g)
     bullet = g.bullet_map()
 
     def conv_product(ij):
-        rhs = _tensor_product(ct, b.mult, m, alpha.cols[ij[0]], alpha.cols[ij[1]])
+        rhs = _tensor_product(ct_rows, b.mult, m, alpha.cols[ij[0]], alpha.cols[ij[1]])
         return vec_eq(alpha.apply(ct.get(ij, {})), rhs)
 
     def conv_adjoint(i):

@@ -1,8 +1,11 @@
 """Scalar arithmetic: exact Gaussian rationals with an optional float backend.
 
-The exact backend represents a complex scalar by a pair of
-:class:`fractions.Fraction` values.  Every built-in construction has rational
-structure constants, so every identity check is decided by exact equality.
+The exact backend represents a complex scalar by a pair of exact rational
+components (:class:`QQi`): a Python ``int`` for an integral value and a
+:class:`fractions.Fraction` for the rest.  Nearly every structure constant is
+0 or ±1 and the Haar data is 1/n, so most arithmetic runs on ints.  Every
+built-in construction has rational structure constants, so every identity
+check is decided by exact equality.
 
 The float backend keeps a pair of doubles and compares componentwise against
 a global tolerance (default ``1e-9``).  It exists for imported numerical data
@@ -18,22 +21,36 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 EXACT = "exact"
 FLOAT = "float"
 DEFAULT_TOLERANCE = 1e-9
 
 
+def _exact(x):
+    """``x`` as an exact component: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class QQi:
-    """Gaussian rational ``re + im*i`` with exact Fraction components."""
+    """Gaussian rational ``re + im*i``.
+
+    Each component is an ``int`` or a ``Fraction``.  The constructor stores
+    integral values as ints and ints stay ints under ``+ - *``; a Fraction
+    result that happens to be integral may stay a Fraction.  Both types
+    compare, hash and print alike (``hash(1) == hash(Fraction(1))``,
+    ``str(Fraction(3)) == "3"``), so equality, hashing, ``sort_key`` and
+    :func:`format_scalar` do not depend on which one a component is.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = _exact(re)
+        self.im = _exact(im)
 
     @staticmethod
     def _raw(re, im):
@@ -54,11 +71,11 @@ class QQi:
     def __mul__(self, other):
         a, b = self.re, self.im
         c, d = other.re, other.im
-        if b == 0:
-            if d == 0:
-                return QQi._raw(a * c, _F0)
+        if not b:
+            if not d:
+                return QQi._raw(a * c, 0)
             return QQi._raw(a * c, a * d)
-        if d == 0:
+        if not d:
             return QQi._raw(a * c, b * c)
         return QQi._raw(a * c - b * d, a * d + b * c)
 
@@ -66,6 +83,8 @@ class QQi:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero scalar")
+        if type(n) is int:  # then so are both components, and int / int is a float
+            return QQi._raw(_exact(Fraction(self.re, n)), _exact(Fraction(-self.im, n)))
         return QQi._raw(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
@@ -75,10 +94,10 @@ class QQi:
         return QQi._raw(self.re, -self.im)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_real(self):
-        return self.im == 0
+        return not self.im
 
     def magnitude(self):
         return math.hypot(float(self.re), float(self.im))
@@ -220,7 +239,7 @@ def one():
 
 
 def zero_like(s):
-    return QQi._raw(_F0, _F0) if type(s) is QQi else CFloat._raw(0.0, 0.0)
+    return QQi._raw(0, 0) if type(s) is QQi else CFloat._raw(0.0, 0.0)
 
 
 def format_scalar(s) -> tuple[str, str]:

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
                          flip, multiply, rank_of_span, scalar_algebra, star,
-                         tensor_algebra, verify_star_algebra)
+                         tensor_algebra, tensor_mult, verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
 from fqg.groups import cyclic, direct_product, named_group
 from fqg.linalg import vec_eq
@@ -161,3 +163,63 @@ def test_scalar_algebra_is_one_dimensional():
 def test_element_validation(fun_z2):
     with pytest.raises(InvalidDataError):
         Element(fun_z2, {5: scalar(1)})
+
+
+# -- the row-indexed tensor kernel against the materialized tensor algebra ----
+
+_KERNEL_ALGEBRAS = {
+    "fun": lambda: function_algebra(named_group("S3")).algebra,
+    "grp": lambda: group_algebra(cyclic(3)).algebra,
+    "blocks": lambda: BlockAlgebra([1, 2]),
+}
+nonzero = st.builds(QQi, fractions, fractions).filter(lambda c: not c.is_zero())
+
+
+def _sparse_vectors(dim):
+    return st.dictionaries(st.integers(0, dim - 1), nonzero, max_size=6)
+
+
+def _dense(dim):
+    return {k: QQi(k % 3 - 1 or 2, Fraction(1, k + 1)) for k in range(dim)}
+
+
+@pytest.mark.parametrize("first,second", [("fun", "grp"), ("grp", "blocks"),
+                                          ("blocks", "fun"), ("fun", "fun")])
+def test_tensor_mult_matches_tensor_algebra(first, second):
+    a, b = _KERNEL_ALGEBRAS[first](), _KERNEL_ALGEBRAS[second]()
+    ab = tensor_algebra(a, b)
+    vectors = _sparse_vectors(ab.dim)
+
+    @given(vectors, vectors)
+    def agree(u, v):
+        assert vec_eq(tensor_mult(a, b, u, v), ab.multiply_vec(u, v))
+
+    agree()
+    # dense against sparse makes the kernel walk both the row and the grouped v
+    dense = _dense(ab.dim)
+    some = {0: QQi(Fraction(2, 3), -1), ab.dim - 1: QQi(0, Fraction(1, 2))}
+    for u, v in ((dense, dense), (dense, some), (some, dense)):
+        assert vec_eq(tensor_mult(a, b, u, v), ab.multiply_vec(u, v))
+    assert tensor_mult(a, b, {}, some) == {} == tensor_mult(a, b, some, {})
+
+
+def test_convolution_kernel_matches_tensor_algebra():
+    from fqg.algebra import _tensor_product
+    from fqg.fourier import _conv_rows, conv_table
+    from fqg.linalg import LinearMap
+
+    g = function_algebra(named_group("S3"))
+    b = BlockAlgebra([1, 2])
+    conv = StarAlgebra(g.dim, conv_table(g), {}, LinearMap.identity(g.dim, scalar(1)))
+    ab = tensor_algebra(conv, b)
+    vectors = _sparse_vectors(ab.dim)
+
+    @given(vectors, vectors)
+    def agree(u, v):
+        assert vec_eq(_tensor_product(_conv_rows(g), b.mult, b.dim, u, v),
+                      ab.multiply_vec(u, v))
+
+    agree()
+    dense = _dense(ab.dim)
+    assert vec_eq(_tensor_product(_conv_rows(g), b.mult, b.dim, dense, dense),
+                  ab.multiply_vec(dense, dense))

@@ -142,3 +142,30 @@ def test_dual_haar_element_value_matches_primal():
     g = function_algebra(named_group("S3"))
     pair = dual_pair(g)
     assert pair.dual.haar_of_eta() == g.haar_of_eta()
+
+
+def test_dual_pair_leaves_no_reference_cycle():
+    import gc
+
+    from fqg.fourier import DualPair
+
+    src = function_algebra(named_group("S3"))
+    gc.collect()
+    gc.disable()
+    try:
+        g = QuantumGroup(src.algebra, src.coproduct, src.counit, src.antipode,
+                         src.haar_state, src.haar_element, src.label)
+        pair = dual_pair(g)
+        assert verify_fourier_identities(pair).passed
+        assert check_iteration_lemma(pair).passed
+        # the verdicts stay memoised for every pair returned for g
+        assert verify_fourier_identities(dual_pair(g)) is verify_fourier_identities(pair)
+        del g, pair
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, (QuantumGroup, DualPair))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []

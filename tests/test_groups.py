@@ -45,8 +45,16 @@ def test_associativity_rejection():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(InvalidDataError):
+    with pytest.raises(InvalidDataError, match=r"^multiplication is not associative "
+                                                r"at \(1, 1, 2\)$"):
         group_from_table(table)
+
+
+def test_largest_cyclic_group_constructs():
+    # validation is O(n^2) per generator, not O(n^3): a single generator here
+    g = cyclic(1024)
+    assert g.order == 1024 and g.inverse[1] == 1023
+    assert g.generating_sequence() == [1]
 
 
 def test_identity_normalization():

@@ -68,3 +68,54 @@ def test_parse_float_backend():
     with use_backend("float"):
         s = parse_scalar("3/4", "0.5")
         assert abs(s.re - 0.75) < 1e-12 and abs(s.im - 0.5) < 1e-12
+
+
+# -- int and Fraction components against a Fraction-only reference ------------
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+gaussian = st.tuples(small, small)  # the reference: a pair of Fractions
+
+
+def _agrees(x, ref):
+    """x has the reference's value, hash, sort key and serialized form."""
+    re, im = ref
+    return (x.re == re and x.im == im and hash(x) == hash(ref)
+            and x.sort_key() == ref and format_scalar(x) == (str(re), str(im)))
+
+
+@given(gaussian, gaussian)
+def test_components_agree_with_fraction_reference(a, b):
+    (ar, ai), (br, bi) = a, b
+    x, y = QQi(ar, ai), QQi(br, bi)
+    for comp, ref in ((x.re, ar), (x.im, ai)):
+        assert type(comp) is (int if ref.denominator == 1 else Fraction)
+    assert _agrees(x, a)
+    assert _agrees(x + y, (ar + br, ai + bi))
+    assert _agrees(x - y, (ar - br, ai - bi))
+    assert _agrees(-x, (-ar, -ai))
+    assert _agrees(x * y, (ar * br - ai * bi, ar * bi + ai * br))
+    assert _agrees(x.conj(), (ar, -ai))
+    assert (x == y) == (a == b)
+    assert (x.sort_key() < y.sort_key()) == (a < b)
+    if any(a):
+        n = ar * ar + ai * ai
+        inv = x.inv()
+        assert _agrees(inv, (ar / n, -ai / n))
+        assert {type(inv.re), type(inv.im)} <= {int, Fraction}
+
+
+def test_integral_fraction_and_int_components_are_one_value():
+    assert QQi(1) == QQi(Fraction(1)) and hash(QQi(1)) == hash(QQi(Fraction(1)))
+    assert type(QQi(Fraction(4, 2)).re) is int
+    # arithmetic may leave an integral value as a Fraction; it is the same scalar
+    one = QQi(Fraction(1, 2)) * QQi(2)
+    assert one == QQi(1) and hash(one) == hash(QQi(1))
+    assert format_scalar(one) == format_scalar(QQi(1)) == ("1", "0")
+
+
+def test_inverse_divides_exactly():
+    half = QQi(2).inv()
+    assert type(half.re) is Fraction and half.re == Fraction(1, 2) and half.im == 0
+    assert format_scalar(half) == ("1/2", "0")
+    minus_i = QQi(0, 1).inv()
+    assert (minus_i.re, minus_i.im) == (0, -1) and type(minus_i.im) is int

@@ -208,3 +208,29 @@ def test_cli_float_backend(tmp_path, capsys):
                  "--format", "json", "-o", str(out)]) == 0
     capsys.readouterr()
     assert main(["--backend", "float", "verify", str(out)]) == 0
+
+
+# sha256 of `fqg build` / `fqg dual` JSON payloads on S4, recorded with
+# Fraction-pair scalars: a change of scalar representation must not move them
+S4_PAYLOAD_SHA256 = {
+    "fun": ("95828b36469e3bf41e1cc6ba4c4102b6b56657d6ab8523f0bc06d4f277bf266d",
+            "3f19c8578e15bf9ed326a011ce627ce64120897c17acb5396285eed1b7707c43"),
+    "grp": ("4d70bcbc9430dfc03eb99935f2679b219bff9374b1e659c938188fcdc3efb46a",
+            "bf530bb1439abf86c75ec57819aa192b971cd7fd4934f654a3c05a7de6bba4d1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(S4_PAYLOAD_SHA256))
+def test_s4_build_and_dual_payloads_are_byte_stable(kind, tmp_path, capsys):
+    import hashlib
+
+    def payload_sha(argv):
+        assert main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    built = payload_sha(["build", "--group", "S4", "--kind", kind, "--format", "json"])
+    path = tmp_path / "s4.json"
+    main(["build", "--group", "S4", "--kind", kind, "-o", str(path)])
+    capsys.readouterr()
+    dual = payload_sha(["dual", str(path), "--format", "json"])
+    assert (built, dual) == S4_PAYLOAD_SHA256[kind]
