@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import InvalidDataError, Element, StarAlgebra, rows_of
-from .hopf import QuantumGroup, verify_quantum_group
+from .hopf import QuantumGroup, _dual_tables, verify_quantum_group
 from .linalg import LinearMap, entry_eq, vec_add_into, vec_eq, vec_scale
 from .report import Check, Report, sweep
 from .scalar import object_cache, scalar
@@ -133,12 +133,9 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
     except ValueError:
         raise InvalidDataError("fourier matrix is singular; haar state is not faithful")
 
-    # product: (e_i* e_j*)(e_k) = Δ(e_k) at (i, j)
-    mult = {}
-    for k in range(n):
-        for r, c in g.coproduct.cols[k].items():
-            i, j = divmod(r, n)
-            mult.setdefault((i, j), {})[k] = c
+    # product: (e_i* e_j*)(e_k) = Δ(e_k) at (i, j); coproduct dual to
+    # multiplication: Δ̂(e_k*)(e_i⊗e_j) = e_k*(e_i e_j)
+    mult, delta_cols = _dual_tables(g)
 
     # unit of the dual is the counit of the primal
     unit = {i: v for i, v in ((i, g.counit.cols[i].get(0)) for i in range(n)) if v is not None}
@@ -151,12 +148,6 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
             star_cols[i][j] = c.conj()
     dual_star = LinearMap(n, n, star_cols)
 
-    # coproduct dual to multiplication: Δ̂(e_k*)(e_i⊗e_j) = e_k*(e_i e_j)
-    delta_cols = [dict() for _ in range(n)]
-    for (i, j), terms in a.mult.items():
-        r = i * n + j
-        for k, c in terms.items():
-            delta_cols[k][r] = c
     dual_delta = LinearMap(n, n * n, delta_cols)
 
     # counit: evaluation at the unit

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalar import backend_name, tolerance
+from .scalar import EXACT, backend_name, tolerance
 
 
 def _jsonable(value):
@@ -47,9 +47,17 @@ def first_failure(indices, pred):
     return None
 
 
-def sweep(name: str, indices, pred) -> Check:
+def sweep(name: str, indices, pred, certificate=None) -> Check:
     """The check ``name``: ``pred`` holds on every index, else the first
-    failing index is the witness."""
+    failing index is the witness.
+
+    ``certificate``, if given, is a cheaper test that returns True only when
+    ``pred`` holds on every index.  On the exact backend a True certificate
+    passes the check without the sweep; otherwise the sweep runs unchanged,
+    so every failure and its witness come from the sweep.  The float backend
+    always sweeps: a certificate's argument needs exact equality."""
+    if certificate is not None and backend_name() == EXACT and certificate():
+        return Check(name, True, ())
     witness = first_failure(indices, pred)
     return Check(name, witness is None, witness or ())
 

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
@@ -9,8 +10,8 @@ from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
                          tensor_algebra, tensor_mult, verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
 from fqg.groups import cyclic, direct_product, named_group
-from fqg.linalg import vec_eq
-from fqg.scalar import QQi, scalar
+from fqg.linalg import LinearMap, vec_eq
+from fqg.scalar import QQi, scalar, use_backend
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 coeff_lists = st.lists(st.builds(QQi, fractions, fractions), min_size=3, max_size=3)
@@ -135,6 +136,109 @@ def test_verify_star_algebra_detects_broken_associativity():
     assert not rep.passed
     assert "associativity" in rep.failed_names()
     assert rep.check("associativity").witness
+
+
+ORACLE_ALGEBRAS = ("fun-S3", "grp-S3", "fun-Z6", "grp-Z6", "fun-D4", "grp-D4",
+                   "fun-Q8", "grp-Q8", "blocks-1-2", "two-term")
+SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
+
+
+def _two_term_algebra():
+    """b0 b0 = b1 + b2, b1 b1 = b2 b2 = b0, b1 b2 = b2 b1 = -b0, other
+    products 0.  b0 passes (x b0) y = x (b0 y), but b0 generates only the
+    span of b0 and b1 + b2, and (b1 b1) b0 != b1 (b1 b0): a generator set
+    must not count the two-term product as reaching b1 and b2."""
+    one = scalar(1)
+    mult = {(0, 0): {1: one, 2: one}, (1, 1): {0: one}, (2, 2): {0: one},
+            (1, 2): {0: -one}, (2, 1): {0: -one}}
+    return StarAlgebra(3, mult, {}, LinearMap.identity(3, one), "two-term")
+
+
+def _oracle_algebra(name):
+    if name == "blocks-1-2":
+        return BlockAlgebra([1, 2])
+    if name == "two-term":
+        return _two_term_algebra()
+    kind, group = name.split("-")
+    build = function_algebra if kind == "fun" else group_algebra
+    return build(named_group(group)).algebra
+
+
+def _perturbed_table(table, n, data):
+    """A copy of a structure-constant table, kept as it is or with one drawn
+    constant scaled by 2, -1 or i, zeroed, or moved to a drawn (i, j, k),
+    where it adds to what is there (so a product can become two-term)."""
+    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
+    change = data.draw(st.sampled_from(sorted(SCALINGS) + ["keep", "zero", "move"]))
+    out = {key2: dict(terms) for key2, terms in table.items()}
+    if change == "keep":
+        return out
+    c = out[key].pop(k)
+    if change in SCALINGS:
+        out[key][k] = c * SCALINGS[change]
+    elif change == "move":
+        terms = out.setdefault(data.draw(st.sampled_from(list(product(range(n), repeat=2)))), {})
+        k2 = data.draw(st.integers(0, n - 1))
+        terms[k2] = terms[k2] + c if k2 in terms else c
+    return out
+
+
+def _full_associativity_sweep(table, n):
+    """Reference: the first basis triple (i, j, k) with (e_i e_j) e_k !=
+    e_i (e_j e_k), straight from the table."""
+    def times(u, v):
+        acc = {}
+        for (i, ci), (j, cj) in product(u.items(), v.items()):
+            for k, c in table.get((i, j), {}).items():
+                acc[k] = acc.get(k, scalar(0)) + ci * cj * c
+        return {k: c for k, c in acc.items() if not c.is_zero()}
+
+    e = [{i: scalar(1)} for i in range(n)]
+    for i, j, k in product(range(n), repeat=3):
+        if times(times(e[i], e[j]), e[k]) != times(e[i], times(e[j], e[k])):
+            return False, (i, j, k)
+    return True, ()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(ORACLE_ALGEBRAS), st.data())
+def test_associativity_certificate_agrees_with_full_sweep(name, data):
+    base = _oracle_algebra(name)
+    table = _perturbed_table(base.mult, base.dim, data)
+    check = verify_star_algebra(
+        StarAlgebra(base.dim, table, base.unit, base.star, "perturbed")).check("associativity")
+    assert (check.passed, tuple(check.witness)) == _full_associativity_sweep(table, base.dim)
+
+
+def _count_multiply_vec(monkeypatch):
+    calls = []
+    multiply_vec = StarAlgebra.multiply_vec
+
+    def counted(self, u, v):
+        calls.append(None)
+        return multiply_vec(self, u, v)
+
+    monkeypatch.setattr(StarAlgebra, "multiply_vec", counted)
+    return calls
+
+
+def test_associativity_certificate_skips_the_cubic_sweep(monkeypatch):
+    base = group_algebra(cyclic(64)).algebra
+    n = base.dim
+    fresh = StarAlgebra(n, base.mult, base.unit, base.star, base.label)
+    calls = _count_multiply_vec(monkeypatch)
+    assert verify_star_algebra(fresh).passed
+    assert len(calls) < n ** 3 / 4
+
+
+def test_float_backend_sweeps_every_associativity_triple(monkeypatch):
+    with use_backend("float"):
+        base = group_algebra(cyclic(6)).algebra
+        n = base.dim
+        fresh = StarAlgebra(n, base.mult, base.unit, base.star, base.label)
+        calls = _count_multiply_vec(monkeypatch)
+        assert verify_star_algebra(fresh).passed
+    assert len(calls) >= 2 * n ** 3
 
 
 def test_block_algebra_m2_plus_c():

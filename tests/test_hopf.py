@@ -1,8 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fqg.algebra import InvalidDataError
+import fqg.algebra
+import fqg.hopf
+from fqg.algebra import InvalidDataError, StarAlgebra
 from fqg.constructors import function_algebra, group_algebra
 from fqg.groups import cyclic, named_group
 from fqg.hopf import (QuantumGroup, check_haar_antipode_identity,
@@ -124,3 +129,122 @@ def test_haar_state_solver_rejects_non_invariant_coproduct():
     diag = LinearMap(2, 4, [{0: one}, {3: one}])
     with pytest.raises(InvalidDataError):
         solve_haar_state(g.algebra, diag)
+
+
+# -- generator certificates: oracle against full sweeps -----------------------
+
+SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
+
+
+def _perturbed(table, keys, dim, data):
+    """A copy of ``{key: {index: c}}`` with one drawn entry scaled by 2, -1
+    or i, zeroed, or moved to a drawn key and index below ``dim``, where it
+    adds to what is there (so a product can become two-term)."""
+    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
+    change = data.draw(st.sampled_from(sorted(SCALINGS) + ["zero", "move"]))
+    out = {key2: dict(terms) for key2, terms in table.items()}
+    c = out[key].pop(k)
+    if change in SCALINGS:
+        out[key][k] = c * SCALINGS[change]
+    elif change == "move":
+        terms = out.setdefault(data.draw(st.sampled_from(keys)), {})
+        k2 = data.draw(st.integers(0, dim - 1))
+        terms[k2] = terms[k2] + c if k2 in terms else c
+    return out
+
+
+def _add(acc, key, c):
+    acc[key] = acc.get(key, scalar(0)) + c
+
+
+def _nonzero(acc):
+    return {k: c for k, c in acc.items() if not c.is_zero()}
+
+
+def _full_coassociativity_sweep(cols, n):
+    """Reference: the first j with (Δ⊗id)Δ(e_j) != (id⊗Δ)Δ(e_j)."""
+    for j in range(n):
+        left, right = {}, {}
+        for r, c in cols.get(j, {}).items():
+            a, b = divmod(r, n)
+            for r2, c2 in cols.get(a, {}).items():
+                _add(left, divmod(r2, n) + (b,), c * c2)
+            for r2, c2 in cols.get(b, {}).items():
+                _add(right, (a,) + divmod(r2, n), c * c2)
+        if _nonzero(left) != _nonzero(right):
+            return False, (j,)
+    return True, ()
+
+
+def _full_multiplicativity_sweep(mult, cols, n):
+    """Reference: the first (i, j) with Δ(e_i e_j) != Δ(e_i)Δ(e_j)."""
+    for i, j in product(range(n), repeat=2):
+        lhs, rhs = {}, {}
+        for k, c in mult.get((i, j), {}).items():
+            for r, d in cols.get(k, {}).items():
+                _add(lhs, r, c * d)
+        for (r1, c1), (r2, c2) in product(cols.get(i, {}).items(), cols.get(j, {}).items()):
+            (p, q), (s, t) = divmod(r1, n), divmod(r2, n)
+            for (k1, d1), (k2, d2) in product(mult.get((p, s), {}).items(),
+                                              mult.get((q, t), {}).items()):
+                _add(rhs, k1 * n + k2, c1 * c2 * d1 * d2)
+        if _nonzero(lhs) != _nonzero(rhs):
+            return False, (i, j)
+    return True, ()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(("S3", "Z6", "D4", "Q8")), st.sampled_from(("fun", "grp")),
+       st.sampled_from(("product", "coproduct")), st.data())
+def test_coalgebra_certificates_agree_with_full_sweeps(group, kind, part, data):
+    g = (function_algebra if kind == "fun" else group_algebra)(named_group(group))
+    n = g.dim
+    mult, cols = g.algebra.mult, dict(enumerate(g.coproduct.cols))
+    if part == "product":
+        mult = _perturbed(mult, list(product(range(n), repeat=2)), n, data)
+    else:
+        cols = _perturbed(cols, list(range(n)), n * n, data)
+    algebra = StarAlgebra(n, mult, g.algebra.unit, g.algebra.star, "perturbed")
+    delta = LinearMap(n, n * n, [cols.get(k, {}) for k in range(n)])
+    rep = verify_quantum_group(QuantumGroup(algebra, delta, g.counit, g.antipode,
+                                            g.haar_state, g.haar_element, "perturbed"))
+    got = {name: (rep.check(name).passed, tuple(rep.check(name).witness))
+           for name in ("coassociativity", "coproduct_multiplicative")}
+    assert got == {"coassociativity": _full_coassociativity_sweep(cols, n),
+                   "coproduct_multiplicative": _full_multiplicativity_sweep(mult, cols, n)}
+
+
+def _fresh_copy(g):
+    return QuantumGroup(g.algebra, g.coproduct, g.counit, g.antipode, g.haar_state,
+                        g.haar_element, g.label)
+
+
+@pytest.mark.parametrize("build", [function_algebra, group_algebra])
+def test_multiplicativity_certificate_takes_few_tensor_products(build, monkeypatch):
+    g = _fresh_copy(build(cyclic(32)))
+    calls = []
+    for module in (fqg.algebra, fqg.hopf):
+        kernel = getattr(module, "_tensor_product", None)
+        if kernel is not None:
+            def counted(*args, kernel=kernel):
+                calls.append(None)
+                return kernel(*args)
+
+            monkeypatch.setattr(module, "_tensor_product", counted)
+    assert verify_quantum_group(g).passed
+    assert len(calls) <= 4 * g.dim
+
+
+def test_coassociativity_certificate_applies_no_coproduct_leg(monkeypatch):
+    g = _fresh_copy(function_algebra(cyclic(16)))
+    leg_apply = fqg.hopf.leg_apply
+    legs_of_delta = []
+
+    def counted(m, v, right_dim, leg):
+        if m is g.coproduct:
+            legs_of_delta.append(leg)
+        return leg_apply(m, v, right_dim, leg)
+
+    monkeypatch.setattr(fqg.hopf, "leg_apply", counted)
+    assert verify_quantum_group(g).passed
+    assert legs_of_delta == []

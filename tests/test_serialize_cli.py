@@ -234,3 +234,41 @@ def test_s4_build_and_dual_payloads_are_byte_stable(kind, tmp_path, capsys):
     capsys.readouterr()
     dual = payload_sha(["dual", str(path), "--format", "json"])
     assert (built, dual) == S4_PAYLOAD_SHA256[kind]
+
+
+# sha256 of `fqg --backend float verify` JSON on the S4 build: the float
+# backend keeps the full sweeps, with no generator certificate in front
+S4_FLOAT_VERIFY_SHA256 = {
+    "fun": "6571b5037c9166ec1d8fffe642221ce4455422a09301a38b7cd64f1521f62721",
+    "grp": "f25e79010eb60b6b5fc164d78fd835ca2b0a7440ed914e9674e055d52089ebdd",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(S4_FLOAT_VERIFY_SHA256))
+def test_s4_float_verify_payload_is_byte_stable(kind, tmp_path, capsys):
+    import hashlib
+
+    path = tmp_path / "s4.json"
+    assert main(["build", "--group", "S4", "--kind", kind, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["--backend", "float", "verify", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == S4_FLOAT_VERIFY_SHA256[kind]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    import os
+    import subprocess
+    import sys
+
+    import fqg
+
+    argv = ["build", "--group", "Z3", "--kind", "fun", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "fqg"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
