@@ -443,6 +443,12 @@ class BlockAlgebra(StarAlgebra):
         blocks = tuple(int(n) for n in blocks)
         if not blocks or any(n <= 0 for n in blocks):
             raise InvalidDataError("blocks must be positive integers")
+        from .groups import MAX_GROUP_ORDER  # groups imports this module
+
+        dim = sum(n * n for n in blocks)
+        if dim > MAX_GROUP_ORDER:
+            raise InvalidDataError("block algebra dimension %d exceeds the limit %d"
+                                   % (dim, MAX_GROUP_ORDER))
         if trace_weights is None:
             trace_weights = [Fraction(1)] * len(blocks)
         trace_weights = tuple(Fraction(w) for w in trace_weights)
@@ -450,7 +456,6 @@ class BlockAlgebra(StarAlgebra):
             raise InvalidDataError("one trace weight per block required")
         if any(w <= 0 for w in trace_weights):
             raise InvalidDataError("trace weights must be positive")
-        dim = sum(n * n for n in blocks)
         one = scalar(1)
 
         offsets = []

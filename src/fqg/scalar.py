@@ -254,7 +254,9 @@ def format_scalar(s) -> tuple[str, str]:
 MAX_EXPONENT = 1000
 
 
-def _number_from_string(text: str) -> Fraction:
+def parse_number(text: str) -> Fraction:
+    """Parse a rational or decimal number string exactly, refusing exponents
+    beyond :data:`MAX_EXPONENT` with ``ValueError``."""
     if "e" in text or "E" in text:
         exponent = text.lower().rpartition("e")[2]
         try:
@@ -271,8 +273,8 @@ def _number_from_string(text: str) -> Fraction:
 
 def parse_scalar(re_text: str, im_text: str = "0"):
     """Parse a scalar pair ("p/q" or decimal strings) in the active backend."""
-    re_f = _number_from_string(str(re_text))
-    im_f = _number_from_string(str(im_text))
+    re_f = parse_number(str(re_text))
+    im_f = parse_number(str(im_text))
     if _state.name == EXACT:
         return QQi(re_f, im_f)
     return CFloat(float(re_f), float(im_f))

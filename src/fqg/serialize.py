@@ -4,6 +4,15 @@ Rationals travel as strings ("3/4"); scalars as [re, im] string pairs.
 Matrices are dense row-major lists of pairs, structure constants a sparse
 sorted list of [i, j, k, re, im] rows.  Canonical dumps sort keys and use
 compact separators so identical inputs serialize byte-identically.
+
+Loading parses each distinct [re, im] string pair once per matrix, vector or
+structure-constant table: a dumped coproduct or family map is mostly "0"
+cells, and the parsed scalars are immutable, so equal cells share one.
+Every input is bounded: exponents by ``scalar.MAX_EXPONENT``, group orders
+and block-algebra dimensions by ``groups.MAX_GROUP_ORDER``, dense output by
+:data:`MAX_DENSE_CELLS`; a file that is nested too deeply for the JSON
+decoder, is not UTF-8 or holds an integer past Python's digit limit is
+refused as unreadable.  Each violation raises :class:`InvalidDataError`.
 """
 
 from __future__ import annotations
@@ -15,13 +24,34 @@ from .groups import FiniteGroup, group_from_table, named_group
 from .hopf import QuantumGroup, solve_haar_element, solve_haar_state, verify_quantum_group
 from .linalg import LinearMap
 from .qfamily import HopfOnTarget, QuantumFamily
-from .scalar import format_scalar, parse_scalar
+from .scalar import format_scalar, parse_number, parse_scalar
 
 _ZERO_PAIR = ("0", "0")
 
 # Largest dense matrix a file may carry, in cells (about 110 bytes each while
 # it is built): fun(Z1024)'s coproduct alone would need 1024**3 cells.
 MAX_DENSE_CELLS = 1 << 22
+
+
+def _cell_parser():
+    """A parse function for [re, im] cells that parses each distinct string
+    pair once; the memo lives as long as the returned function.  Any other
+    cell (wrong length, non-string parts, unhashable) takes the plain
+    ``parse_scalar(*cell)`` path, so error messages stay the same."""
+    memo = {}
+
+    def parse(cell):
+        if type(cell) is not list or len(cell) != 2:
+            return parse_scalar(*cell)
+        re, im = cell
+        if type(re) is not str or type(im) is not str:
+            return parse_scalar(re, im)
+        s = memo.get((re, im))
+        if s is None:
+            s = memo[re, im] = parse_scalar(re, im)
+        return s
+
+    return parse
 
 
 def _pair(s) -> list:
@@ -44,8 +74,9 @@ def matrix_to_dense(m: LinearMap):
 
 
 def matrix_from_dense(rows, source_dim=None, target_dim=None) -> LinearMap:
+    parse = _cell_parser()
     try:
-        parsed = [[parse_scalar(*cell) for cell in row] for row in rows]
+        parsed = [[parse(cell) for cell in row] for row in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad matrix entry: %s" % exc)
     if not parsed:
@@ -62,8 +93,9 @@ def vector_to_list(v: dict, dim: int):
 
 
 def vector_from_list(lst, dim: int) -> dict:
+    parse = _cell_parser()
     try:
-        parsed = [parse_scalar(*cell) for cell in lst]
+        parsed = [parse(cell) for cell in lst]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad vector entry: %s" % exc)
     if len(parsed) != dim:
@@ -93,17 +125,16 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
 def algebra_from_dict(d: dict) -> StarAlgebra:
     try:
         if "blocks" in d and "mult" not in d:
-            from fractions import Fraction
-
             weights = d.get("trace_weights")
             if weights is not None:
-                weights = [Fraction(w) for w in weights]
+                weights = [parse_number(str(w)) for w in weights]
             return BlockAlgebra(d["blocks"], weights, d.get("label", ""))
         dim = int(d["dim"])
         mult = {}
+        parse = _cell_parser()
         for row in d["mult"]:
             i, j, k, re, im = row
-            s = parse_scalar(re, im)
+            s = parse([re, im])
             if not s.is_zero():
                 mult.setdefault((int(i), int(j)), {})[int(k)] = s
         unit = vector_from_list(d["unit"], dim)
@@ -232,8 +263,10 @@ def canonical_json(obj) -> str:
 
 
 def load_json_file(path: str):
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integers
+    # past the interpreter's digit limit; RecursionError, nesting too deep
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidDataError("cannot read %s: %s" % (path, exc))

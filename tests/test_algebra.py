@@ -259,6 +259,15 @@ def test_block_algebra_rejects_bad_weights():
         BlockAlgebra([])
 
 
+def test_block_algebra_refuses_dimension_above_group_order_limit():
+    from fqg.groups import MAX_GROUP_ORDER
+
+    assert BlockAlgebra([32]).dim == MAX_GROUP_ORDER
+    for blocks in ([33], [1] * (MAX_GROUP_ORDER + 1), [10**6]):
+        with pytest.raises(InvalidDataError, match="exceeds the limit"):
+            BlockAlgebra(blocks)
+
+
 def test_scalar_algebra_is_one_dimensional():
     c = scalar_algebra()
     assert c.dim == 1 and verify_star_algebra(c).passed

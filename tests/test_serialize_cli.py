@@ -1,16 +1,23 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fqg.algebra import InvalidDataError
+import fqg.serialize
+from fqg.algebra import InvalidDataError, StarAlgebra
 from fqg.cli import main
 from fqg.constructors import (function_algebra, group_algebra,
                               quantum_group_data_equal)
 from fqg.fixtures import counit_degenerate_family, sign_twisted_dual_family
 from fqg.groups import cyclic, named_group
-from fqg.serialize import (canonical_json, family_from_dict, family_to_dict,
-                           group_from_dict, group_to_dict,
-                           quantum_group_from_dict, quantum_group_to_dict)
+from fqg.linalg import LinearMap
+from fqg.scalar import parse_scalar, set_backend
+from fqg.serialize import (algebra_from_dict, canonical_json, family_from_dict,
+                           family_to_dict, group_from_dict, group_to_dict,
+                           matrix_from_dense, quantum_group_from_dict,
+                           quantum_group_to_dict, vector_from_list)
 
 
 def test_quantum_group_roundtrip():
@@ -70,6 +77,135 @@ def test_malformed_family_rejected():
     with pytest.raises(InvalidDataError):
         family_from_dict({"source": {"group": "S3", "kind": "fun"},
                           "target": {"blocks": [1]}, "alpha": [["nope"]]})
+
+
+# -- memoised cell parsing against a plain per-cell parse_scalar ----------
+
+_NUMBERS = ("0", "1", "-1", "1/2", "-3/4", "0.25", "2e3", "1E-2", "7", "-0")
+# Cells the memo must leave to parse_scalar: malformed ones, which must keep
+# their message, and odd ones that parse_scalar(*cell) reads (["1"] and
+# [1, 0] as 1; [true, 0] must not reuse that parse, although True == 1).
+_MALFORMED_CELLS = ([["0"], "0"], [True, 0], None, ["x"], ["1", "0", "0"],
+                    ["nan", "0"], ["0", "inf"], ["1e99999999", "0"], 5)
+_ODD_CELLS = _MALFORMED_CELLS + (["1"], [1, 0], [1.0, "0"], "10")
+
+
+def _plain_matrix(rows):
+    try:
+        parsed = [[parse_scalar(*cell) for cell in row] for row in rows]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDataError("bad matrix entry: %s" % exc)
+    return LinearMap.from_rows(parsed)
+
+
+def _plain_vector(cells):
+    try:
+        parsed = [parse_scalar(*cell) for cell in cells]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDataError("bad vector entry: %s" % exc)
+    return {i: s for i, s in enumerate(parsed) if not s.is_zero()}
+
+
+def _plain_algebra(d):
+    try:
+        mult = {}
+        for i, j, k, re, im in d["mult"]:
+            s = parse_scalar(re, im)
+            if not s.is_zero():
+                mult.setdefault((i, j), {})[k] = s
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDataError("malformed algebra: %s" % exc)
+    return StarAlgebra(d["dim"], mult, _plain_vector(d["unit"]), _plain_matrix(d["star"]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except InvalidDataError as exc:
+        return None, str(exc)
+
+
+@st.composite
+def _cell_grids(draw, shape=None):
+    """A grid of [re, im] string cells, with up to two replaced by odd ones."""
+    rows, cols = shape or (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    grid = [[draw(st.lists(st.sampled_from(_NUMBERS), min_size=2, max_size=2))
+             for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = \
+            draw(st.sampled_from(_ODD_CELLS))
+    return grid
+
+
+def _assert_same_loads(grid, star, backend):
+    set_backend(backend, 1e-9)
+    matrix, matrix_err = _outcome(matrix_from_dense, grid)
+    ref, ref_err = _outcome(_plain_matrix, grid)
+    assert matrix_err == ref_err
+    assert matrix == ref
+    for row in grid:
+        vec, vec_err = _outcome(vector_from_list, row, len(row))
+        ref, ref_err = _outcome(_plain_vector, row)
+        assert (vec, vec_err) == (ref, ref_err)
+        assert [type(s) for s in (vec or {}).values()] == [type(s) for s in (ref or {}).values()]
+    mult = [[r % 2, c % 2, (r + c) % 2] + (cell if isinstance(cell, list) else [cell])
+            for r, row in enumerate(grid) for c, cell in enumerate(row)]
+    d = {"dim": 2, "mult": mult, "unit": grid[0][:2] * (2 // len(grid[0][:2])), "star": star}
+    alg, alg_err = _outcome(algebra_from_dict, d)
+    ref, ref_err = _outcome(_plain_algebra, d)
+    assert alg_err == ref_err
+    if ref is not None:
+        assert (alg.mult, alg.unit, alg.star) == (ref.mult, ref.unit, ref.star)
+
+
+@settings(max_examples=200)
+@given(_cell_grids(), _cell_grids(shape=(2, 2)), st.sampled_from(("exact", "float")))
+def test_memoised_loads_agree_with_plain_parse_scalar(grid, star, backend):
+    _assert_same_loads(grid, star, backend)
+
+
+@pytest.mark.parametrize("odd", _ODD_CELLS, ids=repr)
+def test_memoised_loads_keep_every_malformed_cell_message(odd):
+    # the same value before and after the odd cell: a memo hit must not skip it
+    one = ["1", "0"]
+    for grid in ([[one, odd, one]], [[odd, one], [one, one]], [[one], [one], [odd]],
+                 [[[1, 0], odd, [1, 0]]]):
+        _assert_same_loads(grid, [[one, ["0", "0"]], [["0", "0"], one]], "exact")
+    if any(odd is c for c in _MALFORMED_CELLS):  # not `in`: [1, 0] == [True, 0]
+        assert _outcome(matrix_from_dense, [[one, odd, one]])[1] is not None
+
+
+def test_loading_a_composed_family_parses_each_distinct_cell_once(tmp_path, monkeypatch):
+    fam, comp = tmp_path / "d4.json", tmp_path / "dd.json"
+    assert main(["aut", "--group", "D4", "--emit-family", str(fam)]) == 0
+    assert main(["compose", str(fam), str(fam), "--format", "json", "-o", str(comp)]) == 0
+    d = json.loads(comp.read_text())
+
+    def tables(obj):
+        """The distinct (re, im) pairs of each matrix, vector and mult table."""
+        for key, value in sorted(obj.items()):
+            if isinstance(value, dict):
+                yield from tables(value)
+            elif key == "mult":
+                yield {(re, im) for _, _, _, re, im in value}
+            elif key in ("unit", "haar_element"):
+                yield {tuple(cell) for cell in value}
+            elif key in ("star", "coproduct", "counit", "antipode", "haar_state", "alpha"):
+                yield {tuple(cell) for row in value for cell in row}
+
+    allowed = Counter(pair for table in tables(d) for pair in table)
+    calls = Counter()
+
+    def counting_parse(re, im="0"):
+        calls[re, im] += 1
+        return parse_scalar(re, im)
+
+    monkeypatch.setattr(fqg.serialize, "parse_scalar", counting_parse)
+    back = family_from_dict(d, verify=False)
+    assert back.alpha.source_dim == back.source.dim
+    coproduct_b = d["hopf_on_B"]["coproduct"]  # 262,144 of the file's 271k cells
+    assert len(coproduct_b) * len(coproduct_b[0]) == 64 ** 3
+    assert calls and all(calls[pair] <= allowed[pair] for pair in calls), calls
 
 
 # -- CLI ------------------------------------------------------------------
@@ -168,6 +304,21 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     path.write_text(canonical_json({"order": 1025, "table": [[0]] * 1025}))
     assert main(["build", "--group", str(path), "--kind", "fun"]) == 2
     assert capsys.readouterr().err.startswith("error: [input]")
+
+    # unreadable files: nesting deeper than the decoder's recursion limit,
+    # bytes that are not UTF-8, an integer past the interpreter's digit limit
+    for text in (b"[" * 100000, b'{"label": "\xff"}', b"[" + b"1" * 5000 + b"]"):
+        path.write_bytes(text)
+        assert main(["verify", str(path)]) == 2, text[:8]
+        assert capsys.readouterr().err.startswith("error: [input] cannot read"), text[:8]
+
+    # block-algebra targets: a trace weight past the exponent limit, and a
+    # dimension sum n**2 above MAX_GROUP_ORDER, both refused before any table
+    for target in ({"blocks": [1], "trace_weights": ["1e99999999"]}, {"blocks": [1000]}):
+        path.write_text(canonical_json({"source": {"group": "Z2", "kind": "fun"},
+                                        "target": target, "alpha": [[["1", "0"]]]}))
+        assert main(["check-family", str(path)]) == 2, target
+        assert capsys.readouterr().err.startswith("error: [input]"), target
 
     # a dense output matrix above MAX_DENSE_CELLS is refused before any row is
     # built: fun(Z200)'s coproduct has 40000 x 200 cells
