@@ -15,7 +15,7 @@ from itertools import product
 from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
                      vec_eq, vec_from_dense, vec_is_zero, vec_scale, vec_sub)
 from .report import Check, Report, sweep
-from .scalar import object_cache, scalar, zero_like
+from .scalar import object_cache, one_like, parse_number, scalar, zero_like
 
 
 class InvalidDataError(ValueError):
@@ -95,9 +95,6 @@ class StarAlgebra:
     def unit_element(self) -> "Element":
         return Element(self, dict(self.unit))
 
-    def zero_element(self) -> "Element":
-        return Element(self, {})
-
     # -- structural predicates ---------------------------------------------
 
     def is_commutative(self) -> bool:
@@ -119,7 +116,7 @@ class StarAlgebra:
                     if len(terms) != 1 or i not in terms:
                         return False
                     c = terms[i]
-                    if not (c - _one_of(c)).is_zero():
+                    if not (c - one_like(c)).is_zero():
                         return False
                 elif terms:
                     return False
@@ -128,20 +125,14 @@ class StarAlgebra:
             if len(col) != 1 or i not in col:
                 return False
             c = col[i]
-            if not (c - _one_of(c)).is_zero():
+            if not (c - one_like(c)).is_zero():
                 return False
         if set(self.unit) != set(range(self.dim)):
             return False
-        return all((c - _one_of(c)).is_zero() for c in self.unit.values())
+        return all((c - one_like(c)).is_zero() for c in self.unit.values())
 
     def __repr__(self):
         return "StarAlgebra(%r, dim=%d)" % (self.label, self.dim)
-
-
-def _one_of(sample):
-    from .scalar import CFloat, QQi
-
-    return QQi(1) if type(sample) is QQi else CFloat(1.0)
 
 
 class Element:
@@ -451,7 +442,12 @@ class BlockAlgebra(StarAlgebra):
                                    % (dim, MAX_GROUP_ORDER))
         if trace_weights is None:
             trace_weights = [Fraction(1)] * len(blocks)
-        trace_weights = tuple(Fraction(w) for w in trace_weights)
+        try:
+            # a string goes through the exponent guard; a number is taken as is
+            trace_weights = tuple(parse_number(w) if type(w) is str else Fraction(w)
+                                  for w in trace_weights)
+        except (TypeError, ValueError) as exc:
+            raise InvalidDataError("bad trace weight: %s" % exc)
         if len(trace_weights) != len(blocks):
             raise InvalidDataError("one trace weight per block required")
         if any(w <= 0 for w in trace_weights):

@@ -114,19 +114,8 @@ def solve_haar_state(algebra: StarAlgebra, coproduct: LinearMap,
                     row[j] = t
             if row:
                 rows.append(row)
-    basis = nullspace_basis(rows, n)
-    if len(basis) != 1:
-        raise InvalidDataError(
-            "haar state is not unique (solution space has dimension %d)" % len(basis))
-    h = basis[0]
-    norm = None
-    for i, ui in unit.items():
-        hi = h.get(i)
-        if hi is not None:
-            norm = ui * hi if norm is None else norm + ui * hi
-    if norm is None or norm.is_zero():
-        raise InvalidDataError("invariant functional kills the unit; no haar state")
-    h = vec_scale(h, norm.inv())
+    h = _normalised_solution(rows, n, unit, "haar state",
+                             "invariant functional kills the unit; no haar state")
     result = LinearMap(n, 1, [{0: h[i]} if i in h else {} for i in range(n)])
     if stored is not None and result != stored:
         raise InvalidDataError("stored haar state disagrees with the solved one")
@@ -159,19 +148,31 @@ def solve_haar_element(algebra: StarAlgebra, counit: LinearMap) -> dict:
                     row[k] = t
             if row:
                 rows.append(row)
+    weights = {i: col[0] for i, col in enumerate(eps) if col}
+    return _normalised_solution(rows, n, weights, "haar element",
+                                "counit kills every candidate haar element")
+
+
+def _normalised_solution(rows, n, weights, what, killed) -> dict:
+    """The one solution x of the sparse system ``rows`` scaled to Σ wᵢxᵢ = 1.
+
+    ``weights`` maps indices to wᵢ (absent means 0).  Raises for a solution
+    space of any dimension but 1, naming ``what``, and with the message
+    ``killed`` when Σ wᵢxᵢ = 0.
+    """
     basis = nullspace_basis(rows, n)
     if len(basis) != 1:
         raise InvalidDataError(
-            "haar element is not unique (solution space has dimension %d)" % len(basis))
-    eta = basis[0]
+            "%s is not unique (solution space has dimension %d)" % (what, len(basis)))
+    x = basis[0]
     norm = None
-    for i, c in eta.items():
-        ei = eps[i].get(0)
-        if ei is not None:
-            norm = ei * c if norm is None else norm + ei * c
+    for i, xi in x.items():
+        w = weights.get(i)
+        if w is not None:
+            norm = w * xi if norm is None else norm + w * xi
     if norm is None or norm.is_zero():
-        raise InvalidDataError("counit kills every candidate haar element")
-    return vec_scale(eta, norm.inv())
+        raise InvalidDataError(killed)
+    return vec_scale(x, norm.inv())
 
 
 # -- verification -------------------------------------------------------------

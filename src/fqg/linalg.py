@@ -3,18 +3,20 @@
 Vectors are plain ``{index: scalar}`` dicts with zero entries omitted.
 Linear maps are concrete matrices stored column-sparse; the full shape is
 always declared, so every entry is retrievable even when not stored.
-On the exact backend, rank clears each row's denominators and runs
-fraction-free (Bareiss) elimination on Gaussian integers held as (re, im)
-pairs of Python ints, so no rational arithmetic happens inside the
-elimination; the float backend pivots by magnitude against the global
-tolerance.
+One Gauss-Jordan routine, ``_eliminate``, serves ``nullspace_basis``,
+``LinearMap.inverse`` and float rank: it pivots on the first nonzero entry
+on the exact backend and on the largest magnitude above the global
+tolerance on the float backend.  Exact rank clears each row's denominators
+and runs fraction-free (Bareiss) elimination on Gaussian integers held as
+(re, im) pairs of Python ints, so no rational arithmetic happens inside
+that elimination.
 """
 
 from __future__ import annotations
 
 import math
 
-from .scalar import QQi, tolerance, zero_like
+from .scalar import QQi, one_like, scalar, tolerance, zero_like
 
 
 def vec_add_into(acc: dict, v: dict, c=None) -> None:
@@ -55,10 +57,6 @@ def vec_sub(u: dict, v: dict) -> dict:
         else:
             acc[k] = t
     return acc
-
-
-def vec_conj(v: dict) -> dict:
-    return {k: s.conj() for k, s in v.items()}
 
 
 def vec_is_zero(v: dict) -> bool:
@@ -195,10 +193,6 @@ class LinearMap:
                 cols[r][c] = s
         return LinearMap(self.target_dim, self.source_dim, cols, self.target, self.source)
 
-    def conj(self) -> "LinearMap":
-        return LinearMap(self.source_dim, self.target_dim,
-                         [vec_conj(col) for col in self.cols], self.source, self.target)
-
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
@@ -211,17 +205,11 @@ class LinearMap:
     def is_zero(self) -> bool:
         return all(vec_is_zero(col) for col in self.cols)
 
-    def to_dense(self, zero):
-        rows = []
-        for r in range(self.target_dim):
-            rows.append([self.cols[c].get(r, zero) for c in range(self.source_dim)])
-        return rows
-
     def rank(self) -> int:
         return rank_of_vectors(list(self.cols), self.target_dim)
 
     def inverse(self) -> "LinearMap":
-        """Exact Gauss-Jordan inverse; raises ValueError when singular."""
+        """Gauss-Jordan inverse of [M | I]; raises ValueError when singular."""
         if self.source_dim != self.target_dim:
             raise ValueError("only square maps invert")
         n = self.source_dim
@@ -230,43 +218,13 @@ class LinearMap:
         sample = _any_scalar(self.cols)
         if sample is None:
             raise ValueError("singular map")
-        zero = zero_like(sample)
-        one = zero + _unit_like(sample)
-        m = self.to_dense(zero)
-        inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        exact = type(sample) is QQi
-        tol = tolerance()
-        for c in range(n):
-            piv = None
-            if exact:
-                for r in range(c, n):
-                    if not m[r][c].is_zero():
-                        piv = r
-                        break
-            else:
-                best = tol
-                for r in range(c, n):
-                    mag = m[r][c].magnitude()
-                    if mag > best:
-                        best = mag
-                        piv = r
-            if piv is None:
-                raise ValueError("singular map")
-            if piv != c:
-                m[piv], m[c] = m[c], m[piv]
-                inv[piv], inv[c] = inv[c], inv[piv]
-            pinv = m[c][c].inv()
-            m[c] = [x * pinv for x in m[c]]
-            inv[c] = [x * pinv for x in inv[c]]
-            for r in range(n):
-                if r == c:
-                    continue
-                f = m[r][c]
-                if f.is_zero():
-                    continue
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[c])]
-        return LinearMap.from_rows(inv, self.target, self.source)
+        zero, one = zero_like(sample), one_like(sample)
+        cols = self.cols
+        m = [[cols[c].get(r, zero) for c in range(n)] + [one if i == r else zero for i in range(n)]
+             for r in range(n)]
+        if len(_eliminate(m, n)) < n:
+            raise ValueError("singular map")
+        return LinearMap.from_rows([row[n:] for row in m], self.target, self.source)
 
     def _same_shape(self, other):
         if self.source_dim != other.source_dim or self.target_dim != other.target_dim:
@@ -281,14 +239,6 @@ def _any_scalar(cols):
         for s in col.values():
             return s
     return None
-
-
-def _unit_like(sample):
-    if type(sample) is QQi:
-        return QQi(1)
-    from .scalar import CFloat
-
-    return CFloat(1.0)
 
 
 def leg_apply(m: LinearMap, v: dict, right_dim: int, leg: int) -> dict:
@@ -330,8 +280,8 @@ def rank_of_vectors(vectors, dim: int) -> int:
     """Rank of a family of sparse vectors inside a dim-dimensional space.
 
     Exact backend: fraction-free (Bareiss) elimination on Gaussian-integer
-    rows.  Float backend: partial-pivot elimination with the global
-    tolerance deciding what counts as zero.
+    rows.  Float backend: ``_eliminate``, with the global tolerance deciding
+    what counts as zero.
     """
     rows = [v for v in vectors if not vec_is_zero(v)]
     if not rows:
@@ -340,7 +290,7 @@ def rank_of_vectors(vectors, dim: int) -> int:
     if type(sample) is QQi:
         return _rank_bareiss([_gaussian_integer_row(v, dim) for v in rows], dim)
     zero = zero_like(sample)
-    return _rank_float([[v.get(c, zero) for c in range(dim)] for v in rows], dim)
+    return len(_eliminate([[v.get(c, zero) for c in range(dim)] for v in rows], dim))
 
 
 _GZERO = (0, 0)
@@ -395,91 +345,71 @@ def _rank_bareiss(m, ncols) -> int:
     return r
 
 
-def _rank_float(m, ncols) -> int:
+def _eliminate(rows, ncols) -> list:
+    """Gauss-Jordan reduction of dense scalar rows over their first ``ncols``
+    columns, in place; a row may be longer, its tail rides along.
+
+    The pivot is the first nonzero entry on the exact backend and the
+    largest magnitude above the tolerance on the float backend.  Each pivot
+    row is scaled to a leading 1 and cleared from every other row.  Returns
+    the pivot columns; the i-th of them leads ``rows[i]``.
+    """
+    if not rows or not ncols:
+        return []
+    nrows = len(rows)
+    exact = type(rows[0][0]) is QQi
     tol = tolerance()
-    nrows = len(m)
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        piv, best = None, tol
-        for i in range(r, nrows):
-            mag = m[i][c].magnitude()
-            if mag > best:
-                best = mag
-                piv = i
+        piv = None
+        if exact:
+            for i in range(r, nrows):
+                if not rows[i][c].is_zero():
+                    piv = i
+                    break
+        else:
+            best = tol
+            for i in range(r, nrows):
+                mag = rows[i][c].magnitude()
+                if mag > best:
+                    best = mag
+                    piv = i
         if piv is None:
             continue
-        if piv != r:
-            m[piv], m[r] = m[r], m[piv]
-        pr = m[r]
-        pv_inv = pr[c].inv()
-        for i in range(r + 1, nrows):
-            f = m[i][c] * pv_inv
+        rows[piv], rows[r] = rows[r], rows[piv]
+        pinv = rows[r][c].inv()
+        top = rows[r] = [x * pinv for x in rows[r]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
             if f.is_zero():
                 continue
-            ri = m[i]
-            for j in range(c, ncols):
-                ri[j] = ri[j] - f * pr[j]
-        r += 1
-    return r
+            rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        pivots.append(c)
+    return pivots
 
 
 def nullspace_basis(rows, ncols: int):
     """Basis (list of sparse vectors) of {x : R x = 0} for sparse rows R."""
     live = [r for r in rows if not vec_is_zero(r)]
     if not live:
-        from .scalar import one as backend_one
-
-        return [{i: backend_one()} for i in range(ncols)]
+        return [{i: scalar(1)} for i in range(ncols)]
     sample = next(iter(live[0].values()))
-    zero = zero_like(sample)
-    one = _unit_like(sample)
+    zero, one = zero_like(sample), one_like(sample)
     dense = [[r.get(c, zero) for c in range(ncols)] for r in live]
-    exact = type(sample) is QQi
-    tol = tolerance()
-    nrows = len(dense)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        if exact:
-            for i in range(r, nrows):
-                if not dense[i][c].is_zero():
-                    piv = i
-                    break
-        else:
-            best = tol
-            for i in range(r, nrows):
-                mag = dense[i][c].magnitude()
-                if mag > best:
-                    best = mag
-                    piv = i
-        if piv is None:
-            continue
-        if piv != r:
-            dense[piv], dense[r] = dense[r], dense[piv]
-        pinv = dense[r][c].inv()
-        dense[r] = [x * pinv for x in dense[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = dense[i][c]
-            if f.is_zero():
-                continue
-            dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-        pivots.append(c)
-        r += 1
+    pivots = _eliminate(dense, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = {free: one}
-        for row_idx, pc in enumerate(pivots):
-            coeff = dense[row_idx][free]
+        for row, pc in zip(dense, pivots):
+            coeff = row[free]
             if not coeff.is_zero():
                 v[pc] = -coeff
         basis.append(v)

@@ -87,9 +87,6 @@ class Report:
                 return c
         raise KeyError(name)
 
-    def has_check(self, name: str) -> bool:
-        return any(c.name == name for c in self.checks)
-
     def to_dict(self, include_timing: bool = False):
         d = {
             "subject": self.subject,

@@ -230,16 +230,12 @@ def scalar(re=0, im=0):
     return CFloat(float(re), float(im))
 
 
-def zero():
-    return scalar(0)
-
-
-def one():
-    return scalar(1)
-
-
 def zero_like(s):
     return QQi._raw(0, 0) if type(s) is QQi else CFloat._raw(0.0, 0.0)
+
+
+def one_like(s):
+    return QQi._raw(1, 0) if type(s) is QQi else CFloat._raw(1.0, 0.0)
 
 
 def format_scalar(s) -> tuple[str, str]:
@@ -256,7 +252,7 @@ MAX_EXPONENT = 1000
 
 def parse_number(text: str) -> Fraction:
     """Parse a rational or decimal number string exactly, refusing exponents
-    beyond :data:`MAX_EXPONENT` with ``ValueError``."""
+    beyond :data:`MAX_EXPONENT` and zero denominators with ``ValueError``."""
     if "e" in text or "E" in text:
         exponent = text.lower().rpartition("e")[2]
         try:
@@ -267,6 +263,8 @@ def parse_number(text: str) -> Fraction:
             raise ValueError("exponent of %.40r exceeds %d" % (text, MAX_EXPONENT))
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %.40r" % text) from None
     except ValueError:
         return Fraction(float(text))
 

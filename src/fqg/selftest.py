@@ -4,16 +4,12 @@ Runs the whole verification program over the built-in group catalog with no
 external files: Hopf axioms, Fourier identities, fundamental examples,
 automorphism counts, universal families, family duality, the equivalence
 lemma in both truth values, composition, the classical relation systems,
-cyclic groups, and the dual-group proof chain.  ``FQG_THREADS`` caps a
-thread pool over the independent suites; results keep submission order, so
-output is deterministic either way.
+cyclic groups, and the dual-group proof chain.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .classical import (check_cyclic_identity, check_dual_group_theorem,
                         check_dualact_consequences, check_magic_unitary,
@@ -283,14 +279,6 @@ SUITES = (
 )
 
 
-def worker_count() -> int:
-    raw = os.environ.get("FQG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _timed(fn):
     start = time.perf_counter()
     rep = fn()
@@ -300,22 +288,7 @@ def _timed(fn):
 
 def run_selftest():
     """Run every suite; returns the list of Reports in a fixed order."""
-    workers = worker_count()
-    if workers == 1:
-        return [_timed(fn) for fn in SUITES]
-
-    from .scalar import backend_name, set_backend, tolerance
-
-    name, tol = backend_name(), tolerance()
-
-    def call(fn):
-        # backend selection is thread-local; propagate the caller's choice
-        set_backend(name, tol)
-        return _timed(fn)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(call, fn) for fn in SUITES]
-        return [f.result() for f in futures]
+    return [_timed(fn) for fn in SUITES]
 
 
 def selftest_to_dict(reports) -> dict:

@@ -24,7 +24,7 @@ from .groups import FiniteGroup, group_from_table, named_group
 from .hopf import QuantumGroup, solve_haar_element, solve_haar_state, verify_quantum_group
 from .linalg import LinearMap
 from .qfamily import HopfOnTarget, QuantumFamily
-from .scalar import format_scalar, parse_number, parse_scalar
+from .scalar import format_scalar, parse_scalar
 
 _ZERO_PAIR = ("0", "0")
 
@@ -35,14 +35,15 @@ MAX_DENSE_CELLS = 1 << 22
 
 def _cell_parser():
     """A parse function for [re, im] cells that parses each distinct string
-    pair once; the memo lives as long as the returned function.  Any other
-    cell (wrong length, non-string parts, unhashable) takes the plain
-    ``parse_scalar(*cell)`` path, so error messages stay the same."""
+    pair once; the memo lives as long as the returned function.  A cell that
+    is not a two-element list raises ``ValueError``; a pair with non-string
+    parts takes the plain ``parse_scalar`` path, so its message stays the
+    same."""
     memo = {}
 
     def parse(cell):
         if type(cell) is not list or len(cell) != 2:
-            return parse_scalar(*cell)
+            raise ValueError("%.40r is not an [re, im] pair" % (cell,))
         re, im = cell
         if type(re) is not str or type(im) is not str:
             return parse_scalar(re, im)
@@ -125,10 +126,7 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
 def algebra_from_dict(d: dict) -> StarAlgebra:
     try:
         if "blocks" in d and "mult" not in d:
-            weights = d.get("trace_weights")
-            if weights is not None:
-                weights = [parse_number(str(w)) for w in weights]
-            return BlockAlgebra(d["blocks"], weights, d.get("label", ""))
+            return BlockAlgebra(d["blocks"], d.get("trace_weights"), d.get("label", ""))
         dim = int(d["dim"])
         mult = {}
         parse = _cell_parser()

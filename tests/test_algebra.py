@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -257,6 +258,19 @@ def test_block_algebra_rejects_bad_weights():
         BlockAlgebra([2], trace_weights=[0])
     with pytest.raises(InvalidDataError):
         BlockAlgebra([])
+
+
+def test_block_algebra_guards_string_weights_and_keeps_numeric_ones():
+    # 1e99999999 would build a hundred-million-digit integer before any check
+    start = time.perf_counter()
+    with pytest.raises(InvalidDataError, match="exceeds"):
+        BlockAlgebra([1], trace_weights=["1e99999999"])
+    assert time.perf_counter() - start < 1
+    with pytest.raises(InvalidDataError, match="zero denominator"):
+        BlockAlgebra([1], trace_weights=["1/0"])
+    assert BlockAlgebra([1, 1], trace_weights=["1/3", "0.1"]).trace_weights == \
+        (Fraction(1, 3), Fraction(1, 10))
+    assert BlockAlgebra([1], trace_weights=[0.1]).trace_weights == (Fraction(0.1),)
 
 
 def test_block_algebra_refuses_dimension_above_group_order_limit():

@@ -131,6 +131,48 @@ def test_haar_state_solver_rejects_non_invariant_coproduct():
         solve_haar_state(g.algebra, diag)
 
 
+# -- the solvers' refusals, message by message ---------------------------------
+
+def _refusal(solve, *args):
+    with pytest.raises(InvalidDataError) as exc:
+        solve(*args)
+    return str(exc.value)
+
+
+def test_haar_state_solver_messages():
+    alg = function_algebra(cyclic(2)).algebra
+    one = scalar(1)
+    # Δ = 0 forces h = 0; Δ(x) = 1⊗x leaves every h invariant
+    zero = LinearMap(2, 4, [{}, {}])
+    assert _refusal(solve_haar_state, alg, zero) == \
+        "haar state is not unique (solution space has dimension 0)"
+    left_unit = LinearMap(2, 4, [{0: one, 2: one}, {1: one, 3: one}])
+    assert _refusal(solve_haar_state, alg, left_unit) == \
+        "haar state is not unique (solution space has dimension 2)"
+    # Δ(e0) = 1⊗e0 = -Δ(e1): the invariant h have h1 = -h0, so h(1) = 0
+    killing = LinearMap(2, 4, [{0: one, 2: one}, {0: -one, 2: -one}])
+    assert _refusal(solve_haar_state, alg, killing) == \
+        "invariant functional kills the unit; no haar state"
+
+
+def test_haar_element_solver_messages():
+    one = scalar(1)
+    star = LinearMap.identity(2, one)
+    fun2 = function_algebra(cyclic(2)).algebra
+    zero_counit = LinearMap(2, 1, [{}, {}])
+    assert _refusal(solve_haar_element, fun2, zero_counit) == \
+        "haar element is not unique (solution space has dimension 0)"
+    null_product = StarAlgebra(2, {}, {0: one}, star)
+    assert _refusal(solve_haar_element, null_product, zero_counit) == \
+        "haar element is not unique (solution space has dimension 2)"
+    # the dual numbers C[x]/x² with ε(x) = 0: the only candidate is x, and ε(x) = 0
+    dual_numbers = StarAlgebra(2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+                               {0: one}, star)
+    counit = LinearMap(2, 1, [{0: one}, {}])
+    assert _refusal(solve_haar_element, dual_numbers, counit) == \
+        "counit kills every candidate haar element"
+
+
 # -- generator certificates: oracle against full sweeps -----------------------
 
 SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}

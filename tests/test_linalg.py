@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -129,6 +130,51 @@ def test_nullspace_annihilates_and_has_complementary_dimension(rows):
                 if i in v:
                     acc = c * v[i] if acc is None else acc + c * v[i]
             assert acc is None or acc.is_zero()
+
+
+def test_inverse_refuses_a_map_singular_only_in_its_last_column():
+    # columns 0 and 1 find pivots; the defect shows only after elimination
+    m = LinearMap.from_rows([[ONE, QQi(0), ONE], [QQi(0), ONE, ONE], [QQi(0), QQi(0), QQi(0)]])
+    with pytest.raises(ValueError, match="singular map"):
+        m.inverse()
+
+
+float_entries = st.builds(CFloat, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(float_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_float_inverse_roundtrip_on_diagonally_dominant_maps(rows):
+    n = len(rows)
+    with use_backend("float", 1e-9):
+        for i in range(n):
+            rows[i][i] = rows[i][i] + CFloat(2.0 * n)  # |diagonal| > sum of the rest
+        m = LinearMap.from_rows(rows)
+        inv = m.inverse()
+        identity = LinearMap.identity(n, CFloat(1.0))
+        assert inv.compose(m) == identity
+        assert m.compose(inv) == identity
+
+
+small_ints = st.integers(-3, 3)
+
+
+@given(st.lists(st.lists(st.tuples(small_ints, small_ints), min_size=4, max_size=4),
+                min_size=1, max_size=5))
+def test_float_nullspace_annihilates_and_has_complementary_dimension(rows):
+    # small Gaussian integers: the exact rank is the float rank at tolerance 1e-9
+    exact = [{i: QQi(re, im) for i, (re, im) in enumerate(row) if re or im} for row in rows]
+    with use_backend("float", 1e-9):
+        vecs = [{i: CFloat(re, im) for i, (re, im) in enumerate(row) if re or im} for row in rows]
+        basis = nullspace_basis(vecs, 4)
+        assert len(basis) == 4 - naive_rank(exact, 4)
+        for v in basis:
+            for row in vecs:
+                acc = CFloat(0.0)
+                for i, c in row.items():
+                    if i in v:
+                        acc = acc + c * v[i]
+                assert acc.is_zero()
 
 
 def _random_map(rng, source_dim, target_dim):

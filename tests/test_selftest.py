@@ -1,4 +1,3 @@
-import os
 from pathlib import Path
 
 from fqg.constructors import quantum_group_data_equal
@@ -40,22 +39,6 @@ def test_selftest_all_suites_pass():
     assert d["pass"] is True
     assert len(d["suites"]) == 12
     assert canonical_json(d) == GOLDEN.read_text(encoding="utf-8")
-
-
-def test_thread_pool_matches_sequential_run():
-    sequential = selftest_to_dict(run_selftest())
-    old = os.environ.get("FQG_THREADS")
-    os.environ["FQG_THREADS"] = "3"
-    try:
-        threaded_reports = run_selftest()
-        threaded = selftest_to_dict(threaded_reports)
-    finally:
-        if old is None:
-            del os.environ["FQG_THREADS"]
-        else:
-            os.environ["FQG_THREADS"] = old
-    assert threaded == sequential
-    assert all(rep.elapsed is not None for rep in threaded_reports)
 
 
 def test_backend_isolation_of_cached_constructors():

@@ -79,20 +79,28 @@ def test_malformed_family_rejected():
                           "target": {"blocks": [1]}, "alpha": [["nope"]]})
 
 
-# -- memoised cell parsing against a plain per-cell parse_scalar ----------
+# -- memoised cell parsing against a plain per-cell parse -----------------
 
 _NUMBERS = ("0", "1", "-1", "1/2", "-3/4", "0.25", "2e3", "1E-2", "7", "-0")
-# Cells the memo must leave to parse_scalar: malformed ones, which must keep
-# their message, and odd ones that parse_scalar(*cell) reads (["1"] and
-# [1, 0] as 1; [true, 0] must not reuse that parse, although True == 1).
+# Cells the memo must leave alone: malformed ones, which must keep their
+# message (a cell that is not a two-element list is refused, although
+# parse_scalar(*cell) would read "10" as 1+0i and ["1"] as 1), and odd pairs
+# that parse_scalar reads ([1, 0] as 1; [true, 0] must not reuse that parse,
+# although True == 1).
 _MALFORMED_CELLS = ([["0"], "0"], [True, 0], None, ["x"], ["1", "0", "0"],
-                    ["nan", "0"], ["0", "inf"], ["1e99999999", "0"], 5)
-_ODD_CELLS = _MALFORMED_CELLS + (["1"], [1, 0], [1.0, "0"], "10")
+                    ["nan", "0"], ["0", "inf"], ["1e99999999", "0"], 5, ["1"], "10")
+_ODD_CELLS = _MALFORMED_CELLS + ([1, 0], [1.0, "0"])
+
+
+def _plain_cell(cell):
+    if not isinstance(cell, list) or len(cell) != 2:
+        raise ValueError("%.40r is not an [re, im] pair" % (cell,))
+    return parse_scalar(*cell)
 
 
 def _plain_matrix(rows):
     try:
-        parsed = [[parse_scalar(*cell) for cell in row] for row in rows]
+        parsed = [[_plain_cell(cell) for cell in row] for row in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad matrix entry: %s" % exc)
     return LinearMap.from_rows(parsed)
@@ -100,7 +108,7 @@ def _plain_matrix(rows):
 
 def _plain_vector(cells):
     try:
-        parsed = [parse_scalar(*cell) for cell in cells]
+        parsed = [_plain_cell(cell) for cell in cells]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad vector entry: %s" % exc)
     return {i: s for i, s in enumerate(parsed) if not s.is_zero()}
@@ -288,7 +296,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     base = quantum_group_to_dict(function_algebra(cyclic(3)))
     # malformed entries, and exponents beyond the limit (refused before the power is built)
     for eta in ([["nan", "0"], ["0", "0"], ["0", "0"]], [["inf", "0"]] * 3,
-                [["1", "0"]], 5, "ab", [["1e99999999", "0"]] * 3, [["-1E-99999999", "0"]] * 3):
+                [["1", "0"]], 5, "ab", [["1e99999999", "0"]] * 3, [["-1E-99999999", "0"]] * 3,
+                [["1/0", "0"]] * 3):
         path.write_text(canonical_json(dict(base, haar_element=eta)))
         assert main(["verify", str(path)]) == 2, eta
         assert capsys.readouterr().err.startswith("error: [input]"), eta
@@ -312,9 +321,11 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert main(["verify", str(path)]) == 2, text[:8]
         assert capsys.readouterr().err.startswith("error: [input] cannot read"), text[:8]
 
-    # block-algebra targets: a trace weight past the exponent limit, and a
-    # dimension sum n**2 above MAX_GROUP_ORDER, both refused before any table
-    for target in ({"blocks": [1], "trace_weights": ["1e99999999"]}, {"blocks": [1000]}):
+    # block-algebra targets: a trace weight past the exponent limit or with a
+    # zero denominator, and a dimension sum n**2 above MAX_GROUP_ORDER, all
+    # refused before any table
+    for target in ({"blocks": [1], "trace_weights": ["1e99999999"]},
+                   {"blocks": [1], "trace_weights": ["1/0"]}, {"blocks": [1000]}):
         path.write_text(canonical_json({"source": {"group": "Z2", "kind": "fun"},
                                         "target": target, "alpha": [[["1", "0"]]]}))
         assert main(["check-family", str(path)]) == 2, target
@@ -329,6 +340,21 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert captured.err.startswith("error: [input]"), extra
         assert "above the output limit" in captured.err and not captured.out, extra
         assert not out.exists(), extra
+
+
+def test_cli_cell_that_is_not_a_pair_exits_2(tmp_path, capsys):
+    # a bare string cell is not read character by character: "12" is not 1+2i
+    path = tmp_path / "cell.json"
+    base = quantum_group_to_dict(function_algebra(cyclic(3)))
+    for cell in ("12", ["1"], "5"):
+        path.write_text(canonical_json(dict(base, haar_element=[["1", "0"], cell, ["0", "0"]])))
+        assert main(["verify", str(path)]) == 2, cell
+        assert capsys.readouterr().err.startswith("error: [input] bad vector entry"), cell
+    antipode = [row[:] for row in base["antipode"]]
+    antipode[0][0] = "12"
+    path.write_text(canonical_json(dict(base, antipode=antipode)))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [input] bad matrix entry")
 
 
 def test_cli_skip_verify_flag(tmp_path):
