@@ -274,17 +274,20 @@ def _basis_generators(rows: dict, n: int) -> list:
     under the product that holds them is everything.
 
     A *monomial* table (each basis product is 0 or a multiple of one basis
-    element) gets them greedily, as groups._generators does: the least index
-    outside the closure of the ones before it.  The closure starts empty, not
-    at the unit, whose law is a check of its own.  Any other table gets every
+    element) gets them greedily, as groups._generators does: the first index
+    outside the closure of the ones before it, trying the idempotent indices
+    (g·g a multiple of g) last, so the unit of a group-like table is reached
+    as a product rather than picked.  The closure starts empty, not at the
+    unit, whose law is a check of its own.  Any other table gets every
     index."""
     if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
         return list(range(n))
     empty: dict = {}
+    idempotent = [g in rows.get(g, empty).get(g, empty) for g in range(n)]
     gens = []
     closure: list = []
     reached = [False] * n
-    for g in range(n):
+    for g in sorted(range(n), key=idempotent.__getitem__):
         if reached[g]:
             continue
         gens.append(g)

@@ -17,8 +17,8 @@ from .algebra import Element, InvalidDataError, StarAlgebra, tensor_vec
 from .groups import FiniteGroup, group_from_table
 from .hopf import QuantumGroup
 from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is_zero
-from .qfamily import (HopfOnTarget, QuantumFamily, check_action, hom_indices,
-                      hom_predicate, is_automorphism_family)
+from .qfamily import (HopfOnTarget, QuantumFamily, check_action, hom_sweep,
+                      is_automorphism_family)
 from .report import Check, Report, sweep
 from .scalar import backend_cached, object_cache, scalar
 
@@ -503,7 +503,7 @@ def check_dual_group_theorem(qf: QuantumFamily) -> Report:
                          qf.hopf_on_target.opposite(), "beta(%s)" % qf.label)
     action = check_action(beta).checks[0]
     checks += [
-        sweep("transposed_family_star_hom", hom_indices(n), hom_predicate(beta)),
+        hom_sweep("transposed_family_star_hom", beta),
         Check("transposed_family_action", action.passed, action.witness),
         sweep("transposed_counit_slice", range(n),
               lambda x: vec_eq(leg_apply(eps_b, beta.alpha.cols[x], m, 1), {x: one})),

@@ -36,17 +36,14 @@ MAX_DENSE_CELLS = 1 << 22
 def _cell_parser():
     """A parse function for [re, im] cells that parses each distinct string
     pair once; the memo lives as long as the returned function.  A cell that
-    is not a two-element list raises ``ValueError``; a pair with non-string
-    parts takes the plain ``parse_scalar`` path, so its message stays the
-    same."""
+    is not a two-element list of strings raises ``ValueError``."""
     memo = {}
 
     def parse(cell):
-        if type(cell) is not list or len(cell) != 2:
-            raise ValueError("%.40r is not an [re, im] pair" % (cell,))
+        if (type(cell) is not list or len(cell) != 2
+                or type(cell[0]) is not str or type(cell[1]) is not str):
+            raise ValueError("%.40r is not an [re, im] pair of strings" % (cell,))
         re, im = cell
-        if type(re) is not str or type(im) is not str:
-            return parse_scalar(re, im)
         s = memo.get((re, im))
         if s is None:
             s = memo[re, im] = parse_scalar(re, im)

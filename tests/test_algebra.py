@@ -1,16 +1,20 @@
+import ast
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
-                         flip, multiply, rank_of_span, scalar_algebra, star,
-                         tensor_algebra, tensor_mult, verify_star_algebra)
+                         _basis_generators, _mult_rows, flip, multiply, rank_of_span,
+                         scalar_algebra, star, tensor_algebra, tensor_mult,
+                         verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
-from fqg.groups import cyclic, direct_product, named_group
+from fqg.fourier import _conv_rows
+from fqg.groups import CATALOG, cyclic, direct_product, named_group
 from fqg.linalg import LinearMap, vec_eq
 from fqg.scalar import QQi, scalar, use_backend
 
@@ -240,6 +244,40 @@ def test_float_backend_sweeps_every_associativity_triple(monkeypatch):
         calls = _count_multiply_vec(monkeypatch)
         assert verify_star_algebra(fresh).passed
     assert len(calls) >= 2 * n ** 3
+
+
+def _benchmark_ladder_groups():
+    """The group names of the ``hopf-ladder`` benchmark, read from its source
+    without importing the harness."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LADDER"]:
+            return [name for names in ast.literal_eval(node.value).values() for name in names]
+    raise AssertionError("no LADDER in perfbench/workloads.py")
+
+
+def _closure(rows, gens):
+    """Every index that is a product of the given ones, by a plain fixpoint."""
+    reached = set(gens)
+    while True:
+        new = {k for i in reached for j in reached
+               for k in rows.get(i, {}).get(j, {})} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+@pytest.mark.parametrize("name", sorted(set(CATALOG) | set(_benchmark_ladder_groups())))
+def test_group_like_generators_skip_the_identity_and_reach_everything(name):
+    group = named_group(name)
+    fun = function_algebra(group)
+    n = group.order
+    for rows in (_mult_rows(group_algebra(group).algebra), _conv_rows(fun)):
+        gens = _basis_generators(rows, n)
+        assert group.identity not in gens
+        assert _closure(rows, gens) == set(range(n))
+    # every basis element of fun(G) is idempotent, so each one is a generator
+    assert _basis_generators(_mult_rows(fun.algebra), n) == list(range(n))
 
 
 def test_block_algebra_m2_plus_c():

@@ -1,21 +1,26 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqg.algebra import BlockAlgebra, InvalidDataError
+import fqg.qfamily
+from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra, scalar_algebra
 from fqg.classical import enumerate_automorphisms, universal_classical_family
 from fqg.constructors import function_algebra, group_algebra
+from fqg.fourier import conv_table
 from fqg.fixtures import (broken_adjoint_family, counit_degenerate_family,
                           identity_family_with_hopf, target_permuted_family,
                           translation_family)
 from fqg.groups import cyclic, named_group
+from fqg.hopf import QuantumGroup
 from fqg.linalg import LinearMap
 from fqg.qfamily import (QuantumFamily, check_action, check_family,
                          check_convolution_preservation, compose,
                          double_hat_formula_matches, hat, identity_family,
                          is_automorphism_family, slice_commutative,
                          verify_dual_equivalences)
-from fqg.scalar import QQi, scalar
+from fqg.scalar import QQi, scalar, use_backend
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 entries = st.builds(QQi, fractions, fractions)
@@ -229,3 +234,252 @@ def test_translation_family_is_star_hom_with_podles_but_not_conv():
     assert not conv.check("conv_product").passed
     ok, _ = is_automorphism_family(qf)
     assert not ok
+
+
+# -- generator certificates for the family laws: oracle against full sweeps ----
+
+SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
+
+
+def _perturbed(table, keys, dim, data):
+    """A copy of ``{key: {index: c}}`` with one drawn entry scaled by 2, -1
+    or i, zeroed, or moved to a drawn key and index below ``dim``, where it
+    adds to what is there."""
+    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
+    change = data.draw(st.sampled_from(sorted(SCALINGS) + ["zero", "move"]))
+    out = {key2: dict(terms) for key2, terms in table.items()}
+    c = out[key].pop(k)
+    if change in SCALINGS:
+        out[key][k] = c * SCALINGS[change]
+    elif change == "move":
+        terms = out.setdefault(data.draw(st.sampled_from(keys)), {})
+        k2 = data.draw(st.integers(0, dim - 1))
+        terms[k2] = terms[k2] + c if k2 in terms else c
+    return out
+
+
+def _add(acc, key, c):
+    acc[key] = acc.get(key, scalar(0)) + c
+
+
+def _nonzero(acc):
+    return {k: c for k, c in acc.items() if not c.is_zero()}
+
+
+def _reference_sweeps(qf):
+    """Reference: ``(passed, witness)`` of unital_star_hom and of
+    conv_product, by full lexicographic sweeps straight from the tables."""
+    g, b, alpha = qf.source, qf.target_algebra, qf.alpha.cols
+    a, m = g.algebra, qf.target_algebra.dim
+    n = a.dim
+
+    def apply(v):
+        acc = {}
+        for j, c in v.items():
+            for r, d in alpha[j].items():
+                _add(acc, r, c * d)
+        return _nonzero(acc)
+
+    def tensor_times(first, u, v):
+        """u·v on A⊗B, the first leg multiplied by the table ``first``."""
+        acc = {}
+        for (p, cp), (q, cq) in product(u.items(), v.items()):
+            (x1, b1), (x2, b2) = divmod(p, m), divmod(q, m)
+            for (k1, c1), (k2, c2) in product(first.get((x1, x2), {}).items(),
+                                              b.mult.get((b1, b2), {}).items()):
+                _add(acc, k1 * m + k2, cp * cq * c1 * c2)
+        return _nonzero(acc)
+
+    def tensor_star(v):
+        acc = {}
+        for p, c in v.items():
+            x, q = divmod(p, m)
+            for (k1, c1), (k2, c2) in product(a.star.cols[x].items(), b.star.cols[q].items()):
+                _add(acc, k1 * m + k2, c.conj() * c1 * c2)
+        return _nonzero(acc)
+
+    def star_hom():
+        unit = _nonzero({x * m + q: cx * cq for x, cx in a.unit.items()
+                         for q, cq in b.unit.items()})
+        if apply(a.unit) != unit:
+            return False, ("unit",)
+        for i, j in product(range(n), repeat=2):
+            if apply(a.mult.get((i, j), {})) != tensor_times(a.mult, alpha[i], alpha[j]):
+                return False, ("multiplicative", i, j)
+        for i in range(n):
+            if apply(a.star.cols[i]) != tensor_star(alpha[i]):
+                return False, ("star", i)
+        return True, ()
+
+    def conv_product():
+        ct = conv_table(g)
+        for i, j in product(range(n), repeat=2):
+            if apply(ct.get((i, j), {})) != tensor_times(ct, alpha[i], alpha[j]):
+                return False, (i, j)
+        return True, ()
+
+    return [star_hom(), conv_product()]
+
+
+def _assert_certificates_agree(qf):
+    got = [check_family(qf).check("unital_star_hom"),
+           check_convolution_preservation(qf).check("conv_product")]
+    assert [(c.passed, tuple(c.witness)) for c in got] == _reference_sweeps(qf)
+
+
+def _family(g, b, cols, label):
+    return QuantumFamily(g, b, LinearMap(g.dim, g.dim * b.dim, cols), label=label)
+
+
+def _relabelled(g):
+    """α(e_x) = e_φ(x)⊗1 on Z6, with φ swapping 1 ↔ 2 and 4 ↔ 5: φ fixes 0 and
+    commutes with x ↦ -x, but φ(1 + 1) = 1 != φ(1) + φ(1).  On fun(Z6) it is a
+    *-automorphism that breaks the convolution product, on grp(Z6) a unital
+    *-map that breaks the product; both products are generated by e_1 alone."""
+    phi = (0, 2, 1, 3, 5, 4)
+    return _family(g, scalar_algebra(), [{phi[x]: scalar(1)} for x in range(6)],
+                   "relabelled(%s)" % g.label)
+
+
+def _skew_idempotents():
+    """fun(Z2) -> fun(Z2)⊗M2 through the idempotents P0 = E00 + E01 and
+    P1 = E11 - E01: orthogonal and summing to 1, so α is a unital
+    homomorphism, but not self-adjoint, so only the star identities fail."""
+    one = scalar(1)
+    p0, p1 = {0: one, 1: one}, {1: -one, 3: one}
+
+    def col(first, second):
+        return {**first, **{4 + k: c for k, c in second.items()}}
+
+    return _family(function_algebra(cyclic(2)), BlockAlgebra([2]),
+                   [col(p0, p1), col(p1, p0)], "skew-idempotents")
+
+
+def _z6():
+    return function_algebra(cyclic(6)), group_algebra(cyclic(6))
+
+
+def _doubled_z6():
+    """grp(Z6)'s algebra with e_2·e_1 = 2e_3: no longer associative, and
+    still monomial with the one generator e_1."""
+    a = _z6()[1].algebra
+    mult = {k: dict(terms) for k, terms in a.mult.items()}
+    mult[(2, 1)] = {3: scalar(2)}
+    return StarAlgebra(6, mult, a.unit, a.star, "doubled")
+
+
+def _coproduct_family(b):
+    """α = Δ: grp(Z6) -> grp(Z6)⊗B, a unital *-homomorphism for B = grp(Z6)."""
+    return QuantumFamily(_z6()[1], b, _z6()[1].coproduct, label="coproduct")
+
+
+def _second_leg(g, b):
+    """α(e_x) = e_0⊗λ_x into g⊗B: a unital *-homomorphism while both products
+    are those of grp(Z6), whose unit e_0 is its own square."""
+    return _family(g, b, [{x: scalar(1)} for x in range(6)], "second-leg")
+
+
+def _graded(g, b):
+    """α(δ_x) = δ_x⊗λ_x into g⊗B: with g = fun(Z6) and B = grp(Z6) it
+    preserves the convolution product, whose δ_x⋆δ_y is a multiple of
+    δ_{x+y}."""
+    return _family(g, b, [{x * 6 + x: scalar(1)} for x in range(6)], "graded")
+
+
+def _replaced(g, algebra=None, coproduct=None):
+    return QuantumGroup(algebra or g.algebra, coproduct or g.coproduct, g.counit,
+                        g.antipode, g.haar_state, g.haar_element, "perturbed")
+
+
+def _moved_convolution():
+    """fun(Z6) with the term δ_4⊗δ_3 of Δ(δ_1) moved to δ_4⊗δ_4, so that
+    δ_2⋆δ_1 becomes a multiple of δ_4: ⋆ is no longer associative."""
+    fun = _z6()[0]
+    cols = [dict(col) for col in fun.coproduct.cols]
+    cols[1][4 * 6 + 4] = cols[1].pop(4 * 6 + 3)
+    return _replaced(fun, coproduct=LinearMap(6, 36, cols))
+
+
+# Families that each defeat one part of a certificate if that part were
+# missing: the product the certificate uses is generated by e_1 alone (or
+# by every index, for skew-idempotents), and each failure sits at a left
+# factor other than e_1, in a product that is not associative, or in a star
+# identity.
+TARGETED_CASES = {
+    "relabelled-fun": lambda: _relabelled(_z6()[0]),
+    "relabelled-grp": lambda: _relabelled(_z6()[1]),
+    "skew-idempotents": _skew_idempotents,
+    "nonassociative-target-hom": lambda: _coproduct_family(_doubled_z6()),
+    "nonassociative-target-conv": lambda: _graded(_z6()[0], _doubled_z6()),
+    "nonassociative-source-hom":
+        lambda: _second_leg(_replaced(_z6()[1], algebra=_doubled_z6()), _z6()[1].algebra),
+    "nonassociative-convolution": lambda: _graded(_moved_convolution(), _z6()[1].algebra),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETED_CASES))
+def test_family_certificates_fall_back_where_their_lemma_does_not_reach(name):
+    qf = TARGETED_CASES[name]()
+    assert not all(passed for passed, _ in _reference_sweeps(qf))
+    _assert_certificates_agree(qf)
+
+
+def _oracle_family(name):
+    kind, _, arg = name.partition("-")
+    if kind == "blocks":
+        return identity_family(group_algebra(named_group("S3")), BlockAlgebra([1, 2]))
+    universal = universal_classical_family(named_group(arg))
+    if kind == "compose":
+        return compose(universal, universal)
+    return hat(universal) if kind == "hat" else universal
+
+
+ORACLE_FAMILIES = ("universal-S3", "universal-D4", "universal-Q8", "hat-S3", "hat-D4",
+                   "hat-Q8", "compose-S3", "blocks")
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(ORACLE_FAMILIES), st.sampled_from(("alpha", "keep")), st.data())
+def test_family_certificates_agree_with_full_sweeps(name, part, data):
+    base = _oracle_family(name)
+    n, m = base.source.dim, base.target_algebra.dim
+    cols = dict(enumerate(base.alpha.cols))
+    if part == "alpha":
+        cols = _perturbed(cols, list(range(n)), n * m, data)
+    _assert_certificates_agree(_family(base.source, base.target_algebra,
+                                       [cols.get(j, {}) for j in range(n)], "perturbed"))
+
+
+def _fresh(qf):
+    return QuantumFamily(qf.source, qf.target_algebra, qf.alpha, qf.hopf_on_target, qf.label)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_family_certificates_skip_most_of_the_s4_sweeps(backend, monkeypatch):
+    calls = {"multiplicative": 0, "conv_product": 0}
+    predicate, kernel = fqg.qfamily.hom_predicate, fqg.qfamily._tensor_product
+
+    def counted_predicate(qf):
+        holds = predicate(qf)
+
+        def counted(idx):
+            calls["multiplicative"] += idx[0] == "multiplicative"
+            return holds(idx)
+        return counted
+
+    def counted_kernel(*args):  # conv_product's one product per pair
+        calls["conv_product"] += 1
+        return kernel(*args)
+
+    with use_backend(backend):
+        qf = universal_classical_family(named_group("S4"))
+        qf_hat = hat(qf)
+        monkeypatch.setattr(fqg.qfamily, "hom_predicate", counted_predicate)
+        monkeypatch.setattr(fqg.qfamily, "_tensor_product", counted_kernel)
+        assert check_family(_fresh(qf_hat)).passed
+        assert check_convolution_preservation(_fresh(qf)).passed
+    n = qf.source.dim
+    if backend == "exact":
+        assert max(calls.values()) < n * n / 4
+    else:
+        assert calls == {"multiplicative": n * n, "conv_product": n * n}

@@ -82,19 +82,17 @@ def test_malformed_family_rejected():
 # -- memoised cell parsing against a plain per-cell parse -----------------
 
 _NUMBERS = ("0", "1", "-1", "1/2", "-3/4", "0.25", "2e3", "1E-2", "7", "-0")
-# Cells the memo must leave alone: malformed ones, which must keep their
-# message (a cell that is not a two-element list is refused, although
-# parse_scalar(*cell) would read "10" as 1+0i and ["1"] as 1), and odd pairs
-# that parse_scalar reads ([1, 0] as 1; [true, 0] must not reuse that parse,
-# although True == 1).
+# Malformed cells, which the memo must leave alone: each keeps its message.
+# A cell that is not a two-element list of strings is refused, although
+# parse_scalar(*cell) would read "10" as 1+0i, ["1"] as 1 and [1, 0] as 1.
 _MALFORMED_CELLS = ([["0"], "0"], [True, 0], None, ["x"], ["1", "0", "0"],
-                    ["nan", "0"], ["0", "inf"], ["1e99999999", "0"], 5, ["1"], "10")
-_ODD_CELLS = _MALFORMED_CELLS + ([1, 0], [1.0, "0"])
+                    ["nan", "0"], ["0", "inf"], ["1e99999999", "0"], 5, ["1"], "10",
+                    [1, 0], [1.0, "0"])
 
 
 def _plain_cell(cell):
-    if not isinstance(cell, list) or len(cell) != 2:
-        raise ValueError("%.40r is not an [re, im] pair" % (cell,))
+    if not (isinstance(cell, list) and len(cell) == 2 and all(isinstance(x, str) for x in cell)):
+        raise ValueError("%.40r is not an [re, im] pair of strings" % (cell,))
     return parse_scalar(*cell)
 
 
@@ -118,7 +116,7 @@ def _plain_algebra(d):
     try:
         mult = {}
         for i, j, k, re, im in d["mult"]:
-            s = parse_scalar(re, im)
+            s = _plain_cell([re, im])
             if not s.is_zero():
                 mult.setdefault((i, j), {})[k] = s
     except (TypeError, ValueError, OverflowError) as exc:
@@ -141,7 +139,7 @@ def _cell_grids(draw, shape=None):
              for _ in range(cols)] for _ in range(rows)]
     for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
         grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = \
-            draw(st.sampled_from(_ODD_CELLS))
+            draw(st.sampled_from(_MALFORMED_CELLS))
     return grid
 
 
@@ -172,15 +170,14 @@ def test_memoised_loads_agree_with_plain_parse_scalar(grid, star, backend):
     _assert_same_loads(grid, star, backend)
 
 
-@pytest.mark.parametrize("odd", _ODD_CELLS, ids=repr)
+@pytest.mark.parametrize("odd", _MALFORMED_CELLS, ids=repr)
 def test_memoised_loads_keep_every_malformed_cell_message(odd):
     # the same value before and after the odd cell: a memo hit must not skip it
     one = ["1", "0"]
     for grid in ([[one, odd, one]], [[odd, one], [one, one]], [[one], [one], [odd]],
-                 [[[1, 0], odd, [1, 0]]]):
+                 [[["-1/2", "3"], odd, ["-1/2", "3"]]]):
         _assert_same_loads(grid, [[one, ["0", "0"]], [["0", "0"], one]], "exact")
-    if any(odd is c for c in _MALFORMED_CELLS):  # not `in`: [1, 0] == [True, 0]
-        assert _outcome(matrix_from_dense, [[one, odd, one]])[1] is not None
+    assert _outcome(matrix_from_dense, [[one, odd, one]])[1] is not None
 
 
 def test_loading_a_composed_family_parses_each_distinct_cell_once(tmp_path, monkeypatch):
@@ -343,18 +340,20 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
 
 
 def test_cli_cell_that_is_not_a_pair_exits_2(tmp_path, capsys):
-    # a bare string cell is not read character by character: "12" is not 1+2i
+    # a bare string cell is not read character by character: "12" is not 1+2i;
+    # and a pair of numbers is not a pair of number strings
     path = tmp_path / "cell.json"
     base = quantum_group_to_dict(function_algebra(cyclic(3)))
-    for cell in ("12", ["1"], "5"):
+    for cell in ("12", ["1"], "5", [1, 0], [1.0, "0"]):
         path.write_text(canonical_json(dict(base, haar_element=[["1", "0"], cell, ["0", "0"]])))
         assert main(["verify", str(path)]) == 2, cell
         assert capsys.readouterr().err.startswith("error: [input] bad vector entry"), cell
-    antipode = [row[:] for row in base["antipode"]]
-    antipode[0][0] = "12"
-    path.write_text(canonical_json(dict(base, antipode=antipode)))
-    assert main(["verify", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: [input] bad matrix entry")
+    for cell in ("12", [1, 0]):
+        antipode = [row[:] for row in base["antipode"]]
+        antipode[0][0] = cell
+        path.write_text(canonical_json(dict(base, antipode=antipode)))
+        assert main(["verify", str(path)]) == 2, cell
+        assert capsys.readouterr().err.startswith("error: [input] bad matrix entry"), cell
 
 
 def test_cli_skip_verify_flag(tmp_path):
@@ -431,6 +430,30 @@ def test_s4_float_verify_payload_is_byte_stable(kind, tmp_path, capsys):
     assert main(["--backend", "float", "verify", str(path), "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == S4_FLOAT_VERIFY_SHA256[kind]
+
+
+# sha256 of `fqg check-family --all --format json` on the D4 universal family
+# and on its D4∘D4 composition, recorded with full sweeps behind every family
+# law: a generator certificate may skip work, never change a report
+D4_CHECK_FAMILY_SHA256 = {
+    "universal": "93db2f728df6c85c329fc5833ce678604b11ee757bfc22270971de2a6a1d1f22",
+    "compose": "baf537313fbfb1b29fb53a5eb504937e3417fbd8feb25413242950944eeaba17",
+}
+
+
+def test_d4_check_family_payloads_are_byte_stable(tmp_path, capsys):
+    import hashlib
+
+    paths = {"universal": tmp_path / "d4.json", "compose": tmp_path / "dd.json"}
+    assert main(["aut", "--group", "D4", "--emit-family", str(paths["universal"])]) == 0
+    assert main(["compose", str(paths["universal"]), str(paths["universal"]),
+                 "-o", str(paths["compose"])]) == 0
+    capsys.readouterr()
+    got = {}
+    for key, path in paths.items():
+        assert main(["check-family", str(path), "--all", "--format", "json"]) == 0
+        got[key] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == D4_CHECK_FAMILY_SHA256
 
 
 def test_python_dash_m_runs_the_cli(capsys):
