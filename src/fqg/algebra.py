@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import product
 
 from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
-                     vec_eq, vec_from_dense, vec_is_zero, vec_scale, vec_sub)
+                     vec_eq, vec_from_dense, vec_is_zero, vec_sub)
 from .report import Check, Report, sweep
-from .scalar import object_cache, one_like, parse_number, scalar, zero_like
+from .scalar import object_cache, one_like, parse_number, scalar
 
 
 class InvalidDataError(ValueError):
@@ -23,6 +23,12 @@ class InvalidDataError(ValueError):
 
 
 class StarAlgebra:
+    """A *-algebra on the basis e_0, ..., e_{dim-1}; see the module docstring.
+
+    The terms dicts of ``mult`` are kept as given, not copied, unless one
+    holds a zero coefficient to drop: a large table is held once, and its
+    builder must not change it afterwards."""
+
     __slots__ = ("dim", "mult", "unit", "star", "label", "_cache")
 
     def __init__(self, dim, mult, unit, star, label=""):
@@ -32,12 +38,13 @@ class StarAlgebra:
         for (i, j), terms in mult.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InvalidDataError("structure constant index out of range")
-            t = {k: c for k, c in terms.items() if not c.is_zero()}
-            for k in t:
+            if any(c.is_zero() for c in terms.values()):
+                terms = {k: c for k, c in terms.items() if not c.is_zero()}
+            for k in terms:
                 if not 0 <= k < dim:
                     raise InvalidDataError("structure constant index out of range")
-            if t:
-                clean[(i, j)] = t
+            if terms:
+                clean[(i, j)] = terms
         self.dim = dim
         self.mult = clean
         self.unit = {i: c for i, c in dict(unit).items() if not c.is_zero()}
@@ -53,6 +60,8 @@ class StarAlgebra:
     # -- vector-level operations ----------------------------------------
 
     def multiply_vec(self, u: dict, v: dict) -> dict:
+        if not v:  # or each term of u would walk the empty v
+            return {}
         mult = self.mult
         acc: dict = {}
         for i, ci in u.items():
@@ -149,20 +158,8 @@ class Element:
         self.algebra = algebra
         self.coeffs = {i: c for i, c in coeffs.items() if not c.is_zero()}
 
-    def dense(self):
-        z = scalar(0)
-        if self.coeffs:
-            z = zero_like(next(iter(self.coeffs.values())))
-        return [self.coeffs.get(i, z) for i in range(self.algebra.dim)]
-
-    def coefficient(self, i: int):
-        return self.coeffs.get(i)
-
     def is_zero(self) -> bool:
         return vec_is_zero(self.coeffs)
-
-    def scaled(self, c) -> "Element":
-        return Element(self.algebra, vec_scale(self.coeffs, c))
 
     def star(self) -> "Element":
         return Element(self.algebra, self.algebra.star_vec(self.coeffs))
@@ -343,6 +340,13 @@ def _associative_on_generators(rows: dict, n: int) -> bool:
     return True
 
 
+@object_cache
+def _is_associative(algebra: StarAlgebra) -> bool:
+    """:func:`_associative_on_generators` for ``algebra``, decided once for
+    every certificate that needs it."""
+    return _associative_on_generators(_mult_rows(algebra), algebra.dim)
+
+
 def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict) -> dict:
     """Product of sparse vectors over a tensor product whose first leg
     multiplies by the table ``arows`` (indexed by :func:`rows_of`) and whose
@@ -398,6 +402,45 @@ def tensor_star(a: StarAlgebra, b: StarAlgebra, v: dict) -> dict:
         piece = tensor_vec(a.star.cols[x], b.star.cols[y], db)
         vec_add_into(acc, piece, c.conj())
     return acc
+
+
+# -- *-homomorphisms into a tensor product -----------------------------------
+
+
+HOM_IDENTITIES = ("unit", "multiplicative", "star")
+
+
+def hom_indices(n: int, identities=HOM_IDENTITIES, left=None):
+    """The tagged indices of the *-homomorphism identities of a map out of an
+    n-dimensional algebra, in check order; ``left``, if given, limits the
+    left factors i of the multiplicative ones."""
+    for identity in identities:
+        if identity == "unit":
+            yield ("unit",)
+        elif identity == "multiplicative":
+            yield from (("multiplicative", i, j)
+                        for i in (range(n) if left is None else left) for j in range(n))
+        else:
+            yield from (("star", i) for i in range(n))
+
+
+def hom_predicate(a: StarAlgebra, b: StarAlgebra, alpha: LinearMap):
+    """Whether α: A → A⊗B satisfies the identity at a tagged index: ("unit",)
+    for α(1) = 1⊗1, ("multiplicative", i, j) for α(e_i e_j) = α(e_i)α(e_j)
+    and ("star", i) for α(e_i*) = α(e_i)*.
+
+    A family is the case B = its index algebra, its convolution laws the
+    case A = the convolution algebra, and a coproduct the case B = A."""
+    def holds(idx):
+        if idx[0] == "unit":
+            return vec_eq(alpha.apply(a.unit), tensor_vec(a.unit, b.unit, b.dim))
+        if idx[0] == "multiplicative":
+            i, j = idx[1:]
+            return vec_eq(alpha.apply(a.basis_product(i, j)),
+                          tensor_mult(a, b, alpha.cols[i], alpha.cols[j]))
+        i = idx[1]
+        return vec_eq(alpha.apply(a.star.cols[i]), tensor_star(a, b, alpha.cols[i]))
+    return holds
 
 
 def flip(a: StarAlgebra, b: StarAlgebra) -> LinearMap:
@@ -503,7 +546,8 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
     Each check sweeps its basis indices in lexicographic order and names the
     first failing one.  On the exact backend ``associativity`` first tries a
     certificate on the algebra's generators (the nucleus lemma, see
-    :func:`_associative_on_generators`); only a pass is taken from it, so
+    :func:`_associative_on_generators`), decided once per algebra by
+    :func:`_is_associative`; only a pass is taken from it, so
     every failure and its witness still come from the full sweep.  The float
     backend always runs the full sweep."""
     n = algebra.dim
@@ -527,7 +571,7 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
         sweep("unit_law", ((side, i) for i in range(n) for side in ("left", "right")),
               unit_law),
         sweep("associativity", product(range(n), repeat=3), associative,
-              certificate=lambda: _associative_on_generators(_mult_rows(algebra), n)),
+              certificate=lambda: _is_associative(algebra)),
         sweep("star_involutive", range(n),
               lambda i: vec_eq(algebra.star_vec(algebra.star_vec({i: one})), {i: one})),
         sweep("star_antimultiplicative", product(range(n), repeat=2),

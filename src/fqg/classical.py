@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import Element, InvalidDataError, StarAlgebra, tensor_vec
-from .groups import FiniteGroup, group_from_table
+from .groups import FiniteGroup, _perm_group, group_from_table
 from .hopf import QuantumGroup
 from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is_zero
 from .qfamily import (HopfOnTarget, QuantumFamily, check_action, hom_sweep,
@@ -117,12 +117,6 @@ def extract_matrix(qf: QuantumFamily) -> MagicMatrix:
 # -- relation sweeps ---------------------------------------------------------------
 
 
-def _mul(b: StarAlgebra, u: dict, v: dict) -> dict:
-    if not u or not v:
-        return {}
-    return b.multiply_vec(u, v)
-
-
 def _sum(vectors) -> dict:
     acc: dict = {}
     for v in vectors:
@@ -142,7 +136,7 @@ def _entry_checks(b: StarAlgebra, p, names):
 
     def idempotent(xy):
         e = p[xy[0]][xy[1]]
-        return vec_eq(_mul(b, e, e), e)
+        return vec_eq(b.multiply_vec(e, e), e)
 
     def cells():
         return product(range(n), repeat=2)
@@ -157,19 +151,19 @@ def _entry_checks(b: StarAlgebra, p, names):
         "row_orthogonality": (
             ((x, y, z) for x in range(n) for y in range(n) if p[x][y]
              for z in range(n) if z != y),
-            lambda w: vec_is_zero(_mul(b, p[w[0]][w[1]], p[w[0]][w[2]]))),
+            lambda w: vec_is_zero(b.multiply_vec(p[w[0]][w[1]], p[w[0]][w[2]]))),
         "column_orthogonality": (
             ((x, y, z) for y in range(n) for x in range(n) if p[x][y]
              for z in range(n) if z != x),
-            lambda w: vec_is_zero(_mul(b, p[w[0]][w[1]], p[w[2]][w[1]]))),
+            lambda w: vec_is_zero(b.multiply_vec(p[w[0]][w[1]], p[w[2]][w[1]]))),
     }
     return [sweep(name, *relations[name]) for name in names]
 
 
 def _commute(b: StarAlgebra, p):
     """(x1, y1, x2, y2) ↦ whether p[x1][y1] and p[x2][y2] commute."""
-    return lambda w: vec_eq(_mul(b, p[w[0]][w[1]], p[w[2]][w[3]]),
-                            _mul(b, p[w[2]][w[3]], p[w[0]][w[1]]))
+    return lambda w: vec_eq(b.multiply_vec(p[w[0]][w[1]], p[w[2]][w[3]]),
+                            b.multiply_vec(p[w[2]][w[3]], p[w[0]][w[1]]))
 
 
 @object_cache
@@ -186,7 +180,7 @@ def check_pointwise_relations(matrix: MagicMatrix) -> Report:
 
     def conv_hom(xyz):
         x, y, z = xyz
-        terms = (_mul(b, p[u][y], p[tbl[inv[u]][x]][z]) for u in range(n) if p[u][y])
+        terms = (b.multiply_vec(p[u][y], p[tbl[inv[u]][x]][z]) for u in range(n) if p[u][y])
         return vec_eq(_sum(terms), p[x][tbl[y][z]])
 
     checks = _entry_checks(b, p, ("entries_self_adjoint", "entries_idempotent", "row_sums_one"))
@@ -223,7 +217,8 @@ def check_dualact_consequences(matrix: MagicMatrix) -> Report:
     def localized(w):
         u, x, y, z = w
         puy = p[u][y]
-        return vec_eq(_mul(b, puy, p[x][tbl[y][z]]), _mul(b, puy, p[tbl[inv[u]][x]][z]))
+        return vec_eq(b.multiply_vec(puy, p[x][tbl[y][z]]),
+                      b.multiply_vec(puy, p[tbl[inv[u]][x]][z]))
 
     checks = [
         sweep("localized_relation",
@@ -260,16 +255,17 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
 
     def dominated(w):
         x, y, xn, yn = w
-        return vec_eq(_mul(b, p[x][y], p[xn][yn]), p[x][y])
+        return vec_eq(b.multiply_vec(p[x][y], p[xn][yn]), p[x][y])
 
     def inductive(w):
         x, y, k, u = w
         expected = p[x][y] if u == y else {}
-        return vec_eq(_mul(b, p[x][y], p[pw[x][k + 1]][tbl[pw[y][k]][u]]), expected)
+        return vec_eq(b.multiply_vec(p[x][y], p[pw[x][k + 1]][tbl[pw[y][k]][u]]), expected)
 
     def shift(w):
         x, y, z, u = w
-        return vec_eq(_mul(b, p[x][y], p[z][u]), _mul(b, p[x][y], p[tbl[x][z]][tbl[y][u]]))
+        return vec_eq(b.multiply_vec(p[x][y], p[z][u]),
+                      b.multiply_vec(p[x][y], p[tbl[x][z]][tbl[y][u]]))
 
     checks = [
         sweep("order_mismatch_zero", product(range(n), repeat=2),
@@ -420,13 +416,7 @@ def automorphism_group(group: FiniteGroup):
     """Aut(Γ) as a FiniteGroup under composition (φχ)(y) = φ(χ(y)),
     together with the sorted automorphism list the indices refer to."""
     auts = enumerate_automorphisms(group)
-    index = {psi: i for i, psi in enumerate(auts)}
-    k = len(auts)
-    table = [[0] * k for _ in range(k)]
-    for i, phi in enumerate(auts):
-        for j, chi in enumerate(auts):
-            table[i][j] = index[tuple(phi[chi[y]] for y in range(group.order))]
-    return group_from_table(table, "Aut(%s)" % (group.label or group.order)), auts
+    return _perm_group(auts, "Aut(%s)" % (group.label or group.order)), auts
 
 
 @backend_cached
@@ -503,7 +493,7 @@ def check_dual_group_theorem(qf: QuantumFamily) -> Report:
                          qf.hopf_on_target.opposite(), "beta(%s)" % qf.label)
     action = check_action(beta).checks[0]
     checks += [
-        hom_sweep("transposed_family_star_hom", beta),
+        hom_sweep("transposed_family_star_hom", beta.source.algebra, b, beta.alpha),
         Check("transposed_family_action", action.passed, action.witness),
         sweep("transposed_counit_slice", range(n),
               lambda x: vec_eq(leg_apply(eps_b, beta.alpha.cols[x], m, 1), {x: one})),

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import InvalidDataError, Element, StarAlgebra, rows_of
+from .algebra import InvalidDataError, Element, StarAlgebra
 from .hopf import QuantumGroup, _dual_tables, verify_quantum_group
-from .linalg import LinearMap, entry_eq, vec_add_into, vec_eq, vec_scale
+from .linalg import LinearMap, entry_eq, vec_eq, vec_scale
 from .report import Check, Report, sweep
 from .scalar import object_cache, scalar
 
@@ -32,11 +32,14 @@ def pair_haar(g: QuantumGroup) -> dict:
 
 
 @object_cache
-def conv_table(g: QuantumGroup) -> dict:
-    """Structure constants of the convolution product: (i, j) -> sparse vector.
+def convolution_algebra(g: QuantumGroup) -> StarAlgebra:
+    """(A, ⋆, •): the space of ``g`` with the convolution product and the
+    convolution adjoint a ↦ S(a*) as its involution.
 
     e_i ⋆ e_j = (h⊗id)(((S⊗id)Δ(e_j))(e_i⊗1)); with the second leg untouched
     this contracts to sum over Δ(e_j) terms (a, b) of h(S(e_a) e_i) e_b.
+    The unit stays empty: η is the ⋆-unit only up to h(η), which is 0 on
+    some unverified input, and ``haar_element`` is a check of its own.
     """
     n = g.dim
     anti = g.antipode
@@ -62,25 +65,16 @@ def conv_table(g: QuantumGroup) -> dict:
                     acc[b] = t
             if acc:
                 table[(i, j)] = acc
-    return table
+    return StarAlgebra(n, table, {}, g.bullet_map(), "conv(%s)" % g.label)
 
 
-@object_cache
-def _conv_rows(g: QuantumGroup) -> dict:
-    """:func:`conv_table` indexed by its first index, for the tensor kernel."""
-    return rows_of(conv_table(g))
+def conv_table(g: QuantumGroup) -> dict:
+    """Structure constants of the convolution product: (i, j) -> sparse vector."""
+    return convolution_algebra(g).mult
 
 
 def conv_vec(g: QuantumGroup, u: dict, v: dict) -> dict:
-    table = conv_table(g)
-    acc: dict = {}
-    for i, ci in u.items():
-        for j, cj in v.items():
-            terms = table.get((i, j))
-            if terms is None:
-                continue
-            vec_add_into(acc, terms, ci * cj)
-    return acc
+    return convolution_algebra(g).multiply_vec(u, v)
 
 
 def convolve(g: QuantumGroup, x: Element, y: Element) -> Element:
@@ -127,7 +121,7 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
     f_cols = [dict() for _ in range(n)]
     for (i, j), v in ph.items():
         f_cols[j][i] = v
-    fourier = LinearMap(n, n, f_cols, source=g.label, target="dual(%s)" % g.label)
+    fourier = LinearMap(n, n, f_cols)
     try:
         fourier_inv = fourier.inverse()
     except ValueError:
@@ -183,7 +177,7 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
     fd_cols = [dict() for _ in range(n)]
     for (i, j), v in ph_dual.items():
         fd_cols[j][i] = v
-    fourier_dual = LinearMap(n, n, fd_cols, source=dual.label, target=g.label)
+    fourier_dual = LinearMap(n, n, fd_cols)
 
     return DualPair(g, dual, fourier, fourier_inv, fourier_dual)
 
@@ -213,20 +207,14 @@ def verify_fourier_identities(pair: DualPair) -> Report:
     n = g.dim
     fr = pair.fourier
     ct = conv_table(g)
-    ct_dual = conv_table(d)
+    conv_dual = convolution_algebra(d)
     h_eta = g.haar_of_eta()
     one = scalar(1)
 
     def dual_convolution(ij):
         i, j = ij
-        lhs = vec_scale(fr.apply(g.algebra.basis_product(i, j)), h_eta)
-        rhs: dict = {}
-        for p, cp in fr.cols[j].items():
-            for q, cq in fr.cols[i].items():
-                terms = ct_dual.get((p, q))
-                if terms is not None:
-                    vec_add_into(rhs, terms, cp * cq)
-        return vec_eq(lhs, rhs)
+        return vec_eq(vec_scale(fr.apply(g.algebra.basis_product(i, j)), h_eta),
+                      conv_dual.multiply_vec(fr.cols[j], fr.cols[i]))
 
     checks = [
         sweep("fourier_convolution", product(range(n), repeat=2),

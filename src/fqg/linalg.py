@@ -94,11 +94,11 @@ def vec_from_dense(coeffs) -> dict:
 
 
 class LinearMap:
-    """A target_dim x source_dim matrix with declared source/target labels."""
+    """A target_dim x source_dim matrix, stored as sparse columns."""
 
-    __slots__ = ("source_dim", "target_dim", "cols", "source", "target")
+    __slots__ = ("source_dim", "target_dim", "cols")
 
-    def __init__(self, source_dim, target_dim, cols, source="", target=""):
+    def __init__(self, source_dim, target_dim, cols):
         if len(cols) != source_dim:
             raise ValueError("expected %d columns, got %d" % (source_dim, len(cols)))
         clean = []
@@ -107,13 +107,11 @@ class LinearMap:
         self.source_dim = source_dim
         self.target_dim = target_dim
         self.cols = tuple(clean)
-        self.source = source
-        self.target = target
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows, source="", target=""):
+    def from_rows(cls, rows):
         target_dim = len(rows)
         source_dim = len(rows[0]) if rows else 0
         cols = [dict() for _ in range(source_dim)]
@@ -123,11 +121,11 @@ class LinearMap:
             for c, s in enumerate(row):
                 if not s.is_zero():
                     cols[c][r] = s
-        return cls(source_dim, target_dim, cols, source, target)
+        return cls(source_dim, target_dim, cols)
 
     @classmethod
-    def identity(cls, n, one, label=""):
-        return cls(n, n, [{i: one} for i in range(n)], label, label)
+    def identity(cls, n, one):
+        return cls(n, n, [{i: one} for i in range(n)])
 
     # -- access --------------------------------------------------------
 
@@ -149,7 +147,7 @@ class LinearMap:
         if first.target_dim != self.source_dim:
             raise ValueError("composition shape mismatch: %d vs %d" % (first.target_dim, self.source_dim))
         cols = [self.apply(col) for col in first.cols]
-        return LinearMap(first.source_dim, self.target_dim, cols, first.source, self.target)
+        return LinearMap(first.source_dim, self.target_dim, cols)
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
         """Kronecker product on the row-major tensor basis."""
@@ -169,7 +167,7 @@ class LinearMap:
 
     def scale(self, c) -> "LinearMap":
         return LinearMap(self.source_dim, self.target_dim,
-                         [vec_scale(col, c) for col in self.cols], self.source, self.target)
+                         [vec_scale(col, c) for col in self.cols])
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         self._same_shape(other)
@@ -178,20 +176,19 @@ class LinearMap:
             col = dict(a)
             vec_add_into(col, b)
             cols.append(col)
-        return LinearMap(self.source_dim, self.target_dim, cols, self.source, self.target)
+        return LinearMap(self.source_dim, self.target_dim, cols)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         self._same_shape(other)
         return LinearMap(self.source_dim, self.target_dim,
-                         [vec_sub(a, b) for a, b in zip(self.cols, other.cols)],
-                         self.source, self.target)
+                         [vec_sub(a, b) for a, b in zip(self.cols, other.cols)])
 
     def transpose(self) -> "LinearMap":
         cols = [dict() for _ in range(self.target_dim)]
         for c, col in enumerate(self.cols):
             for r, s in col.items():
                 cols[r][c] = s
-        return LinearMap(self.target_dim, self.source_dim, cols, self.target, self.source)
+        return LinearMap(self.target_dim, self.source_dim, cols)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
@@ -224,7 +221,7 @@ class LinearMap:
              for r in range(n)]
         if len(_eliminate(m, n)) < n:
             raise ValueError("singular map")
-        return LinearMap.from_rows([row[n:] for row in m], self.target, self.source)
+        return LinearMap.from_rows([row[n:] for row in m])
 
     def _same_shape(self, other):
         if self.source_dim != other.source_dim or self.target_dim != other.target_dim:

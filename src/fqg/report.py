@@ -87,7 +87,7 @@ class Report:
                 return c
         raise KeyError(name)
 
-    def to_dict(self, include_timing: bool = False):
+    def to_dict(self):
         d = {
             "subject": self.subject,
             "backend": self.backend,
@@ -96,8 +96,6 @@ class Report:
         }
         if self.backend == "float":
             d["tolerance"] = self.tol
-        if include_timing and self.elapsed is not None:
-            d["elapsed_seconds"] = self.elapsed
         return d
 
     def table(self) -> str:

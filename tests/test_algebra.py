@@ -13,7 +13,7 @@ from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
                          scalar_algebra, star, tensor_algebra, tensor_mult,
                          verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
-from fqg.fourier import _conv_rows
+from fqg.fourier import convolution_algebra
 from fqg.groups import CATALOG, cyclic, direct_product, named_group
 from fqg.linalg import LinearMap, vec_eq
 from fqg.scalar import QQi, scalar, use_backend
@@ -272,7 +272,7 @@ def test_group_like_generators_skip_the_identity_and_reach_everything(name):
     group = named_group(name)
     fun = function_algebra(group)
     n = group.order
-    for rows in (_mult_rows(group_algebra(group).algebra), _conv_rows(fun)):
+    for rows in (_mult_rows(group_algebra(group).algebra), _mult_rows(convolution_algebra(fun))):
         gens = _basis_generators(rows, n)
         assert group.identity not in gens
         assert _closure(rows, gens) == set(range(n))
@@ -370,7 +370,7 @@ def test_tensor_mult_matches_tensor_algebra(first, second):
 
 def test_convolution_kernel_matches_tensor_algebra():
     from fqg.algebra import _tensor_product
-    from fqg.fourier import _conv_rows, conv_table
+    from fqg.fourier import conv_table
     from fqg.linalg import LinearMap
 
     g = function_algebra(named_group("S3"))
@@ -381,10 +381,10 @@ def test_convolution_kernel_matches_tensor_algebra():
 
     @given(vectors, vectors)
     def agree(u, v):
-        assert vec_eq(_tensor_product(_conv_rows(g), b.mult, b.dim, u, v),
+        assert vec_eq(_tensor_product(_mult_rows(convolution_algebra(g)), b.mult, b.dim, u, v),
                       ab.multiply_vec(u, v))
 
     agree()
     dense = _dense(ab.dim)
-    assert vec_eq(_tensor_product(_conv_rows(g), b.mult, b.dim, dense, dense),
+    assert vec_eq(_tensor_product(_mult_rows(convolution_algebra(g)), b.mult, b.dim, dense, dense),
                   ab.multiply_vec(dense, dense))

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -223,6 +224,66 @@ def test_slice_rejects_non_pointwise_target():
     cols = [{j * 2 + 0: one} for j in range(2)]
     qf = QuantumFamily(g, target, LinearMap(2, 4, cols))
     with pytest.raises(InvalidDataError):
+        slice_commutative(qf)
+
+
+def _permutation(n, sigma):
+    return LinearMap(n, n, [{sigma[x]: scalar(1)} for x in range(n)])
+
+
+def _conjugation(g, u, u_inv):
+    """x ↦ u x u⁻¹ on the algebra of g."""
+    a = g.algebra
+    return LinearMap(g.dim, g.dim, [a.multiply_vec(a.multiply_vec(u, {j: scalar(1)}), u_inv)
+                                    for j in range(g.dim)])
+
+
+def _with_functionals(g, counit=None, haar=None):
+    """g with its counit or Haar state replaced: no quantum group any more,
+    but slicing does not verify its source."""
+    return QuantumGroup(g.algebra, g.coproduct, counit or g.counit, g.antipode,
+                        haar or g.haar_state, g.haar_element, "replaced")
+
+
+def _slice_cases():
+    """(source, slice, message): each slice passes every test before the one
+    whose message it names.  Over the one-dimensional index algebra the family
+    is its one slice."""
+    one = scalar(1)
+    fun3, grp3 = function_algebra(cyclic(3)), group_algebra(cyclic(3))
+    grp_s3 = group_algebra(named_group("S3"))
+    s = next(x for x in range(6) if x and named_group("S3").element_order(x) == 2)
+    e = named_group("S3").identity
+    negate = _permutation(3, (0, 2, 1))  # x ↦ -x, an automorphism of Z3
+    return {
+        "bijective": (fun3, LinearMap(3, 3, [{}, {}, {}]), "is not bijective"),
+        "unital": (fun3, LinearMap.identity(3, scalar(2)), "is not unital"),
+        "multiplicative": (grp3, LinearMap(3, 3, [{0: one}, {1: one}, {2: scalar(2)}]),
+                           "is not multiplicative"),
+        # conjugation by the self-adjoint u = 2 + s, whose square 5 + 4s is not central
+        "star": (grp_s3, _conjugation(grp_s3, {e: scalar(2), s: one},
+                                      {e: scalar(Fraction(2, 3)), s: scalar(Fraction(-1, 3))}),
+                 "is not a \\*-map"),
+        # a *-automorphism of fun(Z3) swapping δ_0 and δ_1: 1 = -2 but 0 = -0
+        "antipode": (fun3, _permutation(3, (1, 0, 2)), "commute with the antipode"),
+        # 1 ↔ 2, 4 ↔ 5 commutes with x ↦ -x but is not additive (see _relabelled)
+        "coproduct": (function_algebra(cyclic(6)), _permutation(6, (0, 2, 1, 3, 5, 4)),
+                      "intertwine the coproduct"),
+        # a Hopf automorphism, against a counit or Haar state that it moves
+        "counit": (_with_functionals(fun3, counit=LinearMap(3, 1, [{}, {0: one}, {}])),
+                   negate, "preserve the counit"),
+        "haar": (_with_functionals(fun3, haar=LinearMap(3, 1, [{0: scalar(Fraction(k, 6))}
+                                                              for k in (3, 2, 1)])),
+                 negate, "preserve the haar state"),
+    }
+
+
+@pytest.mark.parametrize("law", ["bijective", "unital", "multiplicative", "star",
+                                 "antipode", "coproduct", "counit", "haar"])
+def test_slice_names_the_first_law_its_map_breaks(law):
+    g, psi, message = _slice_cases()[law]
+    qf = QuantumFamily(g, scalar_algebra(), psi)
+    with pytest.raises(InvalidDataError, match="^slice 0 .*" + message):
         slice_commutative(qf)
 
 
@@ -457,25 +518,22 @@ def _fresh(qf):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_family_certificates_skip_most_of_the_s4_sweeps(backend, monkeypatch):
     calls = {"multiplicative": 0, "conv_product": 0}
-    predicate, kernel = fqg.qfamily.hom_predicate, fqg.qfamily._tensor_product
+    predicate = fqg.qfamily.hom_predicate
 
-    def counted_predicate(qf):
-        holds = predicate(qf)
+    def counted_predicate(a, b, alpha):
+        holds = predicate(a, b, alpha)
+        # conv_product is the multiplicative identity on the convolution algebra
+        key = "multiplicative" if a is qf_hat.source.algebra else "conv_product"
 
         def counted(idx):
-            calls["multiplicative"] += idx[0] == "multiplicative"
+            calls[key] += idx[0] == "multiplicative"
             return holds(idx)
         return counted
-
-    def counted_kernel(*args):  # conv_product's one product per pair
-        calls["conv_product"] += 1
-        return kernel(*args)
 
     with use_backend(backend):
         qf = universal_classical_family(named_group("S4"))
         qf_hat = hat(qf)
         monkeypatch.setattr(fqg.qfamily, "hom_predicate", counted_predicate)
-        monkeypatch.setattr(fqg.qfamily, "_tensor_product", counted_kernel)
         assert check_family(_fresh(qf_hat)).passed
         assert check_convolution_preservation(_fresh(qf)).passed
     n = qf.source.dim

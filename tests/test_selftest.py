@@ -1,5 +1,7 @@
+import sys
 from pathlib import Path
 
+import fqg.algebra
 from fqg.constructors import quantum_group_data_equal
 from fqg.fourier import dual_pair
 from fqg.groups import CATALOG
@@ -100,3 +102,33 @@ def test_memoised_verdicts_follow_the_backend_setting():
     qf = universal_classical_family(named_group("Z3"))
     assert is_automorphism_family(qf) is is_automorphism_family(qf, deep=True)
     assert is_automorphism_family(qf, deep=False) is not is_automorphism_family(qf)
+
+
+def _clear_memos():
+    """Empty every LRU memo in fqg (the per-object memos go with the objects
+    those held), so the next run starts from cold caches."""
+    for name, module in list(sys.modules.items()):
+        if name == "fqg" or name.startswith("fqg."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_selftest_decides_each_associativity_once(monkeypatch):
+    """No structure-constant table reaches the associativity certificate twice
+    in one cold run.  Every table seen is kept alive, so no id is reused."""
+    original = fqg.algebra._associative_on_generators
+    seen = []
+
+    def recorded(rows, n):
+        seen.append(rows)
+        return original(rows, n)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("fqg.")
+                and getattr(module, "_associative_on_generators", None) is original):
+            monkeypatch.setattr(module, "_associative_on_generators", recorded)
+    _clear_memos()
+    assert all(r.passed for r in run_selftest())
+    assert seen
+    assert len({id(rows) for rows in seen}) == len(seen)
