@@ -3,8 +3,11 @@
 An algebra of dimension n is a sparse structure-constant tensor
 ``mult[(i, j)] = {k: c}`` meaning ``e_i e_j = sum_k c e_k``, a unit vector,
 and an involution matrix ``St`` acting as ``(sum c_i e_i)* = sum conj(c_i)
-St(e_i)``.  Everything is immutable after construction and safe to share
-across workers.
+St(e_i)``.  Everything is immutable after construction.
+
+A *diagonal* table, e_i e_j = [i = j] e_i as for the functions on a finite
+set, is recognised when the algebra is built, and its products skip the
+table: the product of u and v is then u_i v_i at each i in both supports.
 """
 
 from __future__ import annotations
@@ -27,26 +30,39 @@ class StarAlgebra:
 
     The terms dicts of ``mult`` are kept as given, not copied, unless one
     holds a zero coefficient to drop: a large table is held once, and its
-    builder must not change it afterwards."""
+    builder must not change it afterwards.
 
-    __slots__ = ("dim", "mult", "unit", "star", "label", "_cache")
+    ``_diag`` is True when the cleaned table is exactly {(i, i): {i: 1}} for
+    every i, with each 1 read off its raw components rather than through the
+    float tolerance; :meth:`multiply_vec` and :func:`tensor_mult` then take
+    the diagonal path.  It is derived from the table, never set."""
+
+    __slots__ = ("dim", "mult", "unit", "star", "label", "_cache", "_diag")
 
     def __init__(self, dim, mult, unit, star, label=""):
         if dim <= 0:
             raise InvalidDataError("dimension must be positive")
         clean = {}
+        diag = True
         for (i, j), terms in mult.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InvalidDataError("structure constant index out of range")
-            if any(c.is_zero() for c in terms.values()):
-                terms = {k: c for k, c in terms.items() if not c.is_zero()}
-            for k in terms:
+            zero = False
+            for k, c in terms.items():
                 if not 0 <= k < dim:
                     raise InvalidDataError("structure constant index out of range")
+                if c.is_zero():
+                    zero = True
+            if zero:
+                terms = {k: c for k, c in terms.items() if not c.is_zero()}
             if terms:
                 clean[(i, j)] = terms
+                if diag and (i != j or len(terms) != 1 or (c := terms.get(i)) is None
+                             or c.re != 1 or c.im != 0):
+                    diag = False
         self.dim = dim
         self.mult = clean
+        self._diag = diag and len(clean) == dim
         self.unit = {i: c for i, c in dict(unit).items() if not c.is_zero()}
         if isinstance(star, LinearMap):
             if star.source_dim != dim or star.target_dim != dim:
@@ -62,8 +78,19 @@ class StarAlgebra:
     def multiply_vec(self, u: dict, v: dict) -> dict:
         if not v:  # or each term of u would walk the empty v
             return {}
+        if self._diag:
+            if len(v) < len(u):
+                u, v = v, u
+            acc: dict = {}
+            for i, ci in u.items():
+                cj = v.get(i)
+                if cj is not None:
+                    c = ci * cj
+                    if not c.is_zero():
+                        acc[i] = c
+            return acc
         mult = self.mult
-        acc: dict = {}
+        acc = {}
         for i, ci in u.items():
             for j, cj in v.items():
                 terms = mult.get((i, j))
@@ -247,7 +274,7 @@ def tensor_vec(u: dict, v: dict, dim_b: int) -> dict:
 
 def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
     """Product of sparse vectors over A⊗B without materializing A⊗B."""
-    return _tensor_product(_mult_rows(a), b.mult, b.dim, u, v)
+    return _tensor_product(_mult_rows(a), b.mult, b.dim, u, v, b._diag)
 
 
 def rows_of(table: dict) -> dict:
@@ -347,7 +374,8 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     return _associative_on_generators(_mult_rows(algebra), algebra.dim)
 
 
-def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict) -> dict:
+def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict,
+                    b_diag: bool = False) -> dict:
     """Product of sparse vectors over a tensor product whose first leg
     multiplies by the table ``arows`` (indexed by :func:`rows_of`) and whose
     second leg multiplies by the table ``bm``; ``db`` is the dimension of the
@@ -355,12 +383,20 @@ def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict) -> dict:
 
     ``v`` is grouped by its first-leg index, so each term of ``u`` visits only
     the first-leg indices that both its row of ``arows`` and ``v`` contain,
-    walking whichever of the two is smaller.
+    walking whichever of the two is smaller.  When ``b_diag`` says that ``bm``
+    is diagonal (see :class:`StarAlgebra`), each group is a dict over the
+    second-leg index, and a term of ``u`` looks up its own second-leg index
+    in it instead of walking the group.
     """
     vrows: dict = {}
-    for q, cq in v.items():
-        x2, b2 = divmod(q, db)
-        vrows.setdefault(x2, []).append((b2, cq))
+    if b_diag:
+        for q, cq in v.items():
+            x2, b2 = divmod(q, db)
+            vrows.setdefault(x2, {})[b2] = cq
+    else:
+        for q, cq in v.items():
+            x2, b2 = divmod(q, db)
+            vrows.setdefault(x2, []).append((b2, cq))
     acc: dict = {}
     for p, cp in u.items():
         x1, b1 = divmod(p, db)
@@ -371,6 +407,23 @@ def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict) -> dict:
             hits = [(ta, vrows[x2]) for x2, ta in row.items() if x2 in vrows]
         else:
             hits = [(row[x2], vs) for x2, vs in vrows.items() if x2 in row]
+        if b_diag:
+            for ta, vs in hits:
+                cq = vs.get(b1)
+                if cq is None:
+                    continue
+                c = cp * cq
+                if c.is_zero():
+                    continue
+                for k1, c1 in ta.items():
+                    k = k1 * db + b1
+                    cur = acc.get(k)
+                    t = c * c1 if cur is None else cur + c * c1
+                    if t.is_zero():
+                        acc.pop(k, None)
+                    else:
+                        acc[k] = t
+            continue
         for ta, vs in hits:
             for b2, cq in vs:
                 tb = bm.get((b1, b2))

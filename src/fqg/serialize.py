@@ -120,18 +120,27 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
     return d
 
 
+def _index(x, what: str) -> int:
+    """``x`` if it is a JSON integer; a float, a string or a boolean is
+    refused rather than coerced, so a table loads as the file states it."""
+    if type(x) is not int:
+        raise InvalidDataError("%s %.40r is not an integer" % (what, x))
+    return x
+
+
 def algebra_from_dict(d: dict) -> StarAlgebra:
     try:
         if "blocks" in d and "mult" not in d:
             return BlockAlgebra(d["blocks"], d.get("trace_weights"), d.get("label", ""))
-        dim = int(d["dim"])
+        dim = _index(d["dim"], "dim")
         mult = {}
         parse = _cell_parser()
         for row in d["mult"]:
             i, j, k, re, im = row
-            s = parse([re, im])
-            if not s.is_zero():
-                mult.setdefault((int(i), int(j)), {})[int(k)] = s
+            terms = mult.setdefault((_index(i, "mult index"), _index(j, "mult index")), {})
+            if _index(k, "mult index") in terms:
+                raise InvalidDataError("mult states (i, j, k) = %r twice" % ((i, j, k),))
+            terms[k] = parse([re, im])  # StarAlgebra drops the zeros
         unit = vector_from_list(d["unit"], dim)
         star = matrix_from_dense(d["star"], dim, dim)
         return StarAlgebra(dim, mult, unit, star, d.get("label", ""))

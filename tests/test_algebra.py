@@ -388,3 +388,165 @@ def test_convolution_kernel_matches_tensor_algebra():
     dense = _dense(ab.dim)
     assert vec_eq(_tensor_product(_mult_rows(convolution_algebra(g)), b.mult, b.dim, dense, dense),
                   ab.multiply_vec(dense, dense))
+
+
+# -- both product kernels against a plain loop over the structure constants ---
+
+
+def _reference_product(a, u, v):
+    """u·v in ``a`` by the definition: every pair of terms through ``a.mult``."""
+    acc = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            for k, ck in a.mult.get((i, j), {}).items():
+                t = ci * cj * ck
+                acc[k] = acc[k] + t if k in acc else t
+    return acc
+
+
+def _reference_tensor_product(a, b, u, v):
+    """u·v in A⊗B by the definition, with (x⊗y)(x'⊗y') = xx'⊗yy' read off
+    ``a.mult`` and ``b.mult``."""
+    db = b.dim
+    acc = {}
+    for p, cp in u.items():
+        x1, y1 = divmod(p, db)
+        for q, cq in v.items():
+            x2, y2 = divmod(q, db)
+            for k1, c1 in a.mult.get((x1, x2), {}).items():
+                for k2, c2 in b.mult.get((y1, y2), {}).items():
+                    t = cp * cq * c1 * c2
+                    k = k1 * db + k2
+                    acc[k] = acc[k] + t if k in acc else t
+    return acc
+
+
+def _fun(name):
+    return lambda: function_algebra(named_group(name)).algebra
+
+
+def _grp(name):
+    return lambda: group_algebra(named_group(name)).algebra
+
+
+def _tensor(first, second):
+    return lambda: tensor_algebra(first(), second())
+
+
+_ORACLE_ALGEBRAS = {
+    "fun(S3)": _fun("S3"),
+    "blocks[1]*4": lambda: BlockAlgebra([1] * 4),
+    "fun(Z2)(x)fun(Z3)": _tensor(_fun("Z2"), _fun("Z3")),
+    "fun(Z2)(x)blocks[1]*3": _tensor(_fun("Z2"), lambda: BlockAlgebra([1] * 3)),
+    "fun(Z2)(x)grp(Z3)": _tensor(_fun("Z2"), _grp("Z3")),
+    "grp(Z3)(x)fun(Z2)": _tensor(_grp("Z3"), _fun("Z2")),
+    "grp(Z3)": _grp("Z3"),
+    "blocks[1,2]": lambda: BlockAlgebra([1, 2]),
+}
+_ORACLE_PAIRS = [("fun(S3)", "fun(S3)"), ("fun(S3)", "blocks[1]*4"),
+                 ("blocks[1]*4", "fun(S3)"), ("fun(Z2)(x)fun(Z3)", "fun(Z2)(x)fun(Z3)"),
+                 ("grp(Z3)", "fun(S3)"), ("fun(S3)", "grp(Z3)"),
+                 ("fun(Z2)(x)grp(Z3)", "fun(S3)"), ("blocks[1,2]", "fun(Z2)(x)fun(Z3)")]
+# few distinct small coefficients, so that sums of products cancel often
+_cancelling = st.sampled_from([(1, 0), (-1, 0), (Fraction(1, 2), 0), (-2, 0), (0, 1), (0, -1)])
+
+
+def _oracle_vectors(dim):
+    return st.dictionaries(st.integers(0, dim - 1), _cancelling, max_size=8)
+
+
+def _backend_vector(pairs):
+    return {k: scalar(re, im) for k, (re, im) in pairs.items()}
+
+
+def _assert_kernel_agrees(got, expected):
+    assert vec_eq(got, expected)
+    assert not any(c.is_zero() for c in got.values())
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_ALGEBRAS))
+def test_multiply_vec_matches_reference_loop(name, backend):
+    with use_backend(backend):
+        a = _ORACLE_ALGEBRAS[name]()
+        assert a._diag == (name.count("grp") + name.count("[1,2]") == 0)
+        vectors = _oracle_vectors(a.dim)
+
+        @settings(max_examples=60, deadline=None)
+        @given(vectors, vectors)
+        def agree(u, v):
+            u, v = _backend_vector(u), _backend_vector(v)
+            for x, y in ((u, v), (v, u)):
+                _assert_kernel_agrees(a.multiply_vec(x, y), _reference_product(a, x, y))
+
+        agree()
+        dense = {k: scalar(k % 3 - 1, Fraction(1, k + 1)) for k in range(a.dim)}
+        _assert_kernel_agrees(a.multiply_vec(dense, dense), _reference_product(a, dense, dense))
+        # a zero coefficient leaves no entry in the product
+        one = {0: scalar(1)}
+        assert a.multiply_vec(one, {0: scalar(0)}) == {}
+        assert a.multiply_vec({}, one) == {} == a.multiply_vec(one, {})
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("first,second", _ORACLE_PAIRS)
+def test_tensor_mult_matches_reference_loop(first, second, backend):
+    with use_backend(backend):
+        a, b = _ORACLE_ALGEBRAS[first](), _ORACLE_ALGEBRAS[second]()
+        vectors = _oracle_vectors(a.dim * b.dim)
+
+        @settings(max_examples=60, deadline=None)
+        @given(vectors, vectors)
+        def agree(u, v):
+            u, v = _backend_vector(u), _backend_vector(v)
+            for x, y in ((u, v), (v, u)):
+                _assert_kernel_agrees(tensor_mult(a, b, x, y),
+                                      _reference_tensor_product(a, b, x, y))
+
+        agree()
+        dense = {k: scalar(k % 3 - 1, Fraction(1, k + 1)) for k in range(a.dim * b.dim)}
+        _assert_kernel_agrees(tensor_mult(a, b, dense, dense),
+                              _reference_tensor_product(a, b, dense, dense))
+
+
+# -- when the diagonal path is taken -------------------------------------------
+
+
+def _diagonal_table(n):
+    return {(i, i): {i: scalar(1)} for i in range(n)}
+
+
+def _table_algebra(mult, n=3):
+    one = scalar(1)
+    return StarAlgebra(n, mult, {i: one for i in range(n)}, LinearMap.identity(n, one))
+
+
+def test_diagonal_table_is_detected_only_when_exact():
+    assert _table_algebra(_diagonal_table(3))._diag
+    assert not _table_algebra(_diagonal_table(3) | {(1, 1): {1: scalar(2)}})._diag
+    missing = _diagonal_table(3)
+    del missing[(2, 2)]
+    assert not _table_algebra(missing)._diag
+    assert not _table_algebra(_diagonal_table(3) | {(0, 1): {0: scalar(1)}})._diag
+    assert not _table_algebra(_diagonal_table(3) | {(0, 0): {0: scalar(1), 1: scalar(1)}})._diag
+    # an explicit zero entry is dropped before the table is read
+    assert _table_algebra(_diagonal_table(3) | {(0, 1): {1: scalar(0)}})._diag
+    assert _table_algebra(_diagonal_table(3) | {(2, 2): {2: scalar(1), 0: scalar(0)}})._diag
+    with use_backend("float"):
+        assert _table_algebra(_diagonal_table(3))._diag
+        # equal to 1 within the tolerance, but not 1: the generic path
+        near = _diagonal_table(3) | {(1, 1): {1: scalar(1 + 1e-10)}}
+        assert vec_eq(near[(1, 1)], {1: scalar(1)})
+        assert not _table_algebra(near)._diag
+        assert function_algebra(named_group("S3")).algebra._diag
+
+
+def test_diagonal_flag_on_catalog_algebras():
+    g = named_group("S3")
+    fun = function_algebra(g)
+    assert fun.algebra._diag
+    assert not group_algebra(g).algebra._diag
+    assert not convolution_algebra(fun)._diag
+    assert tensor_algebra(fun.algebra, function_algebra(cyclic(2)).algebra)._diag
+    assert not tensor_algebra(fun.algebra, group_algebra(cyclic(2)).algebra)._diag
+    assert BlockAlgebra([1] * 3)._diag and not BlockAlgebra([1, 2])._diag

@@ -154,9 +154,13 @@ def _assert_same_loads(grid, star, backend):
         ref, ref_err = _outcome(_plain_vector, row)
         assert (vec, vec_err) == (ref, ref_err)
         assert [type(s) for s in (vec or {}).values()] == [type(s) for s in (ref or {}).values()]
-    mult = [[r % 2, c % 2, (r + c) % 2] + (cell if isinstance(cell, list) else [cell])
-            for r, row in enumerate(grid) for c, cell in enumerate(row)]
-    d = {"dim": 2, "mult": mult, "unit": grid[0][:2] * (2 // len(grid[0][:2])), "star": star}
+    # each cell states its own (i, j, k) of a 3-dimensional table: a loaded
+    # table may state a product coefficient only once
+    mult = [[t // 9, t // 3 % 3, t % 3] + (cell if isinstance(cell, list) else [cell])
+            for t, cell in enumerate(cell for row in grid for cell in row)]
+    zero = ["0", "0"]
+    d = {"dim": 3, "mult": mult, "unit": (grid[0] * 3)[:3],
+         "star": [row + [zero] for row in star] + [[zero] * 3]}
     alg, alg_err = _outcome(algebra_from_dict, d)
     ref, ref_err = _outcome(_plain_algebra, d)
     assert alg_err == ref_err
@@ -354,6 +358,27 @@ def test_cli_cell_that_is_not_a_pair_exits_2(tmp_path, capsys):
         path.write_text(canonical_json(dict(base, antipode=antipode)))
         assert main(["verify", str(path)]) == 2, cell
         assert capsys.readouterr().err.startswith("error: [input] bad matrix entry"), cell
+
+
+def test_cli_mult_indices_and_dim_are_not_coerced(tmp_path, capsys):
+    # each of these once loaded as some other table: 0.7, True and "0" as
+    # index 0 or 1, a dim of 3.9 as 3, and a repeated row as its last value
+    path = tmp_path / "mult.json"
+    base = quantum_group_to_dict(function_algebra(cyclic(3)))
+    assert base["mult"] == [[0, 0, 0, "1", "0"], [1, 1, 1, "1", "0"], [2, 2, 2, "1", "0"]]
+    rest = base["mult"][1:]
+    for change, message in (
+            ({"mult": [[0.7, 0, 0, "1", "0"]] + rest}, "mult index 0.7 is not an integer"),
+            ({"mult": [[0, True, 0, "1", "0"]] + rest}, "mult index True is not an integer"),
+            ({"mult": [[0, 0, "0", "1", "0"]] + rest}, "mult index '0' is not an integer"),
+            ({"dim": 3.9}, "dim 3.9 is not an integer"),
+            ({"mult": base["mult"] + [[1, 1, 1, "2", "0"]]},
+             "mult states (i, j, k) = (1, 1, 1) twice")):
+        path.write_text(canonical_json(dict(base, **change)))
+        assert main(["verify", str(path)]) == 2, change
+        assert capsys.readouterr().err == "error: [input] %s\n" % message, change
+    path.write_text(canonical_json(base))
+    assert main(["verify", str(path)]) == 0
 
 
 def test_cli_skip_verify_flag(tmp_path):
