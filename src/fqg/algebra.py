@@ -25,6 +25,14 @@ class InvalidDataError(ValueError):
     """Raised when user-supplied structures fail shape or axiom validation."""
 
 
+def exact_int(x, what: str) -> int:
+    """``x`` if it is an int; a float, a string or a bool is refused rather
+    than coerced, so a table or a size is taken as stated."""
+    if type(x) is not int:
+        raise InvalidDataError("%s %.40r is not an integer" % (what, x))
+    return x
+
+
 class StarAlgebra:
     """A *-algebra on the basis e_0, ..., e_{dim-1}; see the module docstring.
 
@@ -273,121 +281,16 @@ def tensor_vec(u: dict, v: dict, dim_b: int) -> dict:
 
 
 def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
-    """Product of sparse vectors over A⊗B without materializing A⊗B."""
-    return _tensor_product(_mult_rows(a), b.mult, b.dim, u, v, b._diag)
-
-
-def rows_of(table: dict) -> dict:
-    """A structure-constant table ``{(i, j): terms}`` indexed by its first
-    index, as ``{i: {j: terms}}``; the terms are shared, not copied."""
-    rows: dict = {}
-    for (i, j), terms in table.items():
-        rows.setdefault(i, {})[j] = terms
-    return rows
-
-
-@object_cache
-def _mult_rows(algebra: StarAlgebra) -> dict:
-    return rows_of(algebra.mult)
-
-
-def _basis_generators(rows: dict, n: int) -> list:
-    """Basis indices that generate the n-dimensional algebra whose
-    structure constants are ``rows`` (indexed by :func:`rows_of`): every
-    basis element is a multiple of a product of them, so a subspace closed
-    under the product that holds them is everything.
-
-    A *monomial* table (each basis product is 0 or a multiple of one basis
-    element) gets them greedily, as groups._generators does: the first index
-    outside the closure of the ones before it, trying the idempotent indices
-    (g·g a multiple of g) last, so the unit of a group-like table is reached
-    as a product rather than picked.  The closure starts empty, not at the
-    unit, whose law is a check of its own.  Any other table gets every
-    index."""
-    if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
-        return list(range(n))
-    empty: dict = {}
-    idempotent = [g in rows.get(g, empty).get(g, empty) for g in range(n)]
-    gens = []
-    closure: list = []
-    reached = [False] * n
-    for g in sorted(range(n), key=idempotent.__getitem__):
-        if reached[g]:
-            continue
-        gens.append(g)
-        reached[g] = True
-        frontier = [g]
-        while frontier:
-            fresh = []
-            for a in frontier:
-                closure.append(a)
-                row_a = rows.get(a, empty)
-                for b in closure:  # a·b and b·a, each pair once
-                    for terms in (row_a.get(b), rows.get(b, empty).get(a)):
-                        if terms is not None:
-                            for k in terms:
-                                if not reached[k]:
-                                    reached[k] = True
-                                    fresh.append(k)
-            frontier = fresh
-    return gens
-
-
-def _associative_on_generators(rows: dict, n: int) -> bool:
-    """A one-sided certificate that the product with structure constants
-    ``rows`` (indexed by :func:`rows_of`) is associative: True only if it is.
-
-    For any bilinear product the a with (xa)y = x(ay) for all basis x, y form
-    a subspace closed under the product, so it is enough to check them for
-    the generators a of :func:`_basis_generators`.  A triple with x·a = 0 and
-    a·y = 0 has 0 on both sides and is skipped."""
-    empty: dict = {}
-    everything = range(n)
-    for a in _basis_generators(rows, n):
-        right = rows.get(a, empty)  # y -> a·y
-        for x in everything:
-            row_x = rows.get(x, empty)
-            xa = row_x.get(a)
-            for y in (everything if xa is not None else right):
-                lhs: dict = {}
-                if xa is not None:
-                    for k, c in xa.items():
-                        terms = rows.get(k, empty).get(y)
-                        if terms is not None:
-                            vec_add_into(lhs, terms, c)
-                rhs: dict = {}
-                ay = right.get(y)
-                if ay is not None:
-                    for k, c in ay.items():
-                        terms = row_x.get(k)
-                        if terms is not None:
-                            vec_add_into(rhs, terms, c)
-                if not vec_eq(lhs, rhs):
-                    return False
-    return True
-
-
-@object_cache
-def _is_associative(algebra: StarAlgebra) -> bool:
-    """:func:`_associative_on_generators` for ``algebra``, decided once for
-    every certificate that needs it."""
-    return _associative_on_generators(_mult_rows(algebra), algebra.dim)
-
-
-def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict,
-                    b_diag: bool = False) -> dict:
-    """Product of sparse vectors over a tensor product whose first leg
-    multiplies by the table ``arows`` (indexed by :func:`rows_of`) and whose
-    second leg multiplies by the table ``bm``; ``db`` is the dimension of the
-    second leg.
+    """Product of sparse vectors over A⊗B without materializing A⊗B.
 
     ``v`` is grouped by its first-leg index, so each term of ``u`` visits only
-    the first-leg indices that both its row of ``arows`` and ``v`` contain,
-    walking whichever of the two is smaller.  When ``b_diag`` says that ``bm``
-    is diagonal (see :class:`StarAlgebra`), each group is a dict over the
-    second-leg index, and a term of ``u`` looks up its own second-leg index
-    in it instead of walking the group.
+    the first-leg indices that both its row of A's table and ``v`` contain,
+    walking whichever of the two is smaller.  When B is diagonal (see
+    :class:`StarAlgebra`), each group is a dict over the second-leg index,
+    and a term of ``u`` looks up its own second-leg index in it instead of
+    walking the group.
     """
+    arows, bm, db, b_diag = _mult_rows(a), b.mult, b.dim, b._diag
     vrows: dict = {}
     if b_diag:
         for q, cq in v.items():
@@ -444,6 +347,97 @@ def _tensor_product(arows: dict, bm: dict, db: int, u: dict, v: dict,
                         else:
                             acc[k] = t
     return acc
+
+
+@object_cache
+def _mult_rows(algebra: StarAlgebra) -> dict:
+    """The product table indexed by its first index, as ``{i: {j: terms}}``;
+    the terms are shared, not copied."""
+    rows: dict = {}
+    for (i, j), terms in algebra.mult.items():
+        rows.setdefault(i, {})[j] = terms
+    return rows
+
+
+@object_cache
+def _basis_generators(algebra: StarAlgebra) -> tuple:
+    """Basis indices that generate ``algebra``: every basis element is a
+    multiple of a product of them, so a subspace closed under the product
+    that holds them is everything.
+
+    A *monomial* table (each basis product is 0 or a multiple of one basis
+    element) gets them greedily, as groups._generators does: the first index
+    outside the closure of the ones before it, trying the idempotent indices
+    (g·g a multiple of g) last, so the unit of a group-like table is reached
+    as a product rather than picked.  The closure starts empty, not at the
+    unit, whose law is a check of its own.  Any other table gets every
+    index."""
+    n = algebra.dim
+    rows = _mult_rows(algebra)
+    if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
+        return tuple(range(n))
+    empty: dict = {}
+    idempotent = [g in rows.get(g, empty).get(g, empty) for g in range(n)]
+    gens = []
+    closure: list = []
+    reached = [False] * n
+    for g in sorted(range(n), key=idempotent.__getitem__):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        frontier = [g]
+        while frontier:
+            fresh = []
+            for a in frontier:
+                closure.append(a)
+                row_a = rows.get(a, empty)
+                for b in closure:  # a·b and b·a, each pair once
+                    for terms in (row_a.get(b), rows.get(b, empty).get(a)):
+                        if terms is not None:
+                            for k in terms:
+                                if not reached[k]:
+                                    reached[k] = True
+                                    fresh.append(k)
+            frontier = fresh
+    return tuple(gens)
+
+
+@object_cache
+def _is_associative(algebra: StarAlgebra) -> bool:
+    """A one-sided certificate that the product of ``algebra`` is
+    associative: True only if it is.  Decided once per algebra, for every
+    certificate that needs it.
+
+    For any bilinear product the a with (xa)y = x(ay) for all basis x, y form
+    a subspace closed under the product, so it is enough to check them for
+    the generators a of :func:`_basis_generators`.  A triple with x·a = 0 and
+    a·y = 0 has 0 on both sides and is skipped."""
+    rows = _mult_rows(algebra)
+    empty: dict = {}
+    everything = range(algebra.dim)
+    for a in _basis_generators(algebra):
+        right = rows.get(a, empty)  # y -> a·y
+        for x in everything:
+            row_x = rows.get(x, empty)
+            xa = row_x.get(a)
+            for y in (everything if xa is not None else right):
+                lhs: dict = {}
+                if xa is not None:
+                    for k, c in xa.items():
+                        terms = rows.get(k, empty).get(y)
+                        if terms is not None:
+                            vec_add_into(lhs, terms, c)
+                rhs: dict = {}
+                ay = right.get(y)
+                if ay is not None:
+                    for k, c in ay.items():
+                        terms = row_x.get(k)
+                        if terms is not None:
+                            vec_add_into(rhs, terms, c)
+                if not vec_eq(lhs, rhs):
+                    return False
+    return True
 
 
 def tensor_star(a: StarAlgebra, b: StarAlgebra, v: dict) -> dict:
@@ -530,7 +524,7 @@ class BlockAlgebra(StarAlgebra):
     __slots__ = ("blocks", "trace_weights", "trace")
 
     def __init__(self, blocks, trace_weights=None, label=""):
-        blocks = tuple(int(n) for n in blocks)
+        blocks = tuple(exact_int(n, "block size") for n in blocks)
         if not blocks or any(n <= 0 for n in blocks):
             raise InvalidDataError("blocks must be positive integers")
         from .groups import MAX_GROUP_ORDER  # groups imports this module
@@ -598,9 +592,8 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
 
     Each check sweeps its basis indices in lexicographic order and names the
     first failing one.  On the exact backend ``associativity`` first tries a
-    certificate on the algebra's generators (the nucleus lemma, see
-    :func:`_associative_on_generators`), decided once per algebra by
-    :func:`_is_associative`; only a pass is taken from it, so
+    certificate on the algebra's generators (the nucleus lemma), decided once
+    per algebra by :func:`_is_associative`; only a pass is taken from it, so
     every failure and its witness still come from the full sweep.  The float
     backend always runs the full sweep."""
     n = algebra.dim

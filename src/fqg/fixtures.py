@@ -11,7 +11,7 @@ from .algebra import scalar_algebra
 from .constructors import function_algebra, group_algebra
 from .groups import FiniteGroup
 from .hopf import QuantumGroup
-from .linalg import LinearMap
+from .linalg import LinearMap, leg_compose
 from .qfamily import HopfOnTarget, QuantumFamily, identity_family
 from .scalar import scalar
 
@@ -110,10 +110,8 @@ def target_permuted_family(qf: QuantumFamily, perm) -> QuantumFamily:
     m = qf.target_algebra.dim
     if sorted(perm) != list(range(m)):
         raise ValueError("not a permutation of the index basis")
-    one = scalar(1)
-    pmat = LinearMap(m, m, [{perm[j]: one} for j in range(m)])
-    ident = LinearMap.identity(qf.source.dim, one)
-    alpha = ident.tensor(pmat).compose(qf.alpha)
+    pmat = LinearMap(m, m, [{perm[j]: scalar(1)} for j in range(m)])
+    alpha = leg_compose(pmat, qf.alpha, m, 1)
     return QuantumFamily(qf.source, qf.target_algebra, alpha, qf.hopf_on_target,
                          "permuted(%s)" % qf.label)
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import InvalidDataError, Element, StarAlgebra
-from .hopf import QuantumGroup, _dual_tables, verify_quantum_group
+from .hopf import QuantumGroup, dual_algebra, dual_coproduct, verify_quantum_group
 from .linalg import LinearMap, entry_eq, vec_eq, vec_scale
 from .report import Check, Report, sweep
-from .scalar import object_cache, scalar
+from .scalar import cache_value, object_cache, scalar
 
 
 # -- convolution --------------------------------------------------------------
@@ -107,42 +107,33 @@ class DualPair:
         return "DualPair(%r)" % (self.primal.label,)
 
 
+def _fourier_matrix(g: QuantumGroup) -> LinearMap:
+    """F(e_j) = Σ_i h(e_i e_j) e_i*, read off :func:`pair_haar`."""
+    cols = [dict() for _ in range(g.dim)]
+    for (i, j), v in pair_haar(g).items():
+        cols[j][i] = v
+    return LinearMap(g.dim, g.dim, cols)
+
+
 def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
     """Construct the dual quantum group on the dual basis {e_i*}.
 
-    Dual product is convolution of functionals, dual coproduct is dual to
-    multiplication, the dual Haar state is normalized to be a state.
+    Its algebra is ``hopf.dual_algebra(g)`` and its coproduct
+    ``hopf.dual_coproduct(g)``, the ones the certificates of
+    ``verify_quantum_group(g)`` read; the dual Haar state is normalized to
+    be a state.  The dual's own dual algebra is recorded as ``g.algebra``:
+    its product is Δ̂ transposed, the multiplication of ``g`` transposed
+    twice, which is ``g``'s table exactly (Van Daele, "An algebraic
+    framework for group duality", Adv. Math. 140, 1998).
     """
     n = g.dim
-    one = scalar(1)
     a = g.algebra
 
-    ph = pair_haar(g)
-    f_cols = [dict() for _ in range(n)]
-    for (i, j), v in ph.items():
-        f_cols[j][i] = v
-    fourier = LinearMap(n, n, f_cols)
+    fourier = _fourier_matrix(g)
     try:
         fourier_inv = fourier.inverse()
     except ValueError:
         raise InvalidDataError("fourier matrix is singular; haar state is not faithful")
-
-    # product: (e_i* e_j*)(e_k) = Δ(e_k) at (i, j); coproduct dual to
-    # multiplication: Δ̂(e_k*)(e_i⊗e_j) = e_k*(e_i e_j)
-    mult, delta_cols = _dual_tables(g)
-
-    # unit of the dual is the counit of the primal
-    unit = {i: v for i, v in ((i, g.counit.cols[i].get(0)) for i in range(n)) if v is not None}
-
-    # (e_i*)*(e_j) = conj( (S e_j)* evaluated at i )
-    star_cols = [dict() for _ in range(n)]
-    for j in range(n):
-        w = a.star_vec(g.antipode.cols[j])
-        for i, c in w.items():
-            star_cols[i][j] = c.conj()
-    dual_star = LinearMap(n, n, star_cols)
-
-    dual_delta = LinearMap(n, n * n, delta_cols)
 
     # counit: evaluation at the unit
     dual_counit = LinearMap(n, 1, [{0: c} if (c := a.unit.get(i)) is not None else {}
@@ -156,9 +147,10 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
 
     dual_eta = fourier.apply(a.unit)
 
-    dual_algebra = StarAlgebra(n, mult, unit, dual_star, "dual(%s)" % g.label)
-    dual = QuantumGroup(dual_algebra, dual_delta, dual_counit, dual_antipode,
+    algebra = dual_algebra(g)
+    dual = QuantumGroup(algebra, dual_coproduct(g), dual_counit, dual_antipode,
                         dual_haar, dual_eta, "dual(%s)" % g.label)
+    cache_value(dual_algebra, dual, a)
 
     if verify:
         rep = verify_quantum_group(dual)
@@ -170,16 +162,10 @@ def build_dual(g: QuantumGroup, verify: bool = True) -> DualPair:
         if not (h_eta_dual - h_eta).is_zero():
             raise InvalidDataError("dual haar element value mismatch")
         expected_unit = vec_scale(fourier.apply(g.haar_element), h_eta.inv())
-        if not vec_eq(expected_unit, unit):
+        if not vec_eq(expected_unit, algebra.unit):
             raise InvalidDataError("dual unit disagrees with F(eta)/h(eta)")
 
-    ph_dual = pair_haar(dual)
-    fd_cols = [dict() for _ in range(n)]
-    for (i, j), v in ph_dual.items():
-        fd_cols[j][i] = v
-    fourier_dual = LinearMap(n, n, fd_cols)
-
-    return DualPair(g, dual, fourier, fourier_inv, fourier_dual)
+    return DualPair(g, dual, fourier, fourier_inv, _fourier_matrix(dual))
 
 
 @object_cache

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .algebra import InvalidDataError
+from .algebra import InvalidDataError, exact_int
 
 # Largest group order accepted: the multiplication table has order**2 cells.
 # S4 x S4 (576) still fits.
@@ -28,7 +28,7 @@ class FiniteGroup:
     __slots__ = ("order", "table", "identity", "inverse", "label", "_cache")
 
     def __init__(self, table, label=""):
-        table = tuple(tuple(map(int, row)) for row in table)
+        table = tuple(tuple(exact_int(x, "group table entry") for x in row) for row in table)
         n = len(table)
         if n == 0:
             raise InvalidDataError("empty multiplication table")

@@ -12,12 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .algebra import (InvalidDataError, StarAlgebra, _associative_on_generators,
-                      _basis_generators, _mult_rows, _tensor_product, hom_predicate,
-                      rows_of, tensor_mult, tensor_vec)
+from .algebra import (InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
+                      hom_indices, hom_predicate, tensor_mult, tensor_vec)
 from .linalg import (LinearMap, entry_eq, leg_apply, nullspace_basis, vec_add_into,
                      vec_eq, vec_scale, vec_sub)
-from .report import Check, Report, sweep
+from .report import Check, Report, first_failure, sweep
 from .scalar import QQi, object_cache, scalar, zero_like
 
 
@@ -177,23 +176,39 @@ def _mult_map_apply(algebra: StarAlgebra, v: dict) -> dict:
     return acc
 
 
-def _dual_tables(g: QuantumGroup) -> tuple:
-    """The dual's product table and coproduct columns, read off ``g``.
+@object_cache
+def dual_algebra(g: QuantumGroup) -> StarAlgebra:
+    """The dual's algebra on the dual basis {e_i*}, built once per ``g`` and
+    shared by the certificates of :func:`verify_quantum_group` and by
+    ``fourier.build_dual``.
 
-    The product is the transposed coproduct, (e_i* e_j*)(e_k) = Δ(e_k) at
-    (i, j), as ``{(i, j): {k: c}}``; the coproduct is the transposed
-    multiplication, Δ̂(e_k*)(e_i⊗e_j) = e_k*(e_i e_j), as n columns."""
+    Its product is Δ transposed, (e_i* e_j*)(e_k) = Δ(e_k) at (i, j); its
+    unit is the counit; its star is (e_i*)*(e_j) = conj((S e_j)* at i)."""
     n = g.dim
+    a = g.algebra
     mult: dict = {}
     for k, col in enumerate(g.coproduct.cols):
         for r, c in col.items():
             mult.setdefault(divmod(r, n), {})[k] = c
-    delta_cols = [dict() for _ in range(n)]
+    unit = {i: c for i, col in enumerate(g.counit.cols) if (c := col.get(0)) is not None}
+    star_cols = [dict() for _ in range(n)]
+    for j in range(n):
+        for i, c in a.star_vec(g.antipode.cols[j]).items():
+            star_cols[i][j] = c.conj()
+    return StarAlgebra(n, mult, unit, LinearMap(n, n, star_cols), "dual(%s)" % g.label)
+
+
+@object_cache
+def dual_coproduct(g: QuantumGroup) -> LinearMap:
+    """The dual's coproduct, the multiplication transposed:
+    Δ̂(e_k*)(e_i⊗e_j) = e_k*(e_i e_j)."""
+    n = g.dim
+    cols = [dict() for _ in range(n)]
     for (i, j), terms in g.algebra.mult.items():
         r = i * n + j
         for k, c in terms.items():
-            delta_cols[k][r] = c
-    return mult, delta_cols
+            cols[k][r] = c
+    return LinearMap(n, n * n, cols)
 
 
 @object_cache
@@ -205,9 +220,9 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     certificate on generators (the nucleus lemma), and take only a pass from
     it, so every failure and its witness still come from the full sweep:
     ``associativity`` (see :func:`verify_star_algebra`); ``coassociativity``,
-    as associativity of the dual product, the transposed coproduct; and,
-    once both of those passed, ``coproduct_multiplicative``, checked for the
-    generators of the algebra or of the dual, whichever are fewer.  The float
+    as associativity of :func:`dual_algebra`; and, once both of those
+    passed, ``coproduct_multiplicative``, checked for the generators of the
+    algebra or of the dual, whichever are fewer.  The float
     backend always runs the full sweeps.  Δ's unit, product and star laws are
     those of :func:`hom_predicate` for Δ: A → A⊗A."""
     from .algebra import verify_star_algebra
@@ -239,16 +254,11 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
 
     coproduct_law = hom_predicate(a, a, delta)
 
-    def multiplicative(ij):
-        return coproduct_law(("multiplicative",) + ij)
-
-    # the dual tables are built inside each certificate and dropped after it,
-    # so they never add to the memory of the sweeps that follow
     coassociativity = sweep(
         "coassociativity", range(n),
         lambda j: vec_eq(leg_apply(delta, delta.cols[j], n, 0),
                          leg_apply(delta, delta.cols[j], n, 1)),
-        certificate=lambda: _associative_on_generators(rows_of(_dual_tables(g)[0]), n))
+        certificate=lambda: _is_associative(dual_algebra(g)))
 
     def multiplicative_on_generators():
         # The a with Δ(ax) = Δ(a)Δ(x) for all x are closed under the product
@@ -257,17 +267,13 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         # dual product once Δ is coassociative.
         if not (coassociativity.passed and star_report.check("associativity").passed):
             return False
-        dual_mult, dual_delta = _dual_tables(g)
-        dual_rows = rows_of(dual_mult)
-        gens = _basis_generators(_mult_rows(a), n)
-        dual_gens = _basis_generators(dual_rows, n)
+        dual = dual_algebra(g)
+        gens, dual_gens = _basis_generators(a), _basis_generators(dual)
         if len(gens) <= len(dual_gens):
-            return all(multiplicative((i, j)) for i in gens for j in range(n))
-        dual_coproduct = LinearMap(n, n * n, dual_delta)
-        cols = dual_coproduct.cols
-        return all(vec_eq(dual_coproduct.apply(dual_mult.get((p, q), {})),
-                          _tensor_product(dual_rows, dual_mult, n, cols[p], cols[q]))
-                   for p in dual_gens for q in range(n))
+            law, left = coproduct_law, gens
+        else:
+            law, left = hom_predicate(dual, dual, dual_coproduct(g)), dual_gens
+        return first_failure(hom_indices(n, ("multiplicative",), left), law) is None
 
     h_eta = g.haar_of_eta()
     h_eta_ok = (h_eta - scalar(Fraction(1, n))).is_zero()
@@ -275,7 +281,8 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         coassociativity,
         sweep("counit_law", range(n), lambda j: on_both_legs(eps, delta.cols[j], {j: one})),
         Check("coproduct_unital", coproduct_law(("unit",)), ()),
-        sweep("coproduct_multiplicative", product(range(n), repeat=2), multiplicative,
+        sweep("coproduct_multiplicative", product(range(n), repeat=2),
+              lambda ij: coproduct_law(("multiplicative",) + ij),
               certificate=multiplicative_on_generators),
         sweep("coproduct_star", range(n), lambda i: coproduct_law(("star", i))),
         Check("counit_unital", entry_eq(eps.apply(unit).get(0), one), ()),

@@ -264,6 +264,17 @@ def leg_apply(m: LinearMap, v: dict, right_dim: int, leg: int) -> dict:
     return acc
 
 
+def leg_compose(m: LinearMap, first: LinearMap, right_dim: int, leg: int) -> LinearMap:
+    """(m⊗id)∘first for leg 0, (id⊗m)∘first for leg 1: :func:`leg_apply`
+    on each column of ``first``, a map into X⊗Y with dim Y = ``right_dim``."""
+    if leg == 0:
+        target_dim = m.target_dim * right_dim
+    else:
+        target_dim = first.target_dim // right_dim * m.target_dim
+    return LinearMap(first.source_dim, target_dim,
+                     [leg_apply(m, col, right_dim, leg) for col in first.cols])
+
+
 def flip_map(dim_a: int, dim_b: int, one) -> LinearMap:
     """The tensor flip e_i⊗f_j ↦ f_j⊗e_i as a permutation matrix."""
     cols = []

@@ -319,3 +319,10 @@ def object_cache(fn):
         return obj._cache[key]
 
     return wrapper
+
+
+def cache_value(cached, obj, value, *args) -> None:
+    """Store ``value``, known to equal ``cached(obj, *args)`` for an
+    :func:`object_cache` function ``cached``, as that call's memo; the
+    remaining arguments are given positionally."""
+    obj._cache[(inspect.unwrap(cached), args, _backend_key())] = value

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import BlockAlgebra, InvalidDataError, StarAlgebra
+from .algebra import BlockAlgebra, InvalidDataError, StarAlgebra, exact_int
 from .groups import FiniteGroup, group_from_table, named_group
 from .hopf import QuantumGroup, solve_haar_element, solve_haar_state, verify_quantum_group
 from .linalg import LinearMap
@@ -120,25 +120,17 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
     return d
 
 
-def _index(x, what: str) -> int:
-    """``x`` if it is a JSON integer; a float, a string or a boolean is
-    refused rather than coerced, so a table loads as the file states it."""
-    if type(x) is not int:
-        raise InvalidDataError("%s %.40r is not an integer" % (what, x))
-    return x
-
-
 def algebra_from_dict(d: dict) -> StarAlgebra:
     try:
         if "blocks" in d and "mult" not in d:
             return BlockAlgebra(d["blocks"], d.get("trace_weights"), d.get("label", ""))
-        dim = _index(d["dim"], "dim")
+        dim = exact_int(d["dim"], "dim")
         mult = {}
         parse = _cell_parser()
         for row in d["mult"]:
             i, j, k, re, im = row
-            terms = mult.setdefault((_index(i, "mult index"), _index(j, "mult index")), {})
-            if _index(k, "mult index") in terms:
+            terms = mult.setdefault((exact_int(i, "mult index"), exact_int(j, "mult index")), {})
+            if exact_int(k, "mult index") in terms:
                 raise InvalidDataError("mult states (i, j, k) = %r twice" % ((i, j, k),))
             terms[k] = parse([re, im])  # StarAlgebra drops the zeros
         unit = vector_from_list(d["unit"], dim)
@@ -195,7 +187,7 @@ def group_to_dict(g: FiniteGroup) -> dict:
 def group_from_dict(d: dict) -> FiniteGroup:
     try:
         table = d["table"]
-        if len(table) != int(d["order"]):
+        if len(table) != exact_int(d["order"], "order"):
             raise InvalidDataError("declared order disagrees with the table")
         return group_from_table(table, d.get("label", ""))
     except (KeyError, TypeError, ValueError) as exc:

@@ -272,12 +272,12 @@ def test_group_like_generators_skip_the_identity_and_reach_everything(name):
     group = named_group(name)
     fun = function_algebra(group)
     n = group.order
-    for rows in (_mult_rows(group_algebra(group).algebra), _mult_rows(convolution_algebra(fun))):
-        gens = _basis_generators(rows, n)
+    for algebra in (group_algebra(group).algebra, convolution_algebra(fun)):
+        gens = _basis_generators(algebra)
         assert group.identity not in gens
-        assert _closure(rows, gens) == set(range(n))
+        assert _closure(_mult_rows(algebra), gens) == set(range(n))
     # every basis element of fun(G) is idempotent, so each one is a generator
-    assert _basis_generators(_mult_rows(fun.algebra), n) == list(range(n))
+    assert _basis_generators(fun.algebra) == tuple(range(n))
 
 
 def test_block_algebra_m2_plus_c():
@@ -369,7 +369,6 @@ def test_tensor_mult_matches_tensor_algebra(first, second):
 
 
 def test_convolution_kernel_matches_tensor_algebra():
-    from fqg.algebra import _tensor_product
     from fqg.fourier import conv_table
     from fqg.linalg import LinearMap
 
@@ -381,12 +380,11 @@ def test_convolution_kernel_matches_tensor_algebra():
 
     @given(vectors, vectors)
     def agree(u, v):
-        assert vec_eq(_tensor_product(_mult_rows(convolution_algebra(g)), b.mult, b.dim, u, v),
-                      ab.multiply_vec(u, v))
+        assert vec_eq(tensor_mult(convolution_algebra(g), b, u, v), ab.multiply_vec(u, v))
 
     agree()
     dense = _dense(ab.dim)
-    assert vec_eq(_tensor_product(_mult_rows(convolution_algebra(g)), b.mult, b.dim, dense, dense),
+    assert vec_eq(tensor_mult(convolution_algebra(g), b, dense, dense),
                   ab.multiply_vec(dense, dense))
 
 

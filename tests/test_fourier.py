@@ -9,7 +9,7 @@ from fqg.fourier import (build_dual, check_iteration_lemma, conv_adjoint,
                          conv_table, conv_vec, convolve, dual_pair,
                          verify_fourier_identities)
 from fqg.groups import cyclic, named_group
-from fqg.hopf import QuantumGroup
+from fqg.hopf import QuantumGroup, dual_algebra
 from fqg.linalg import vec_eq, vec_scale
 from fqg.scalar import QQi, scalar
 
@@ -169,3 +169,13 @@ def test_dual_pair_leaves_no_reference_cycle():
         gc.garbage.clear()
         gc.enable()
     assert left == []
+
+
+def test_the_dual_is_built_on_the_one_dual_algebra():
+    for build in (function_algebra, group_algebra):
+        g = build(named_group("S3"))
+        pair = dual_pair(g)
+        assert pair.dual.algebra is dual_algebra(g)
+        # the double dual is not rebuilt: the dual's dual algebra is g's
+        assert dual_algebra(pair.dual) is g.algebra
+        assert dual_pair(pair.dual).dual.algebra is g.algebra

@@ -9,13 +9,13 @@ import fqg.qfamily
 from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra, scalar_algebra
 from fqg.classical import enumerate_automorphisms, universal_classical_family
 from fqg.constructors import function_algebra, group_algebra
-from fqg.fourier import conv_table
+from fqg.fourier import conv_table, dual_pair
 from fqg.fixtures import (broken_adjoint_family, counit_degenerate_family,
                           identity_family_with_hopf, target_permuted_family,
                           translation_family)
 from fqg.groups import cyclic, named_group
 from fqg.hopf import QuantumGroup
-from fqg.linalg import LinearMap
+from fqg.linalg import LinearMap, leg_compose
 from fqg.qfamily import (QuantumFamily, check_action, check_family,
                          check_convolution_preservation, compose,
                          double_hat_formula_matches, hat, identity_family,
@@ -106,6 +106,56 @@ def test_dual_equivalences_hold_for_arbitrary_maps(coeffs):
     qf = _random_family(coeffs)
     rep = verify_dual_equivalences(qf)
     assert rep.passed, [(c.name, c.witness) for c in rep.checks]
+
+
+def _tensor_and_compose(f, alpha, m, leg):
+    """The one-leg map through the Kronecker product: (f⊗id_m)∘α for leg 0,
+    (id⊗f)∘α for leg 1, where α maps into X⊗B and m = dim B."""
+    one = scalar(1)
+    if leg == 0:
+        return f.tensor(LinearMap.identity(m, one)).compose(alpha)
+    return LinearMap.identity(alpha.target_dim // m, one).tensor(f).compose(alpha)
+
+
+def _one_leg_oracle(qf):
+    g, m = qf.source, qf.target_algebra.dim
+    pair = dual_pair(g)
+    assert hat(qf).alpha == _tensor_and_compose(pair.fourier, qf.alpha, m, 0).compose(
+        pair.fourier_inv)
+    assert leg_compose(g.antipode, qf.alpha, m, 0) == \
+        _tensor_and_compose(g.antipode, qf.alpha, m, 0)
+    perm = [(j + 1) % m for j in range(m)]
+    pmat = LinearMap(m, m, [{perm[j]: scalar(1)} for j in range(m)])
+    assert target_permuted_family(qf, perm).alpha == _tensor_and_compose(pmat, qf.alpha, m, 1)
+
+
+ONE_LEG_FAMILIES = {
+    "universal(S3)": lambda: universal_classical_family(named_group("S3")),
+    "universal(D4)∘universal(D4)": lambda: compose(
+        universal_classical_family(named_group("D4")),
+        universal_classical_family(named_group("D4"))),
+    "translation(Z4)": lambda: translation_family(cyclic(4)),
+    "identity(grp(S3)) over M1+M2": lambda: identity_family(
+        group_algebra(named_group("S3")), BlockAlgebra([1, 2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LEG_FAMILIES))
+def test_one_leg_maps_match_the_tensor_and_compose_formula(name):
+    _one_leg_oracle(ONE_LEG_FAMILIES[name]())
+
+
+@given(st.lists(entries, min_size=18, max_size=18))
+@settings(max_examples=20)
+def test_one_leg_maps_match_the_tensor_and_compose_formula_on_arbitrary_maps(coeffs):
+    _one_leg_oracle(_random_family(coeffs))
+
+
+def test_compose_matches_the_tensor_and_compose_formula():
+    beta = universal_classical_family(named_group("S3"))
+    gamma = translation_family(named_group("S3"))
+    assert compose(beta, gamma).alpha == _tensor_and_compose(
+        beta.alpha, gamma.alpha, gamma.target_algebra.dim, 0)
 
 
 def test_hat_of_universal_family_is_automorphism_family_on_dual():

@@ -1,11 +1,15 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 import fqg.algebra
+from fqg.algebra import StarAlgebra, verify_star_algebra
 from fqg.constructors import quantum_group_data_equal
 from fqg.fourier import dual_pair
 from fqg.groups import CATALOG
-from fqg.hopf import solve_haar_element, solve_haar_state
+from fqg.hopf import (QuantumGroup, dual_algebra, dual_coproduct, solve_haar_element,
+                      solve_haar_state, verify_quantum_group)
 from fqg.linalg import vec_eq
 from fqg.selftest import catalog_quantum_group, run_selftest, selftest_to_dict
 from fqg.serialize import canonical_json
@@ -31,6 +35,21 @@ def test_double_dual_across_catalog():
             pair2 = dual_pair(pair.dual)
             assert quantum_group_data_equal(pair2.dual, qg), (name, kind)
             assert pair2.fourier == pair.fourier_dual
+
+
+@pytest.mark.parametrize("kind", ["fun", "grp"])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_transposing_twice_gives_back_the_algebra(name, kind):
+    # what build_dual records as the dual's dual algebra, computed instead
+    g = catalog_quantum_group(name, kind)
+    d = dual_pair(g).dual
+    fresh = QuantumGroup(d.algebra, d.coproduct, d.counit, d.antipode, d.haar_state,
+                         d.haar_element, d.label)
+    twice = dual_algebra(fresh)
+    assert twice is not g.algebra
+    assert twice.mult == g.algebra.mult
+    assert vec_eq(twice.unit, g.algebra.unit) and twice.star == g.algebra.star
+    assert dual_coproduct(fresh) == g.coproduct
 
 
 def test_selftest_all_suites_pass():
@@ -114,21 +133,46 @@ def _clear_memos():
                     obj.cache_clear()
 
 
-def test_selftest_decides_each_associativity_once(monkeypatch):
-    """No structure-constant table reaches the associativity certificate twice
-    in one cold run.  Every table seen is kept alive, so no id is reused."""
-    original = fqg.algebra._associative_on_generators
-    seen = []
+def record_associativity_decisions(monkeypatch):
+    """Every algebra whose associativity is decided from now on, in order:
+    a call of ``_is_associative`` that its memo does not answer.  Each
+    algebra seen is kept alive, so no id is reused."""
+    original = fqg.algebra._is_associative
+    raw = original.__wrapped__
+    decided = []
 
-    def recorded(rows, n):
-        seen.append(rows)
-        return original(rows, n)
+    def recorded(algebra):
+        if not any(key[0] is raw for key in algebra._cache):
+            decided.append(algebra)
+        return original(algebra)
 
     for name, module in list(sys.modules.items()):
-        if (name.startswith("fqg.")
-                and getattr(module, "_associative_on_generators", None) is original):
-            monkeypatch.setattr(module, "_associative_on_generators", recorded)
+        if name.startswith("fqg.") and getattr(module, "_is_associative", None) is original:
+            monkeypatch.setattr(module, "_is_associative", recorded)
+    return decided
+
+
+def test_selftest_decides_each_associativity_once(monkeypatch):
+    """No algebra reaches the associativity certificate twice in one cold run."""
+    decided = record_associativity_decisions(monkeypatch)
     _clear_memos()
     assert all(r.passed for r in run_selftest())
-    assert seen
-    assert len({id(rows) for rows in seen}) == len(seen)
+    assert decided
+    assert len({id(algebra) for algebra in decided}) == len(decided)
+
+
+@pytest.mark.parametrize("kind", ["fun", "grp"])
+@pytest.mark.parametrize("name", ["Z6", "S3", "Q8"])
+def test_one_positive_item_decides_associativity_twice(name, kind, monkeypatch):
+    """A star algebra, its quantum group and its dual pair, from cold
+    memos: the algebra and the dual algebra are decided once each."""
+    qg = catalog_quantum_group(name, kind)
+    a = qg.algebra
+    algebra = StarAlgebra(a.dim, a.mult, a.unit, a.star, a.label)
+    g = QuantumGroup(algebra, qg.coproduct, qg.counit, qg.antipode, qg.haar_state,
+                     qg.haar_element, qg.label)
+    decided = record_associativity_decisions(monkeypatch)
+    assert verify_star_algebra(algebra).passed
+    assert verify_quantum_group(g).passed
+    pair = dual_pair(g)
+    assert [id(x) for x in decided] == [id(algebra), id(pair.dual.algebra)]

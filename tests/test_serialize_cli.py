@@ -381,6 +381,36 @@ def test_cli_mult_indices_and_dim_are_not_coerced(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
 
 
+def test_cli_group_tables_orders_and_block_sizes_are_not_coerced(tmp_path, capsys):
+    # each of these once loaded: a cell of 1.7 as 1 (so the table was Z2), an
+    # order of 2.5 or "2" as 2, and a block size of 1.5, True or "2" as an int
+    path = tmp_path / "group.json"
+    z2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    for change, message in (
+            ({"table": [[0, 1.7], [1, 0]]}, "group table entry 1.7 is not an integer"),
+            ({"table": [[0, True], [1, 0]]}, "group table entry True is not an integer"),
+            ({"table": [[0, "1"], [1, 0]]}, "group table entry '1' is not an integer"),
+            ({"order": 2.5}, "order 2.5 is not an integer"),
+            ({"order": "2"}, "order '2' is not an integer")):
+        path.write_text(canonical_json(dict(z2, **change)))
+        assert main(["build", "--group", str(path), "--kind", "fun"]) == 2, change
+        assert capsys.readouterr().err == "error: [input] %s\n" % message, change
+    path.write_text(canonical_json(z2))
+    assert main(["build", "--group", str(path), "--kind", "fun"]) == 0
+    capsys.readouterr()
+
+    one, zero = ["1", "0"], ["0", "0"]
+    family = {"source": {"group": "Z2", "kind": "fun"}, "alpha": [[one, zero], [zero, one]]}
+    for blocks, message in (([1.5], "block size 1.5 is not an integer"),
+                            ([True, 2], "block size True is not an integer"),
+                            (["2"], "block size '2' is not an integer")):
+        path.write_text(canonical_json(dict(family, target={"blocks": blocks})))
+        assert main(["check-family", str(path)]) == 2, blocks
+        assert capsys.readouterr().err == "error: [input] %s\n" % message, blocks
+    path.write_text(canonical_json(dict(family, target={"blocks": [1]})))
+    assert main(["check-family", str(path)]) == 0
+
+
 def test_cli_skip_verify_flag(tmp_path):
     g = function_algebra(cyclic(3))
     d = quantum_group_to_dict(g)
