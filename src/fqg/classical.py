@@ -201,10 +201,44 @@ def check_magic_unitary(matrix: MagicMatrix) -> Report:
 
 
 @object_cache
+def _translation_invariant(matrix: MagicMatrix) -> bool:
+    """Whether p[x][y]·p[a][b] = p[x][y]·p[xa][yb] for every nonzero p[x][y]
+    and all a, b.
+
+    For each such (x, y) the n² products p[x][y]·p[a][b] are formed once and
+    compared with each other; a mismatch stops the walk.  These are the
+    equations of ``shift_relation``, and those of ``localized_relation`` under
+    other indices; see :func:`check_order_properties` for the relations that
+    follow from them."""
+    grp = matrix.group
+    b = matrix.target
+    p = matrix.entries
+    n = grp.order
+    tbl = grp.table
+    for x in range(n):
+        tx = tbl[x]
+        for y in range(n):
+            pxy = p[x][y]
+            if not pxy:
+                continue
+            ty = tbl[y]
+            prods = [[b.multiply_vec(pxy, e) for e in row] for row in p]
+            if not all(vec_eq(prods[a][c], prods[tx[a]][ty[c]])
+                       for a in range(n) for c in range(n)):
+                return False
+    return True
+
+
+@object_cache
 def check_dualact_consequences(matrix: MagicMatrix) -> Report:
     """Identities forced on an action once it preserves the convolution
     product, replayed in the order they are derived: the localized relation,
-    then the unit entry, the border row and column, and inverse symmetry."""
+    then the unit entry, the border row and column, and inverse symmetry.
+
+    On the exact backend a passing :func:`_translation_invariant` passes
+    ``localized_relation`` without its sweep: its equation at (u, x, y, z)
+    is the translation equation at (u, y, u⁻¹x, z) with the sides swapped.
+    A failure and its witness always come from the sweep."""
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
@@ -223,7 +257,8 @@ def check_dualact_consequences(matrix: MagicMatrix) -> Report:
     checks = [
         sweep("localized_relation",
               ((u, x, y, z) for u in range(n) for y in range(n) if p[u][y]
-               for x in range(n) for z in range(n)), localized),
+               for x in range(n) for z in range(n)), localized,
+              certificate=lambda: _translation_invariant(matrix)),
         Check("unit_entry", vec_eq(p[e][e], unit), ()),
         sweep("border_row", range(n), lambda y: vec_eq(p[e][y], unit if y == e else {})),
         sweep("border_column", range(n), lambda x: vec_eq(p[x][e], unit if x == e else {})),
@@ -237,7 +272,15 @@ def check_dualact_consequences(matrix: MagicMatrix) -> Report:
 def check_order_properties(matrix: MagicMatrix) -> Report:
     """Order preservation: vanishing on mismatched orders, the power
     commutations, projection domination along powers, the inductive shift
-    relation, and the two-sided rewrite of the convolution relation."""
+    relation, and the two-sided rewrite of the convolution relation.
+
+    On the exact backend the last three take a certificate.  The equations
+    of ``shift_relation`` are those of :func:`_translation_invariant`.
+    Translating k times turns p[x][y]·p[x^{k+1}][y^k u] into p[x][y]·p[x][u]
+    and p[x][y]·p[x^k][y^k] into p[x][y]², so once the matrix is also a
+    magic unitary (idempotent entries, orthogonal rows) ``inductive_relation``
+    and ``power_domination`` hold.  A failure and its witness always come
+    from the sweep."""
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
@@ -267,6 +310,9 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
         return vec_eq(b.multiply_vec(p[x][y], p[z][u]),
                       b.multiply_vec(p[x][y], p[tbl[x][z]][tbl[y][u]]))
 
+    def translated_magic():
+        return _translation_invariant(matrix) and check_magic_unitary(matrix).passed
+
     checks = [
         sweep("order_mismatch_zero", product(range(n), repeat=2),
               lambda xy: orders[xy[0]] == orders[xy[1]] or vec_is_zero(p[xy[0]][xy[1]])),
@@ -278,12 +324,13 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
                for y in range(n) if p[y][x] for z in range(n) if p[z][xn]), _commute(b, p)),
         sweep("power_domination",
               ((x, y, xn, yn) for x, y in live for xn, yn in zip(pw[x][2:], pw[y][2:])),
-              dominated),
+              dominated, certificate=translated_magic),
         sweep("inductive_relation",
               ((x, y, k, u) for x, y in live for k in range(1, exponent + 1) for u in range(n)),
-              inductive),
+              inductive, certificate=translated_magic),
         sweep("shift_relation",
-              ((x, y, z, u) for x, y in live for z in range(n) for u in range(n)), shift),
+              ((x, y, z, u) for x, y in live for z in range(n) for u in range(n)), shift,
+              certificate=lambda: _translation_invariant(matrix)),
     ]
     return Report("order-properties", checks)
 

@@ -288,15 +288,17 @@ def rank_of_vectors(vectors, dim: int) -> int:
     """Rank of a family of sparse vectors inside a dim-dimensional space.
 
     Exact backend: fraction-free (Bareiss) elimination on Gaussian-integer
-    rows.  Float backend: ``_eliminate``, with the global tolerance deciding
-    what counts as zero.
+    rows, one per distinct vector, since a repeated row cannot change the
+    rank.  Float backend: ``_eliminate`` on every row, with the global
+    tolerance deciding what counts as zero.
     """
     rows = [v for v in vectors if not vec_is_zero(v)]
     if not rows:
         return 0
     sample = next(iter(rows[0].values()))
     if type(sample) is QQi:
-        return _rank_bareiss([_gaussian_integer_row(v, dim) for v in rows], dim)
+        distinct = {frozenset(v.items()): v for v in rows}
+        return _rank_bareiss([_gaussian_integer_row(v, dim) for v in distinct.values()], dim)
     zero = zero_like(sample)
     return len(_eliminate([[v.get(c, zero) for c in range(dim)] for v in rows], dim))
 

@@ -122,8 +122,14 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
 
 def algebra_from_dict(d: dict) -> StarAlgebra:
     try:
+        weights = d.get("trace_weights")
+        # rationals travel as strings; BlockAlgebra would take a JSON number
+        # by its binary value and a bool as 0 or 1
+        if weights is not None and (type(weights) is not list
+                                    or any(type(w) is not str for w in weights)):
+            raise InvalidDataError("trace_weights %.40r must be a list of strings" % (weights,))
         if "blocks" in d and "mult" not in d:
-            return BlockAlgebra(d["blocks"], d.get("trace_weights"), d.get("label", ""))
+            return BlockAlgebra(d["blocks"], weights, d.get("label", ""))
         dim = exact_int(d["dim"], "dim")
         mult = {}
         parse = _cell_parser()

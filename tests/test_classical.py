@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fqg.algebra import BlockAlgebra, InvalidDataError
+from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra
 from fqg.classical import (MagicMatrix, automorphism_group,
                            check_cyclic_identity, check_dual_group_theorem,
                            check_dualact_consequences, check_magic_unitary,
@@ -14,10 +16,10 @@ from fqg.classical import (MagicMatrix, automorphism_group,
 from fqg.constructors import function_algebra, group_algebra
 from fqg.fixtures import (counit_degenerate_family, sign_twisted_dual_family,
                           translation_family, trivial_hopf_target)
-from fqg.groups import cyclic, klein4, named_group
+from fqg.groups import CATALOG, cyclic, klein4, named_group
 from fqg.linalg import vec_eq
 from fqg.qfamily import QuantumFamily, hat, identity_family
-from fqg.scalar import scalar
+from fqg.scalar import scalar, use_backend
 
 AUT_ORDERS = {"Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4,
               "K4": 6, "S3": 6, "D4": 8, "Q8": 24, "S4": 24}
@@ -238,3 +240,204 @@ def test_dual_group_theorem_negative_control_fails_at_idempotency():
     assert fails and fails[0] == "entries_idempotent"
     assert rep.check("counit_of_entries").passed
     assert rep.check("coproduct_of_entries").passed
+
+
+# -- the translation certificate against full sweeps ------------------------------
+
+CERTIFIED = ("shift_relation", "localized_relation", "inductive_relation", "power_domination")
+SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
+
+
+def _full_sweeps(m):
+    """(passed, witness) of each certified relation from plain lexicographic
+    loops over its own equations, with no certificate in front."""
+    grp, b, p = m.group, m.target, m.entries
+    n, tbl, inv = grp.order, grp.table, grp.inverse
+    mul = b.multiply_vec
+    live = [(x, y) for x in range(n) for y in range(n) if p[x][y]]
+    exponent = grp.exponent()
+
+    def first(indices, pred):
+        for w in indices:
+            if not pred(*w):
+                return False, w
+        return True, ()
+
+    return {
+        "shift_relation": first(
+            ((x, y, z, u) for x, y in live for z in range(n) for u in range(n)),
+            lambda x, y, z, u: vec_eq(mul(p[x][y], p[z][u]),
+                                      mul(p[x][y], p[tbl[x][z]][tbl[y][u]]))),
+        "localized_relation": first(
+            ((u, x, y, z) for u, y in live for x in range(n) for z in range(n)),
+            lambda u, x, y, z: vec_eq(mul(p[u][y], p[x][tbl[y][z]]),
+                                      mul(p[u][y], p[tbl[inv[u]][x]][z]))),
+        "inductive_relation": first(
+            ((x, y, k, u) for x, y in live for k in range(1, exponent + 1) for u in range(n)),
+            lambda x, y, k, u: vec_eq(
+                mul(p[x][y], p[grp.power(x, k + 1)][tbl[grp.power(y, k)][u]]),
+                p[x][y] if u == y else {})),
+        "power_domination": first(
+            ((x, y, grp.power(x, k), grp.power(y, k))
+             for x, y in live for k in range(2, exponent + 2)),
+            lambda x, y, xn, yn: vec_eq(mul(p[x][y], p[xn][yn]), p[x][y])),
+    }
+
+
+def _certified_checks(m):
+    fresh = MagicMatrix(m.group, m.target, m.entries)
+    checks = check_dualact_consequences(fresh).checks + check_order_properties(fresh).checks
+    return {c.name: (c.passed, tuple(c.witness)) for c in checks if c.name in CERTIFIED}
+
+
+def _swapping_target(group):
+    """A magic unitary over M_2 fixing every point except the first four
+    non-identity elements a < b < c < d: [[p, 1-p], [1-p, p]] on (a, b) with
+    p = e_11 and [[q, 1-q], [1-q, q]] on (c, d) with q = [[1, 1], [1, 1]]/2.
+    p and q do not commute."""
+    b = BlockAlgebra([2])
+    half = scalar(Fraction(1, 2))
+    p = {0: scalar(1)}
+    q = {k: half for k in range(4)}
+
+    def complement(e):
+        out = dict(b.unit)
+        for k, c in e.items():
+            out[k] = out.get(k, scalar(0)) - c
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
+    n = group.order
+    entries = [[dict(b.unit) if x == y else {} for y in range(n)] for x in range(n)]
+    a, bb, c, d = [x for x in range(n) if x != group.identity][:4]
+    for (u, v), e in (((a, bb), p), ((c, d), q)):
+        entries[u][u] = entries[v][v] = e
+        entries[u][v] = entries[v][u] = complement(e)
+    return MagicMatrix(group, b, entries)
+
+
+def _base_matrix(name):
+    kind, group = name.split("-")
+    if kind == "universal":
+        return extract_matrix(universal_classical_family(named_group(group)))
+    if kind == "translation":
+        return extract_matrix(translation_family(named_group(group)))
+    if kind == "identity":
+        return extract_matrix(identity_family(function_algebra(named_group(group))))
+    return _swapping_target(named_group(group))
+
+
+ORACLE_MATRICES = (["universal-" + name for name in CATALOG]
+                   + ["translation-S3", "identity-S3", "swap-S3", "swap-D4", "swap-Q8"])
+
+
+def _single_entry_changes(m, rng, count):
+    """Copies of ``m`` with one coefficient of one entry scaled by 2, -1 or
+    i, zeroed, or moved onto another entry (where it adds): every such change
+    when ``count`` is None, else ``count`` of them drawn by ``rng``."""
+    n = m.group.order
+    coeffs = [(x, y, k) for x in range(n) for y in range(n) for k in sorted(m.entries[x][y])]
+    kinds = sorted(SCALINGS) + ["zero"] + [("move", x, y) for x in range(n) for y in range(n)]
+    if count is None:
+        picks = list(product(coeffs, kinds))
+    else:
+        picks = [(rng.choice(coeffs), rng.choice(kinds)) for _ in range(count)]
+    for (x, y, k), change in picks:
+        entries = [[dict(e) for e in row] for row in m.entries]
+        c = entries[x][y].pop(k)
+        if change in SCALINGS:
+            entries[x][y][k] = c * SCALINGS[change]
+        elif change != "zero":
+            terms = entries[change[1]][change[2]]
+            terms[k] = terms[k] + c if k in terms else c
+            if terms[k].is_zero():
+                del terms[k]
+        yield MagicMatrix(m.group, m.target, entries)
+
+
+@pytest.mark.parametrize("name", ORACLE_MATRICES)
+def test_translation_certificate_agrees_with_full_sweeps(name):
+    base = _base_matrix(name)
+    # every single-entry change on the small groups, a seeded sample on the rest
+    count = None if base.group.order <= 3 else 12
+    rng = random.Random(name)
+    for m in [base] + list(_single_entry_changes(base, rng, count)):
+        assert _certified_checks(m) == _full_sweeps(m), name
+
+
+def test_swapping_target_witnesses():
+    # p and q are projections whose products need the noncommutative path;
+    # the witnesses are the ones the lexicographic sweeps found when recorded
+    expected = {
+        "S3": {"localized_relation": (1, 2, 1, 3), "shift_relation": (1, 1, 2, 2)},
+        "D4": {"power_domination": (3, 4, 5, 0), "inductive_relation": (3, 4, 1, 1)},
+        "Q8": {"inductive_relation": (1, 2, 1, 2)},
+    }
+    for name, pins in expected.items():
+        m = _swapping_target(named_group(name))
+        assert check_magic_unitary(m).passed, name
+        got = _certified_checks(m)
+        for check, witness in pins.items():
+            assert got[check] == (False, witness), (name, check)
+
+
+def _count_multiply_vec(monkeypatch):
+    calls = []
+    multiply_vec = StarAlgebra.multiply_vec
+
+    def counted(self, u, v):
+        calls.append(None)
+        return multiply_vec(self, u, v)
+
+    monkeypatch.setattr(StarAlgebra, "multiply_vec", counted)
+    return calls
+
+
+def _fresh_universal_matrix(name):
+    m = extract_matrix(universal_classical_family(named_group(name)))
+    return MagicMatrix(m.group, m.target, m.entries)
+
+
+def test_translation_certificate_forms_each_product_once(monkeypatch):
+    # the four certified sweeps on universal(S4) make 2 products per equation
+    # for each of live * n**2 equations and more; the certificate forms the
+    # live * n**2 products p[x][y] p[a][b] once
+    m = _fresh_universal_matrix("S4")
+    n = m.group.order
+    live = sum(1 for row in m.entries for e in row if e)
+    assert (live, n) == (146, 24)
+    calls = _count_multiply_vec(monkeypatch)
+    assert check_dualact_consequences(m).passed
+    assert check_order_properties(m).passed
+    assert len(calls) <= 1.25 * live * n ** 2
+
+
+def test_float_backend_sweeps_the_translation_relations(monkeypatch):
+    with use_backend("float"):
+        m = _fresh_universal_matrix("S3")
+        n = m.group.order
+        live = sum(1 for row in m.entries for e in row if e)
+        calls = _count_multiply_vec(monkeypatch)
+        assert check_dualact_consequences(m).passed
+        assert check_order_properties(m).passed
+    # shift_relation and localized_relation alone: 2 products per equation
+    assert len(calls) >= 4 * live * n ** 2
+
+
+def test_podles_rank_eliminates_distinct_slices_only(monkeypatch):
+    # hat(universal(S4)) has 576 nonzero slices, 24 of them distinct
+    from fqg import linalg
+    from fqg.qfamily import check_family
+
+    fam = hat(universal_classical_family(named_group("S4")))
+    fresh = QuantumFamily(fam.source, fam.target_algebra, fam.alpha,
+                          fam.hopf_on_target, fam.label)
+    rows = []
+    rank_bareiss = linalg._rank_bareiss
+
+    def counted(m, ncols):
+        rows.append(len(m))
+        return rank_bareiss(m, ncols)
+
+    monkeypatch.setattr(linalg, "_rank_bareiss", counted)
+    assert check_family(fresh).check("podles").passed
+    assert rows and max(rows) <= 24

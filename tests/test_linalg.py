@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +76,24 @@ def test_rank_of_rank_deficient_gaussian_matrices_matches_naive(case):
     rank = rank_of_vectors(rows, ncols)
     assert rank == naive_rank(rows, ncols)
     assert rank <= nbase
+
+
+@given(st.lists(st.lists(gaussian_entries, min_size=4, max_size=4), min_size=1, max_size=5),
+       st.lists(st.integers(0, 9), min_size=1, max_size=12), st.randoms())
+def test_rank_with_repeated_and_zero_rows_is_the_rank_of_the_distinct_ones(rows, picks, rng):
+    # repeats are separate dicts, some with a Fraction where the original
+    # holds an int; zero rows are empty or hold explicit zeros
+    drawn = [{i: x for i, x in enumerate(row) if not x.is_zero()} for row in rows]
+    zeros = [{}, {0: QQi(0)}, {1: QQi(0), 3: QQi(0, 0)}]
+    pool = drawn + zeros
+    vecs = []
+    for k in picks:
+        v = pool[k % len(pool)]
+        vecs.append({i: QQi(Fraction(x.re), x.im) for i, x in v.items()} if k % 2 else dict(v))
+    vecs += drawn
+    rng.shuffle(vecs)
+    nonzero = [v for v in drawn if v]
+    assert rank_of_vectors(vecs, 4) == naive_rank(nonzero, 4) == rank_of_vectors(nonzero, 4)
 
 
 def test_rank_examples():

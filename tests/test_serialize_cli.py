@@ -527,3 +527,49 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.returncode == 0, done.stderr
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+def test_cli_refuses_trace_weights_that_are_not_strings(tmp_path, capsys):
+    # the writer emits trace weights as strings; a JSON number would load by
+    # its binary value (0.1 as 3602879701896397/36028797018963968), a bool as 0 or 1
+    written = quantum_group_to_dict(function_algebra(cyclic(2)))
+    blocks_only = {k: v for k, v in written.items() if k != "mult"}
+    path = tmp_path / "blocks.json"
+    path.write_text(canonical_json(dict(blocks_only, blocks=[1, 1], trace_weights=["1", "1/2"])))
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    for weights in ([0.1, "1"], [True, "1"], ["1", 1], "11"):
+        # as the only algebra data, and beside a mult table
+        for d in (dict(blocks_only, blocks=[1, 1], trace_weights=weights),
+                  dict(written, blocks=[1, 1], trace_weights=weights)):
+            path.write_text(canonical_json(d))
+            assert main(["verify", str(path)]) == 2, weights
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: [input] trace_weights"), weights
+            assert not captured.out and "Traceback" not in captured.err, weights
+
+
+# sha256 of `fqg relations --format json` on the D4 universal family with the
+# alpha cell at row 42, column 5 doubled, recorded with every relation swept:
+# the translation certificate may skip work, never change a witness
+D4_DOUBLED_RELATIONS_SHA256 = {
+    "auto": "0d69da30a2608d1c5fda8d6fb5ffae5102237c227a46b3b8b27ee5efddab256c",
+    "order": "8b1580172bf8c4fc54d5b357f54c04c4e7f8bc2f28460f903a7ed173bb0cd699",
+}
+
+
+def test_d4_relations_witnesses_are_byte_stable(tmp_path, capsys):
+    import hashlib
+
+    path = tmp_path / "d4.json"
+    assert main(["aut", "--group", "D4", "--emit-family", str(path)]) == 0
+    capsys.readouterr()
+    d = json.loads(path.read_text())
+    assert d["alpha"][42][5] == ["1", "0"]
+    d["alpha"][42][5] = ["2", "0"]
+    path.write_text(canonical_json(d))
+    got = {}
+    for scheme in sorted(D4_DOUBLED_RELATIONS_SHA256):
+        assert main(["relations", str(path), "--scheme", scheme, "--format", "json"]) == 1
+        got[scheme] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == D4_DOUBLED_RELATIONS_SHA256
