@@ -206,10 +206,11 @@ def _translation_invariant(matrix: MagicMatrix) -> bool:
     and all a, b.
 
     For each such (x, y) the n² products p[x][y]·p[a][b] are formed once and
-    compared with each other; a mismatch stops the walk.  These are the
-    equations of ``shift_relation``, and those of ``localized_relation`` under
-    other indices; see :func:`check_order_properties` for the relations that
-    follow from them."""
+    compared with each other; a mismatch stops the walk.  The product with an
+    empty p[a][b] is empty and is taken as such without the kernel.  These
+    are the equations of ``shift_relation``, and those of
+    ``localized_relation`` under other indices; see
+    :func:`check_order_properties` for the relations that follow from them."""
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
@@ -222,7 +223,7 @@ def _translation_invariant(matrix: MagicMatrix) -> bool:
             if not pxy:
                 continue
             ty = tbl[y]
-            prods = [[b.multiply_vec(pxy, e) for e in row] for row in p]
+            prods = [[b.multiply_vec(pxy, e) if e else {} for e in row] for row in p]
             if not all(vec_eq(prods[a][c], prods[tx[a]][ty[c]])
                        for a in range(n) for c in range(n)):
                 return False

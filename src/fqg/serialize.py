@@ -1,18 +1,25 @@
 """JSON file formats.
 
 Rationals travel as strings ("3/4"); scalars as [re, im] string pairs.
-Matrices are dense row-major lists of pairs, structure constants a sparse
-sorted list of [i, j, k, re, im] rows.  Canonical dumps sort keys and use
-compact separators so identical inputs serialize byte-identically.
+Structure constants are a sparse sorted list of [i, j, k, re, im] rows.  A
+matrix is either dense, a row-major list of rows of pairs, or sparse,
+``{"shape": [rows, cols], "entries": [[row, col, re, im], ...]}`` with the
+entries sorted by (row, col) and zeros left out.  Writers write a matrix of
+at most :data:`DENSE_UP_TO` cells dense and a larger one sparse; loaders
+accept either form wherever a matrix goes.  Canonical dumps sort keys and
+use compact separators so identical inputs serialize byte-identically.
 
 Loading parses each distinct [re, im] string pair once per matrix, vector or
 structure-constant table: a dumped coproduct or family map is mostly "0"
-cells, and the parsed scalars are immutable, so equal cells share one.
+cells, and the parsed scalars are immutable, so equal cells share one.  A
+sparse matrix is built from its entries and the dimensions its algebras
+declare, never from its ``shape``, which only has to agree with them.
 Every input is bounded: exponents by ``scalar.MAX_EXPONENT``, group orders
-and block-algebra dimensions by ``groups.MAX_GROUP_ORDER``, dense output by
-:data:`MAX_DENSE_CELLS`; a file that is nested too deeply for the JSON
-decoder, is not UTF-8 or holds an integer past Python's digit limit is
-refused as unreadable.  Each violation raises :class:`InvalidDataError`.
+and block-algebra dimensions by ``groups.MAX_GROUP_ORDER``, the entries of a
+matrix written, or read in the sparse form, by :data:`MAX_ENTRIES`; a file
+that is nested too deeply for the JSON decoder, is not UTF-8 or holds an
+integer past Python's digit limit is refused as unreadable.  Each violation
+raises :class:`InvalidDataError`.
 """
 
 from __future__ import annotations
@@ -28,9 +35,13 @@ from .scalar import format_scalar, parse_scalar
 
 _ZERO_PAIR = ("0", "0")
 
-# Largest dense matrix a file may carry, in cells (about 110 bytes each while
-# it is built): fun(Z1024)'s coproduct alone would need 1024**3 cells.
-MAX_DENSE_CELLS = 1 << 22
+# Writers write a matrix of at most this many cells dense, a larger one sparse.
+DENSE_UP_TO = 1 << 16
+
+# Most entries a matrix may have in a file, as written or read: a sparse one
+# lists its nonzero cells, a dense one all of them.  fun(Z2048)'s coproduct
+# has 2048**2 nonzero cells.
+MAX_ENTRIES = 1 << 22
 
 
 def _cell_parser():
@@ -56,11 +67,14 @@ def _pair(s) -> list:
     return list(format_scalar(s))
 
 
+def _check_entries(m: LinearMap, entries: int) -> None:
+    if entries > MAX_ENTRIES:
+        raise InvalidDataError("a %d x %d matrix has %d entries, above the output limit %d"
+                               % (m.target_dim, m.source_dim, entries, MAX_ENTRIES))
+
+
 def matrix_to_dense(m: LinearMap):
-    cells = m.target_dim * m.source_dim
-    if cells > MAX_DENSE_CELLS:
-        raise InvalidDataError("a %d x %d matrix has %d cells, above the output limit %d"
-                               % (m.target_dim, m.source_dim, cells, MAX_DENSE_CELLS))
+    _check_entries(m, m.target_dim * m.source_dim)
     rows = []
     for r in range(m.target_dim):
         row = []
@@ -69,6 +83,21 @@ def matrix_to_dense(m: LinearMap):
             row.append(list(_ZERO_PAIR) if s is None else _pair(s))
         rows.append(row)
     return rows
+
+
+def matrix_to_sparse(m: LinearMap) -> dict:
+    _check_entries(m, sum(map(len, m.cols)))
+    cells = sorted((r, c, s) for c, col in enumerate(m.cols) for r, s in col.items())
+    return {"shape": [m.target_dim, m.source_dim],
+            "entries": [[r, c, *format_scalar(s)] for r, c, s in cells]}
+
+
+def matrix_to_json(m: LinearMap):
+    """The dense rows of ``m`` up to :data:`DENSE_UP_TO` cells, its sparse
+    form above."""
+    if m.target_dim * m.source_dim <= DENSE_UP_TO:
+        return matrix_to_dense(m)
+    return matrix_to_sparse(m)
 
 
 def matrix_from_dense(rows, source_dim=None, target_dim=None) -> LinearMap:
@@ -84,6 +113,51 @@ def matrix_from_dense(rows, source_dim=None, target_dim=None) -> LinearMap:
     if source_dim is not None and any(len(r) != source_dim for r in parsed):
         raise InvalidDataError("matrix row length mismatch")
     return LinearMap.from_rows(parsed)
+
+
+def matrix_from_sparse(d: dict, source_dim: int, target_dim: int) -> LinearMap:
+    """The ``target_dim`` x ``source_dim`` matrix of a sparse form whose
+    ``shape`` states those dimensions; explicit zero entries are dropped."""
+    shape = d.get("shape")
+    if (type(shape) is not list or len(shape) != 2
+            or any(type(x) is not int for x in shape)):
+        raise InvalidDataError("sparse matrix shape %.40r is not [rows, cols]" % (shape,))
+    if shape != [target_dim, source_dim]:
+        raise InvalidDataError("sparse matrix shape %r, expected [%d, %d]"
+                               % (shape, target_dim, source_dim))
+    entries = d.get("entries")
+    if type(entries) is not list:
+        raise InvalidDataError("sparse matrix entries %.40r are not a list" % (entries,))
+    if len(entries) > MAX_ENTRIES:
+        raise InvalidDataError("a sparse matrix with %d entries is above the input limit %d"
+                               % (len(entries), MAX_ENTRIES))
+    parse = _cell_parser()
+    cols = [{} for _ in range(source_dim)]
+    last = -1
+    try:
+        for e in entries:
+            if type(e) is not list or len(e) != 4:
+                raise ValueError("%.40r is not a [row, col, re, im] entry" % (e,))
+            r, c = e[0], e[1]
+            if type(r) is not int or type(c) is not int:
+                raise ValueError("indices of %.40r are not integers" % (e,))
+            if not (0 <= r < target_dim and 0 <= c < source_dim):
+                raise ValueError("(%d, %d) is out of range" % (r, c))
+            at = r * source_dim + c
+            if at <= last:
+                raise ValueError("(%d, %d) is repeated or out of order" % (r, c))
+            last = at
+            cols[c][r] = parse(e[2:])  # LinearMap drops the zeros
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDataError("bad matrix entry: %s" % exc)
+    return LinearMap(source_dim, target_dim, cols)
+
+
+def matrix_from_json(obj, source_dim: int, target_dim: int) -> LinearMap:
+    """A matrix in either file form: sparse if ``obj`` is a dict, else dense."""
+    if isinstance(obj, dict):
+        return matrix_from_sparse(obj, source_dim, target_dim)
+    return matrix_from_dense(obj, source_dim, target_dim)
 
 
 def vector_to_list(v: dict, dim: int):
@@ -112,7 +186,7 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
         "label": a.label,
         "mult": mult_rows,
         "unit": vector_to_list(a.unit, a.dim),
-        "star": matrix_to_dense(a.star),
+        "star": matrix_to_json(a.star),
     }
     if isinstance(a, BlockAlgebra):
         d["blocks"] = list(a.blocks)
@@ -140,7 +214,7 @@ def algebra_from_dict(d: dict) -> StarAlgebra:
                 raise InvalidDataError("mult states (i, j, k) = %r twice" % ((i, j, k),))
             terms[k] = parse([re, im])  # StarAlgebra drops the zeros
         unit = vector_from_list(d["unit"], dim)
-        star = matrix_from_dense(d["star"], dim, dim)
+        star = matrix_from_json(d["star"], dim, dim)
         return StarAlgebra(dim, mult, unit, star, d.get("label", ""))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InvalidDataError):
@@ -150,10 +224,10 @@ def algebra_from_dict(d: dict) -> StarAlgebra:
 
 def quantum_group_to_dict(g: QuantumGroup) -> dict:
     d = algebra_to_dict(g.algebra)
-    d["coproduct"] = matrix_to_dense(g.coproduct)
-    d["counit"] = matrix_to_dense(g.counit)
-    d["antipode"] = matrix_to_dense(g.antipode)
-    d["haar_state"] = matrix_to_dense(g.haar_state)
+    d["coproduct"] = matrix_to_json(g.coproduct)
+    d["counit"] = matrix_to_json(g.counit)
+    d["antipode"] = matrix_to_json(g.antipode)
+    d["haar_state"] = matrix_to_json(g.haar_state)
     d["haar_element"] = vector_to_list(g.haar_element, g.dim)
     d["label"] = g.label
     return d
@@ -163,13 +237,13 @@ def quantum_group_from_dict(d: dict, verify: bool = True) -> QuantumGroup:
     algebra = algebra_from_dict(d)
     n = algebra.dim
     try:
-        coproduct = matrix_from_dense(d["coproduct"], n, n * n)
-        counit = matrix_from_dense(d["counit"], n, 1)
-        antipode = matrix_from_dense(d["antipode"], n, n)
+        coproduct = matrix_from_json(d["coproduct"], n, n * n)
+        counit = matrix_from_json(d["counit"], n, 1)
+        antipode = matrix_from_json(d["antipode"], n, n)
     except KeyError as exc:
         raise InvalidDataError("missing quantum-group field %s" % exc)
     if "haar_state" in d:
-        haar = matrix_from_dense(d["haar_state"], n, 1)
+        haar = matrix_from_json(d["haar_state"], n, 1)
     else:
         haar = solve_haar_state(algebra, coproduct)
     if "haar_element" in d:
@@ -207,12 +281,12 @@ def family_to_dict(qf: QuantumFamily) -> dict:
         "label": qf.label,
         "source": quantum_group_to_dict(qf.source),
         "target": algebra_to_dict(qf.target_algebra),
-        "alpha": matrix_to_dense(qf.alpha),
+        "alpha": matrix_to_json(qf.alpha),
     }
     if qf.hopf_on_target is not None:
         d["hopf_on_B"] = {
-            "coproduct": matrix_to_dense(qf.hopf_on_target.coproduct),
-            "counit": matrix_to_dense(qf.hopf_on_target.counit),
+            "coproduct": matrix_to_json(qf.hopf_on_target.coproduct),
+            "counit": matrix_to_json(qf.hopf_on_target.counit),
         }
     return d
 
@@ -238,12 +312,12 @@ def family_from_dict(d: dict, verify: bool = True) -> QuantumFamily:
         source = _source_from_ref(d["source"], verify)
         target = algebra_from_dict(d["target"])
         n, m = source.dim, target.dim
-        alpha = matrix_from_dense(d["alpha"], n, n * m)
+        alpha = matrix_from_json(d["alpha"], n, n * m)
         hopf = None
         if "hopf_on_B" in d:
             h = d["hopf_on_B"]
-            hopf = HopfOnTarget(matrix_from_dense(h["coproduct"], m, m * m),
-                                matrix_from_dense(h["counit"], m, 1))
+            hopf = HopfOnTarget(matrix_from_json(h["coproduct"], m, m * m),
+                                matrix_from_json(h["counit"], m, 1))
         return QuantumFamily(source, target, alpha, hopf, d.get("label", ""))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidDataError):
@@ -255,8 +329,8 @@ def dual_pair_to_dict(pair) -> dict:
     return {
         "primal_label": pair.primal.label,
         "dual": quantum_group_to_dict(pair.dual),
-        "fourier": matrix_to_dense(pair.fourier),
-        "fourier_dual": matrix_to_dense(pair.fourier_dual),
+        "fourier": matrix_to_json(pair.fourier),
+        "fourier_dual": matrix_to_json(pair.fourier_dual),
     }
 
 

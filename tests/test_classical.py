@@ -411,6 +411,18 @@ def test_translation_certificate_forms_each_product_once(monkeypatch):
     assert len(calls) <= 1.25 * live * n ** 2
 
 
+def test_translation_certificate_skips_empty_entries(monkeypatch):
+    # a product with an empty p[a][b] is empty: only the live x live products
+    # of two nonzero entries reach the kernel
+    from fqg.classical import _translation_invariant
+
+    m = _fresh_universal_matrix("S4")
+    live = sum(1 for row in m.entries for e in row if e)
+    calls = _count_multiply_vec(monkeypatch)
+    assert _translation_invariant(m)
+    assert 0 < len(calls) <= live ** 2 == 21316
+
+
 def test_float_backend_sweeps_the_translation_relations(monkeypatch):
     with use_backend("float"):
         m = _fresh_universal_matrix("S3")

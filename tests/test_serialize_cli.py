@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,7 +17,8 @@ from fqg.linalg import LinearMap
 from fqg.scalar import parse_scalar, set_backend
 from fqg.serialize import (algebra_from_dict, canonical_json, family_from_dict,
                            family_to_dict, group_from_dict, group_to_dict,
-                           matrix_from_dense, quantum_group_from_dict,
+                           matrix_from_dense, matrix_from_json, matrix_from_sparse,
+                           matrix_to_json, matrix_to_sparse, quantum_group_from_dict,
                            quantum_group_to_dict, vector_from_list)
 
 
@@ -184,16 +186,145 @@ def test_memoised_loads_keep_every_malformed_cell_message(odd):
     assert _outcome(matrix_from_dense, [[one, odd, one]])[1] is not None
 
 
-def test_loading_a_composed_family_parses_each_distinct_cell_once(tmp_path, monkeypatch):
+# -- sparse matrices -------------------------------------------------------
+
+
+@st.composite
+def _sparse_cells(draw):
+    """A shape of at most 6 x 6 and a random set of its cells, as strings."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                                 st.tuples(st.sampled_from(_NUMBERS), st.sampled_from(_NUMBERS)),
+                                 max_size=rows * cols))
+    return rows, cols, cells
+
+
+@settings(max_examples=200)
+@given(_sparse_cells(), st.integers(0, 40), st.sampled_from(("exact", "float")))
+def test_written_matrices_read_back_on_both_sides_of_the_threshold(shape, threshold, backend):
+    set_backend(backend, 1e-9)
+    rows, cols, cells = shape
+    columns = [{} for _ in range(cols)]
+    for (r, c), (re, im) in cells.items():
+        columns[c][r] = parse_scalar(re, im)
+    m = LinearMap(cols, rows, columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fqg.serialize, "DENSE_UP_TO", threshold)
+        d = json.loads(canonical_json(matrix_to_json(m)))
+    sparse = rows * cols > threshold
+    assert isinstance(d, dict) == sparse
+    if sparse:
+        assert d["shape"] == [rows, cols]
+        at = [(r, c) for r, c, _, _ in d["entries"]]
+        assert at == sorted(set(at)) and len(at) == sum(map(len, m.cols))
+    assert matrix_from_json(d, cols, rows) == m
+
+
+def _sparse_z3(**change):
+    """fun(Z3) as a file, with its coproduct (9 x 3) in the sparse form."""
+    d = quantum_group_to_dict(function_algebra(cyclic(3)))
+    d["coproduct"] = dict(matrix_to_sparse(function_algebra(cyclic(3)).coproduct), **change)
+    return d
+
+
+def test_sparse_coproduct_loads_and_drops_explicit_zeros():
+    g = function_algebra(cyclic(3))
+    assert quantum_group_data_equal(quantum_group_from_dict(_sparse_z3()), g)
+    entries = _sparse_z3()["coproduct"]["entries"]
+    assert [r for r, _, _, _ in entries] == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    padded = sorted(entries + [[0, 1, "0", "0"], [8, 0, "0", "-0"]], key=lambda e: e[:2])
+    assert quantum_group_data_equal(quantum_group_from_dict(_sparse_z3(entries=padded)), g)
+
+
+def _bad_sparse_inputs():
+    entries = _sparse_z3()["coproduct"]["entries"]
+    first, rest = entries[0], entries[1:]
+    yield "row out of range", {"entries": rest + [[9, 0, "1", "0"]]}
+    yield "col out of range", {"entries": rest + [[8, 3, "1", "0"]]}
+    yield "negative index", {"entries": [[-1, 0, "1", "0"]] + rest}
+    # in order by row * cols + col, so only the range check refuses it
+    yield "negative col", {"entries": [first, [1, -1, "1", "0"]] + entries[2:]}
+    yield "repeated", {"entries": [first, first] + rest}
+    yield "unsorted", {"entries": [entries[1], first] + entries[2:]}
+    for index in (True, 0.0, "0"):
+        yield "index %r" % (index,), {"entries": [[index, 0, "1", "0"]] + rest}
+        yield "col %r" % (index,), {"entries": [[0, index, "1", "0"]] + rest}
+    for entry in ([0, 0, "1"], [0, 0, "1", "0", "0"], [], "0 0 1 0", None):
+        yield "entry %r" % (entry,), {"entries": [entry] + rest}
+    for re, im in ((1, 0), ("1", 0), (["1"], "0"), ("1/0", "0"), ("0", "1/0"), ("nan", "0")):
+        yield "cell %r" % ([re, im],), {"entries": [[0, 0, re, im]] + rest}
+    yield "entries not a list", {"entries": {"0": first}}
+    for shape in ([9], [9, 3, 1], [9.0, 3], [True, 3], "9x3", None, [3, 9], [9, 2]):
+        yield "shape %r" % (shape,), {"shape": shape}
+
+
+@pytest.mark.parametrize("change", [c for _, c in _bad_sparse_inputs()],
+                         ids=[name for name, _ in _bad_sparse_inputs()])
+def test_cli_malformed_sparse_matrix_exits_2(change, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(_sparse_z3(**change)))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [input]") and not captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_sparse_entries_above_the_limit_are_refused_before_any_column(tmp_path, capsys,
+                                                                      monkeypatch):
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(_sparse_z3()))  # 9 entries
+    monkeypatch.setattr(fqg.serialize, "MAX_ENTRIES", 8)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: [input] a sparse matrix with 9 entries is above the input limit 8")
+    # nothing is read or allocated first: a malformed entry is not reached,
+    # and a million empty columns (over 60 MB) are not built
+    d = {"shape": [1, 1 << 20], "entries": [None] * 9}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDataError, match="above the input limit"):
+            matrix_from_sparse(d, 1 << 20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_written_matrices_are_bounded_by_entries(monkeypatch):
+    # a dense matrix has an entry per cell, a sparse one per nonzero cell
+    coproduct = function_algebra(cyclic(3)).coproduct  # 9 x 3, 9 nonzero
+    monkeypatch.setattr(fqg.serialize, "MAX_ENTRIES", 9)
+    assert len(matrix_to_sparse(coproduct)["entries"]) == 9
+    with pytest.raises(InvalidDataError, match="a 9 x 3 matrix has 27 entries"):
+        fqg.serialize.matrix_to_dense(coproduct)
+    monkeypatch.setattr(fqg.serialize, "MAX_ENTRIES", 8)
+    with pytest.raises(InvalidDataError, match="has 9 entries, above the output limit 8"):
+        matrix_to_sparse(coproduct)
+
+
+def _composed_d4_dict(tmp_path):
+    """The D4∘D4 family as ``fqg compose`` writes it."""
     fam, comp = tmp_path / "d4.json", tmp_path / "dd.json"
     assert main(["aut", "--group", "D4", "--emit-family", str(fam)]) == 0
     assert main(["compose", str(fam), str(fam), "--format", "json", "-o", str(comp)]) == 0
-    d = json.loads(comp.read_text())
+    return json.loads(comp.read_text())
 
+
+def _all_dense_dict(qf):
+    """``family_to_dict(qf)`` with every matrix written dense, as before the
+    sparse form existed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fqg.serialize, "matrix_to_json", fqg.serialize.matrix_to_dense)
+        return json.loads(canonical_json(family_to_dict(qf)))
+
+
+def _assert_each_distinct_cell_parsed_once(d, monkeypatch):
     def tables(obj):
         """The distinct (re, im) pairs of each matrix, vector and mult table."""
         for key, value in sorted(obj.items()):
-            if isinstance(value, dict):
+            if isinstance(value, dict) and "entries" in value:
+                yield {(re, im) for _, _, re, im in value["entries"]}
+            elif isinstance(value, dict):
                 yield from tables(value)
             elif key == "mult":
                 yield {(re, im) for _, _, _, re, im in value}
@@ -209,12 +340,38 @@ def test_loading_a_composed_family_parses_each_distinct_cell_once(tmp_path, monk
         calls[re, im] += 1
         return parse_scalar(re, im)
 
-    monkeypatch.setattr(fqg.serialize, "parse_scalar", counting_parse)
-    back = family_from_dict(d, verify=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(fqg.serialize, "parse_scalar", counting_parse)
+        back = family_from_dict(d, verify=False)
     assert back.alpha.source_dim == back.source.dim
-    coproduct_b = d["hopf_on_B"]["coproduct"]  # 262,144 of the file's 271k cells
-    assert len(coproduct_b) * len(coproduct_b[0]) == 64 ** 3
     assert calls and all(calls[pair] <= allowed[pair] for pair in calls), calls
+    return back
+
+
+def test_loading_a_composed_family_parses_each_distinct_cell_once(tmp_path, monkeypatch):
+    d = _composed_d4_dict(tmp_path)
+    coproduct_b = d["hopf_on_B"]["coproduct"]  # 4,096 nonzero of 64**3 cells
+    assert coproduct_b["shape"] == [64 ** 2, 64] and len(coproduct_b["entries"]) == 4096
+    back = _assert_each_distinct_cell_parsed_once(d, monkeypatch)
+    # the dense reader's memo, on the same family written dense everywhere
+    dense = _all_dense_dict(back)
+    assert len(dense["hopf_on_B"]["coproduct"]) == 64 ** 2
+    _assert_each_distinct_cell_parsed_once(dense, monkeypatch)
+
+
+def test_all_dense_composed_family_still_loads(tmp_path):
+    # a file from before the sparse form: the D4∘D4 family with every matrix dense
+    d = _composed_d4_dict(tmp_path)
+    fam = family_from_dict(d, verify=False)
+    dense = _all_dense_dict(fam)
+    assert '"entries"' in canonical_json(d) and '"entries"' not in canonical_json(dense)
+    back = family_from_dict(dense)
+    assert back.alpha == fam.alpha
+    assert back.hopf_on_target.coproduct == fam.hopf_on_target.coproduct
+    assert back.hopf_on_target.counit == fam.hopf_on_target.counit
+    assert quantum_group_data_equal(back.source, fam.source)
+    assert back.target_algebra.star == fam.target_algebra.star
+    assert family_to_dict(back) == d
 
 
 # -- CLI ------------------------------------------------------------------
@@ -287,7 +444,7 @@ def test_cli_readme_build_then_verify(tmp_path, monkeypatch, capsys):
     assert main(["verify", "s3.json"]) == 0
 
 
-def test_cli_malformed_input_exits_2(tmp_path, capsys):
+def test_cli_malformed_input_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     assert main(["verify", str(path)]) == 2
@@ -332,9 +489,18 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert main(["check-family", str(path)]) == 2, target
         assert capsys.readouterr().err.startswith("error: [input]"), target
 
-    # a dense output matrix above MAX_DENSE_CELLS is refused before any row is
-    # built: fun(Z200)'s coproduct has 40000 x 200 cells
+    # fun(Z200)'s coproduct, 40000 x 200 cells of which 40000 are nonzero, is
+    # written sparse and reloads as built; with the entry limit one below, the
+    # same command is refused before any file is written
     out = tmp_path / "z200.json"
+    assert main(["build", "--group", "Z200", "--kind", "fun", "-o", str(out)]) == 0
+    capsys.readouterr()
+    d = json.loads(out.read_text())
+    assert d["coproduct"]["shape"] == [40000, 200] and len(d["coproduct"]["entries"]) == 40000
+    assert quantum_group_data_equal(quantum_group_from_dict(d, verify=False),
+                                    function_algebra(named_group("Z200")))
+    out.unlink()
+    monkeypatch.setattr(fqg.serialize, "MAX_ENTRIES", 39999)
     for extra in ([], ["-o", str(out)]):
         assert main(["build", "--group", "Z200", "--kind", "fun"] + extra) == 2, extra
         captured = capsys.readouterr()
