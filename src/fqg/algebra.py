@@ -13,7 +13,8 @@ table: the product of u and v is then u_i v_i at each i in both supports.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import chain, product
 
 from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
                      vec_eq, vec_from_dense, vec_is_zero, vec_sub)
@@ -451,7 +452,7 @@ def tensor_star(a: StarAlgebra, b: StarAlgebra, v: dict) -> dict:
     return acc
 
 
-# -- *-homomorphisms into a tensor product -----------------------------------
+# -- *-homomorphisms -----------------------------------------------------------
 
 
 HOM_IDENTITIES = ("unit", "multiplicative", "star")
@@ -460,34 +461,45 @@ HOM_IDENTITIES = ("unit", "multiplicative", "star")
 def hom_indices(n: int, identities=HOM_IDENTITIES, left=None):
     """The tagged indices of the *-homomorphism identities of a map out of an
     n-dimensional algebra, in check order; ``left``, if given, limits the
-    left factors i of the multiplicative ones."""
-    for identity in identities:
-        if identity == "unit":
-            yield ("unit",)
-        elif identity == "multiplicative":
-            yield from (("multiplicative", i, j)
-                        for i in (range(n) if left is None else left) for j in range(n))
-        else:
-            yield from (("star", i) for i in range(n))
+    left factors i of the multiplicative ones.  Each index comes straight
+    from ``itertools``, with no Python frame between it and a sweep."""
+    tagged = {"unit": (("unit",),),
+              "multiplicative": product(("multiplicative",),
+                                        range(n) if left is None else left, range(n)),
+              "star": product(("star",), range(n))}
+    return chain.from_iterable(tagged[identity] for identity in identities)
 
 
-def hom_predicate(a: StarAlgebra, b: StarAlgebra, alpha: LinearMap):
-    """Whether α: A → A⊗B satisfies the identity at a tagged index: ("unit",)
-    for α(1) = 1⊗1, ("multiplicative", i, j) for α(e_i e_j) = α(e_i)α(e_j)
-    and ("star", i) for α(e_i*) = α(e_i)*.
+def hom_predicate(a: StarAlgebra, c: StarAlgebra, alpha: LinearMap, b=None):
+    """Whether α: A → C, or α: A → C⊗B when ``b`` is given, satisfies the
+    identity at a tagged index: ("unit",) for α(1) = 1, ("multiplicative",
+    i, j) for α(e_i e_j) = α(e_i)α(e_j) and ("star", i) for α(e_i*) = α(e_i)*.
+    A family is the case C = A, a coproduct C = B = A, a counit C = ℂ."""
+    if b is None:
+        mult, star = c.multiply_vec, c.star_vec
+    else:
+        mult, star = partial(tensor_mult, c, b), partial(tensor_star, c, b)
+    cols = alpha.cols
 
-    A family is the case B = its index algebra, its convolution laws the
-    case A = the convolution algebra, and a coproduct the case B = A."""
     def holds(idx):
-        if idx[0] == "unit":
-            return vec_eq(alpha.apply(a.unit), tensor_vec(a.unit, b.unit, b.dim))
-        if idx[0] == "multiplicative":
+        tag = idx[0]
+        if tag == "multiplicative":
             i, j = idx[1:]
-            return vec_eq(alpha.apply(a.basis_product(i, j)),
-                          tensor_mult(a, b, alpha.cols[i], alpha.cols[j]))
-        i = idx[1]
-        return vec_eq(alpha.apply(a.star.cols[i]), tensor_star(a, b, alpha.cols[i]))
+            return vec_eq(alpha.apply(a.basis_product(i, j)), mult(cols[i], cols[j]))
+        if tag == "star":
+            return vec_eq(alpha.apply(a.star.cols[idx[1]]), star(cols[idx[1]]))
+        return vec_eq(alpha.apply(a.unit),
+                      c.unit if b is None else tensor_vec(c.unit, b.unit, b.dim))
     return holds
+
+
+def hom_check(name: str, n: int, law, identity: str, certificate=None) -> Check:
+    """The check ``name`` of one ``identity`` of a :func:`hom_predicate` law
+    for a map out of an n-dimensional algebra: its witness is the first
+    failing index without its tag.  ``certificate`` is :func:`sweep`'s."""
+    check = sweep(name, hom_indices(n, (identity,)), law, certificate)
+    check.witness = check.witness[1:]
+    return check
 
 
 def flip(a: StarAlgebra, b: StarAlgebra) -> LinearMap:

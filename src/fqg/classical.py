@@ -12,6 +12,7 @@ summation identity, and the proof chain for families on the dual of Γ.
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 
 from .algebra import Element, InvalidDataError, StarAlgebra, tensor_vec
 from .groups import FiniteGroup, _perm_group, group_from_table
@@ -20,7 +21,7 @@ from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is
 from .qfamily import (HopfOnTarget, QuantumFamily, check_action, hom_sweep,
                       is_automorphism_family)
 from .report import Check, Report, sweep
-from .scalar import backend_cached, object_cache, scalar
+from .scalar import object_cache, scalar
 
 
 # -- recovering the group from structure constants -----------------------------
@@ -435,6 +436,7 @@ def enumerate_automorphisms(group: FiniteGroup):
     order_of = [group.element_order(x) for x in range(n)]
     candidates = [[y for y in range(n) if order_of[y] == order_of[g]] for g in gens]
 
+    rows = [itemgetter(*row) for row in tbl]  # rows[a](ψ) = (ψ(a·0), ψ(a·1), ...)
     found = []
     for images in product(*candidates):
         psi = [None] * n
@@ -442,19 +444,8 @@ def enumerate_automorphisms(group: FiniteGroup):
         for x in bfs_order:
             px, gi = parent[x]
             psi[x] = tbl[psi[px]][images[gi]]
-        if len(set(psi)) != n:
-            continue
-        ok = True
-        for a in range(n):
-            pa = psi[a]
-            row = tbl[a]
-            for bb in range(n):
-                if psi[row[bb]] != tbl[pa][psi[bb]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        at_psi = itemgetter(*psi)  # ψ(ab) = ψ(a)ψ(b) for all b, a row at a time
+        if len(set(psi)) == n and all(get(psi) == at_psi(tbl[pa]) for get, pa in zip(rows, psi)):
             found.append(tuple(psi))
     return sorted(set(found))
 
@@ -467,7 +458,7 @@ def automorphism_group(group: FiniteGroup):
     return _perm_group(auts, "Aut(%s)" % (group.label or group.order)), auts
 
 
-@backend_cached
+@object_cache
 def universal_classical_family(group: FiniteGroup) -> QuantumFamily:
     """The family over functions on Aut(Γ) with p_{x,y} = Σ_{ψ(y)=x} δ_ψ."""
     from .constructors import function_algebra

@@ -15,13 +15,13 @@ from itertools import product
 from .algebra import StarAlgebra
 from .fourier import dual_pair
 from .groups import FiniteGroup
-from .hopf import QuantumGroup
+from .hopf import QuantumGroup, check_hopf_morphism
 from .linalg import LinearMap, vec_eq, vec_scale
 from .report import Check, Report, sweep
-from .scalar import CFloat, backend_cached, backend_name, scalar
+from .scalar import CFloat, backend_name, object_cache, scalar
 
 
-@backend_cached
+@object_cache
 def function_algebra(group: FiniteGroup) -> QuantumGroup:
     """Functions on the group: pointwise product, Δ(δ_g) = Σ_{ab=g} δ_a⊗δ_b."""
     n = group.order
@@ -50,7 +50,7 @@ def function_algebra(group: FiniteGroup) -> QuantumGroup:
                         "fun(%s)" % (group.label or group.order))
 
 
-@backend_cached
+@object_cache
 def group_algebra(group: FiniteGroup) -> QuantumGroup:
     """The group ring: λ_g λ_h = λ_{gh}, grouplike coproduct, λ_g* = λ_{g⁻¹}."""
     n = group.order
@@ -141,7 +141,8 @@ def check_fundamental_examples(group: FiniteGroup) -> Report:
 
 def pontryagin_character_check(n: int) -> Report:
     """Float-backend check that grp(Z_n) is isomorphic to fun(Z_n) through the
-    character basis change λ_g ↦ Σ_x ω^{gx} δ_x (ω a primitive n-th root).
+    character basis change λ_g ↦ Σ_x ω^{gx} δ_x (ω a primitive n-th root):
+    the report of ``hopf.check_hopf_morphism`` for that map.
 
     Needs roots of unity, so the exact backend refuses to run it.
     """
@@ -159,20 +160,4 @@ def pontryagin_character_check(n: int) -> Report:
             z = cmath.exp(2j * cmath.pi * g * x / n)
             col[x] = CFloat(z.real, z.imag)
         cols.append(col)
-    t = LinearMap(n, n, cols)
-
-    checks = [
-        sweep("multiplicative", product(range(n), repeat=2),
-              lambda gh: vec_eq(t.apply(grp.algebra.basis_product(*gh)),
-                                fun.algebra.multiply_vec(t.cols[gh[0]], t.cols[gh[1]]))),
-        Check("unital", vec_eq(t.apply(grp.algebra.unit), fun.algebra.unit), ()),
-        sweep("star_preserving", range(n),
-              lambda g: vec_eq(t.apply(grp.algebra.star.cols[g]),
-                               fun.algebra.star_vec(t.cols[g]))),
-        Check("coproduct_intertwined",
-              fun.coproduct.compose(t) == t.tensor(t).compose(grp.coproduct), ()),
-        Check("counit_intertwined", fun.counit.compose(t) == grp.counit, ()),
-        Check("antipode_intertwined", fun.antipode.compose(t) == t.compose(grp.antipode), ()),
-        Check("haar_intertwined", fun.haar_state.compose(t) == grp.haar_state, ()),
-    ]
-    return Report("characters(Z%d)" % n, checks)
+    return check_hopf_morphism(grp, fun, LinearMap(n, n, cols))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import InvalidDataError, Element, StarAlgebra
+from .algebra import InvalidDataError, Element, StarAlgebra, hom_check, hom_predicate
 from .hopf import QuantumGroup, dual_algebra, dual_coproduct, verify_quantum_group
 from .linalg import LinearMap, entry_eq, vec_eq, vec_scale
 from .report import Check, Report, sweep
@@ -188,12 +188,17 @@ def dual_pair(g: QuantumGroup) -> DualPair:
 
 @object_cache
 def verify_fourier_identities(pair: DualPair) -> Report:
-    """The transform identities relating ⋆, the adjoints and the antipodes."""
+    """The transform identities relating ⋆, the adjoints and the antipodes.
+
+    ``fourier_convolution`` and ``fourier_star`` are the product and star
+    laws of :func:`hom_predicate` for F: (A, ⋆, •) → Â, and
+    ``fourier_conv_adjoint`` the star law for F: A → (Â, ⋆̂, •̂)."""
     g, d = pair.primal, pair.dual
     n = g.dim
     fr = pair.fourier
-    ct = conv_table(g)
+    conv = convolution_algebra(g)
     conv_dual = convolution_algebra(d)
+    from_conv = hom_predicate(conv, d.algebra, fr)
     h_eta = g.haar_of_eta()
     one = scalar(1)
 
@@ -203,19 +208,14 @@ def verify_fourier_identities(pair: DualPair) -> Report:
                       conv_dual.multiply_vec(fr.cols[j], fr.cols[i]))
 
     checks = [
-        sweep("fourier_convolution", product(range(n), repeat=2),
-              lambda ij: vec_eq(fr.apply(ct.get(ij, {})),
-                                d.algebra.multiply_vec(fr.cols[ij[0]], fr.cols[ij[1]]))),
-        sweep("fourier_star", range(n),
-              lambda i: vec_eq(d.algebra.star_vec(fr.cols[i]),
-                               fr.apply(g.bullet_map().cols[i]))),
+        hom_check("fourier_convolution", n, from_conv, "multiplicative"),
+        hom_check("fourier_star", n, from_conv, "star"),
         Check("fourier_antipode", d.antipode.compose(fr) == fr.compose(g.antipode), ()),
         sweep("fourier_dual_convolution", product(range(n), repeat=2), dual_convolution),
         sweep("counit_of_convolution", product(range(n), repeat=2),
-              lambda ij: entry_eq(g.counit_of(ct.get(ij, {})), g.haar_of(
+              lambda ij: entry_eq(g.counit_of(conv.basis_product(*ij)), g.haar_of(
                   g.algebra.multiply_vec(g.antipode.cols[ij[1]], {ij[0]: one})))),
-        sweep("fourier_conv_adjoint", range(n),
-              lambda i: vec_eq(d.bullet_vec(fr.cols[i]), fr.apply(g.algebra.star.cols[i]))),
+        hom_check("fourier_conv_adjoint", n, hom_predicate(g.algebra, conv_dual, fr), "star"),
     ]
     return Report("fourier(%s)" % g.label, checks)
 

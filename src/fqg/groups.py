@@ -13,6 +13,7 @@ from itertools import product
 from operator import itemgetter
 
 from .algebra import InvalidDataError, exact_int
+from .report import first_failure
 
 # Largest group order accepted: the multiplication table has order**2 cells.
 # S4 x S4 (576) still fits.
@@ -47,14 +48,11 @@ class FiniteGroup:
         if identity is None:
             raise InvalidDataError("no identity element")
         if not _associative(table, _generators(table, identity)):
-            for a in range(n):
-                for b in range(n):
-                    ab = table[a][b]
-                    for c in range(n):
-                        if table[ab][c] != table[a][table[b][c]]:
-                            raise InvalidDataError(
-                                "multiplication is not associative at (%d, %d, %d)"
-                                % (a, b, c))
+            raise InvalidDataError(
+                "multiplication is not associative at (%d, %d, %d)" % first_failure(
+                    product(range(n), repeat=3),
+                    lambda abc: table[table[abc[0]][abc[1]]][abc[2]]
+                    == table[abc[0]][table[abc[1]][abc[2]]]))
         inverse = []
         for a, row in enumerate(table):
             b = row.index(identity)  # the one b with a·b = e, as rows are Latin

@@ -10,12 +10,13 @@ exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .algebra import (InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
-                      hom_indices, hom_predicate, tensor_mult, tensor_vec)
-from .linalg import (LinearMap, entry_eq, leg_apply, nullspace_basis, vec_add_into,
-                     vec_eq, vec_scale, vec_sub)
+                      hom_check, hom_indices, hom_predicate, scalar_algebra, tensor_mult,
+                      tensor_vec)
+from .linalg import (LinearMap, entry_eq, leg_apply, leg_compose, nullspace_basis,
+                     vec_add_into, vec_eq, vec_scale, vec_sub)
 from .report import Check, Report, first_failure, sweep
 from .scalar import QQi, object_cache, scalar, zero_like
 
@@ -223,8 +224,9 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     as associativity of :func:`dual_algebra`; and, once both of those
     passed, ``coproduct_multiplicative``, checked for the generators of the
     algebra or of the dual, whichever are fewer.  The float
-    backend always runs the full sweeps.  Δ's unit, product and star laws are
-    those of :func:`hom_predicate` for Δ: A → A⊗A."""
+    backend always runs the full sweeps.  The unit, product and star laws
+    are those of :func:`hom_predicate`: for Δ: A → A⊗A, for ε: A → ℂ and,
+    the star law only, for S: A → A."""
     from .algebra import verify_star_algebra
 
     a = g.algebra
@@ -238,21 +240,13 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     def on_both_legs(f, v, target):
         return all(vec_eq(leg_apply(f, v, n, leg), target) for leg in (0, 1))
 
-    def eps_hom(ij):
-        ei, ej = eps.cols[ij[0]].get(0), eps.cols[ij[1]].get(0)
-        rhs = None if (ei is None or ej is None) else ei * ej
-        return entry_eq(eps.apply(a.basis_product(*ij)).get(0), rhs)
-
-    def eps_star(i):
-        ei = eps.cols[i].get(0)
-        return entry_eq(eps.apply(a.star.cols[i]).get(0), None if ei is None else ei.conj())
-
     def antipode_law(j):
         target = vec_scale(unit, eps.cols[j].get(0))
         return all(vec_eq(_mult_map_apply(a, leg_apply(anti, delta.cols[j], n, leg)), target)
                    for leg in (0, 1))
 
-    coproduct_law = hom_predicate(a, a, delta)
+    coproduct_law = hom_predicate(a, a, delta, a)
+    counit_law = hom_predicate(a, scalar_algebra(), eps)
 
     coassociativity = sweep(
         "coassociativity", range(n),
@@ -272,7 +266,7 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         if len(gens) <= len(dual_gens):
             law, left = coproduct_law, gens
         else:
-            law, left = hom_predicate(dual, dual, dual_coproduct(g)), dual_gens
+            law, left = hom_predicate(dual, dual, dual_coproduct(g), dual), dual_gens
         return first_failure(hom_indices(n, ("multiplicative",), left), law) is None
 
     h_eta = g.haar_of_eta()
@@ -280,18 +274,16 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     checks = list(star_report.checks) + [
         coassociativity,
         sweep("counit_law", range(n), lambda j: on_both_legs(eps, delta.cols[j], {j: one})),
-        Check("coproduct_unital", coproduct_law(("unit",)), ()),
-        sweep("coproduct_multiplicative", product(range(n), repeat=2),
-              lambda ij: coproduct_law(("multiplicative",) + ij),
-              certificate=multiplicative_on_generators),
-        sweep("coproduct_star", range(n), lambda i: coproduct_law(("star", i))),
-        Check("counit_unital", entry_eq(eps.apply(unit).get(0), one), ()),
-        sweep("counit_multiplicative", product(range(n), repeat=2), eps_hom),
-        sweep("counit_star", range(n), eps_star),
+        hom_check("coproduct_unital", n, coproduct_law, "unit"),
+        hom_check("coproduct_multiplicative", n, coproduct_law, "multiplicative",
+                  certificate=multiplicative_on_generators),
+        hom_check("coproduct_star", n, coproduct_law, "star"),
+        hom_check("counit_unital", n, counit_law, "unit"),
+        hom_check("counit_multiplicative", n, counit_law, "multiplicative"),
+        hom_check("counit_star", n, counit_law, "star"),
         sweep("antipode_law", range(n), antipode_law),
         Check("antipode_involutive", anti.compose(anti) == LinearMap.identity(n, one), ()),
-        sweep("antipode_star", range(n),
-              lambda i: vec_eq(anti.apply(a.star.cols[i]), a.star_vec(anti.cols[i]))),
+        hom_check("antipode_star", n, hom_predicate(a, a, anti), "star"),
         Check("haar_unital", entry_eq(h.apply(unit).get(0), one), ()),
         sweep("haar_invariance", range(n),
               lambda j: on_both_legs(h, delta.cols[j], vec_scale(unit, h.cols[j].get(0)))),
@@ -322,10 +314,11 @@ def _gram_positivity_check(g: QuantumGroup) -> Check:
         for j in range(n):
             v = g.haar_of(a.multiply_vec(a.star.cols[j], ei))
             gram[i][j] = v if v is not None else zero
-    for i in range(n):
-        for j in range(n):
-            if not (gram[i][j] - gram[j][i].conj()).is_zero():
-                return Check("haar_positive", False, ("not-hermitian", i, j))
+    # (i, j) fails exactly when (j, i) does, so the first failing pair has i <= j
+    asymmetric = first_failure(combinations_with_replacement(range(n), 2),
+                               lambda w: (gram[w[0]][w[1]] - gram[w[1]][w[0]].conj()).is_zero())
+    if asymmetric is not None:
+        return Check("haar_positive", False, ("not-hermitian",) + asymmetric)
     m = [row[:] for row in gram]
     exact = type(one) is QQi
     from .scalar import tolerance
@@ -364,3 +357,22 @@ def check_haar_antipode_identity(g: QuantumGroup) -> Report:
 
     return Report(g.label or "quantum-group",
                   [sweep("haar_antipode_identity", product(range(n), repeat=2), identity)])
+
+
+def check_hopf_morphism(g: QuantumGroup, h: QuantumGroup, t: LinearMap) -> Report:
+    """Whether T: G → H preserves product, unit, star, Δ, ε, S and the Haar
+    state.  The first three are the laws of :func:`hom_predicate` for
+    T: A → B, each witnessed by its first failing index; the others compare
+    matrices, Δ_H∘T with (T⊗T)∘Δ_G built leg by leg."""
+    n = g.dim
+    law = hom_predicate(g.algebra, h.algebra, t)
+    t_delta = leg_compose(t, leg_compose(t, g.coproduct, n, 1), h.dim, 0)
+    return Report("hopf-morphism(%s -> %s)" % (g.label, h.label), [
+        hom_check("multiplicative", n, law, "multiplicative"),
+        hom_check("unital", n, law, "unit"),
+        hom_check("star_preserving", n, law, "star"),
+        Check("coproduct_intertwined", h.coproduct.compose(t) == t_delta, ()),
+        Check("counit_intertwined", h.counit.compose(t) == g.counit, ()),
+        Check("antipode_intertwined", h.antipode.compose(t) == t.compose(g.antipode), ()),
+        Check("haar_intertwined", h.haar_state.compose(t) == g.haar_state, ()),
+    ])

@@ -10,6 +10,7 @@ cyclic groups, and the dual-group proof chain.
 from __future__ import annotations
 
 import time
+from itertools import product
 
 from .classical import (check_cyclic_identity, check_dual_group_theorem,
                         check_dualact_consequences, check_magic_unitary,
@@ -28,7 +29,7 @@ from .linalg import LinearMap
 from .qfamily import (QuantumFamily, check_action, compose, hat,
                       identity_family, is_automorphism_family,
                       slice_commutative, verify_dual_equivalences)
-from .report import Check, Report
+from .report import Check, Report, first_failure
 from .scalar import backend_cached, scalar, use_backend
 
 AUT_ORDERS = {"Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4,
@@ -37,7 +38,6 @@ AUT_ORDERS = {"Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4,
 ORDER_SWEEP_NAMES = ("Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "K4", "S3", "D4", "Q8")
 
 
-@backend_cached
 def catalog_quantum_group(name: str, kind: str):
     group = named_group(name)
     return function_algebra(group) if kind == "fun" else group_algebra(group)
@@ -180,19 +180,14 @@ def suite_composition() -> Report:
         ok, rep = is_automorphism_family(comp)
         checks.append(_collect("compose-%s-automorphism" % name, ok, rep.failed_names()))
         auts = enumerate_automorphisms(group)
-        k = len(auts)
+        k, n = len(auts), group.order
         slices = slice_commutative(comp)
-        table_ok = True
-        for i, phi in enumerate(auts):
-            for j, chi in enumerate(auts):
-                composed = tuple(phi[chi[y]] for y in range(group.order))
-                expected = LinearMap(group.order, group.order,
-                                     [{composed[y]: one} for y in range(group.order)])
-                if slices[i * k + j] != expected:
-                    table_ok = False
-                    break
-            if not table_ok:
-                break
+
+        def composed(ij):  # the slice at (φ, χ) is the permutation matrix of φ∘χ
+            phi, chi = auts[ij[0]], auts[ij[1]]
+            return slices[ij[0] * k + ij[1]] == LinearMap(
+                n, n, [{phi[chi[y]]: one} for y in range(n)])
+        table_ok = first_failure(product(range(k), repeat=2), composed) is None
         checks.append(_collect("compose-%s-multiplication-table" % name, table_ok))
     return Report("composition", checks)
 

@@ -25,13 +25,14 @@ raises :class:`InvalidDataError`.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .algebra import BlockAlgebra, InvalidDataError, StarAlgebra, exact_int
 from .groups import FiniteGroup, group_from_table, named_group
 from .hopf import QuantumGroup, solve_haar_element, solve_haar_state, verify_quantum_group
 from .linalg import LinearMap
 from .qfamily import HopfOnTarget, QuantumFamily
-from .scalar import format_scalar, parse_scalar
+from .scalar import QQi, format_scalar, parse_scalar
 
 _ZERO_PAIR = ("0", "0")
 
@@ -87,9 +88,16 @@ def matrix_to_dense(m: LinearMap):
 
 def matrix_to_sparse(m: LinearMap) -> dict:
     _check_entries(m, sum(map(len, m.cols)))
-    cells = sorted((r, c, s) for c, col in enumerate(m.cols) for r, s in col.items())
-    return {"shape": [m.target_dim, m.source_dim],
-            "entries": [[r, c, *format_scalar(s)] for r, c, s in cells]}
+    # each distinct scalar is formatted once; a float is keyed by its text,
+    # as 0.0 and -0.0 are equal but print apart
+    text = {}
+    entries = []
+    for c, col in enumerate(m.cols):
+        for r, s in col.items():
+            key = (s.re, s.im) if type(s) is QQi else format_scalar(s)
+            entries.append([r, c, *(text.get(key) or text.setdefault(key, format_scalar(s)))])
+    entries.sort(key=itemgetter(0))  # stable: each row stays in column order
+    return {"shape": [m.target_dim, m.source_dim], "entries": entries}
 
 
 def matrix_to_json(m: LinearMap):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
-                         _basis_generators, _mult_rows, flip, multiply, rank_of_span,
-                         scalar_algebra, star, tensor_algebra, tensor_mult,
-                         verify_star_algebra)
+                         _basis_generators, _mult_rows, flip, hom_check, hom_indices,
+                         hom_predicate, multiply, rank_of_span, scalar_algebra, star,
+                         tensor_algebra, tensor_mult, verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
 from fqg.fourier import convolution_algebra
 from fqg.groups import CATALOG, cyclic, direct_product, named_group
@@ -548,3 +548,71 @@ def test_diagonal_flag_on_catalog_algebras():
     assert tensor_algebra(fun.algebra, function_algebra(cyclic(2)).algebra)._diag
     assert not tensor_algebra(fun.algebra, group_algebra(cyclic(2)).algebra)._diag
     assert BlockAlgebra([1] * 3)._diag and not BlockAlgebra([1, 2])._diag
+
+
+# -- the *-homomorphism laws of a map into a single algebra ---------------------
+
+_HOM_ALGEBRAS = ("grp(Z3)", "fun(Z3)", "fun(S3)", "blocks[1,2]")
+# a character of each: λ_g ↦ 1, evaluation at the identity, the [1] block
+_CHARACTERS = {"grp(Z3)": (0, 1, 2), "fun(Z3)": (0,), "fun(S3)": (0,), "blocks[1,2]": (0,)}
+
+
+def _hom_algebra(name):
+    return {"grp(Z3)": _grp("Z3"), "fun(Z3)": _fun("Z3"), "fun(S3)": _fun("S3"),
+            "blocks[1,2]": lambda: BlockAlgebra([1, 2])}[name]()
+
+
+def _reference_hom_law(a, c, cols, idx):
+    """Whether the map e_j ↦ cols[j] satisfies the identity at ``idx``, by
+    plain loops over Element products and stars."""
+    def image(x):
+        acc = {}
+        for j, cj in x.coeffs.items():
+            for k, ck in cols[j].items():
+                acc[k] = acc[k] + cj * ck if k in acc else cj * ck
+        return Element(c, acc)
+
+    if idx[0] == "unit":
+        return image(a.unit_element()) == c.unit_element()
+    if idx[0] == "multiplicative":
+        x, y = a.basis_element(idx[1]), a.basis_element(idx[2])
+        return image(x * y) == image(x) * image(y)
+    x = a.basis_element(idx[1])
+    return image(x.star()) == image(x).star()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_single_target_hom_predicate_matches_reference_loop(backend):
+    with use_backend(backend):
+        algebras = {name: _hom_algebra(name) for name in _HOM_ALGEBRAS}
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.sampled_from(_HOM_ALGEBRAS), st.sampled_from(_HOM_ALGEBRAS),
+               st.sampled_from(("random", "character", "identity")), st.data())
+        def agree(source, target, kind, data):
+            a, c = algebras[source], algebras[target]
+            if kind == "random":
+                cols = [_backend_vector(data.draw(_oracle_vectors(c.dim))) for _ in range(a.dim)]
+            elif kind == "identity" and source == target:
+                cols = [{j: scalar(1)} for j in range(a.dim)]
+            else:
+                cols = [dict(c.unit) if j in _CHARACTERS[source] else {} for j in range(a.dim)]
+            changed = data.draw(st.booleans())
+            if changed:  # set one entry of one image
+                j = data.draw(st.integers(0, a.dim - 1))
+                cols[j] = dict(cols[j])
+                cols[j][data.draw(st.integers(0, c.dim - 1))] = scalar(*data.draw(_cancelling))
+            law = hom_predicate(a, c, LinearMap(a.dim, c.dim, cols))
+            verdicts = [law(idx) for idx in hom_indices(a.dim)]
+            assert verdicts == [_reference_hom_law(a, c, cols, idx)
+                                for idx in hom_indices(a.dim)]
+            if kind == "character" or (kind == "identity" and source == target):
+                assert all(verdicts) or changed
+            for identity in ("unit", "multiplicative", "star"):
+                expected = next((idx[1:] for idx in hom_indices(a.dim, (identity,))
+                                 if not _reference_hom_law(a, c, cols, idx)), None)
+                check = hom_check(identity, a.dim, law, identity)
+                assert check.passed == (expected is None)
+                assert check.witness == (expected or ())
+
+        agree()

@@ -1,10 +1,13 @@
+import gc
+
 import pytest
 
+from fqg.classical import universal_classical_family
 from fqg.constructors import (check_fundamental_examples, function_algebra,
                               group_algebra, pontryagin_character_check,
                               quantum_group_data_equal)
 from fqg.fourier import dual_pair
-from fqg.groups import cyclic, named_group
+from fqg.groups import FiniteGroup, cyclic, named_group
 from fqg.hopf import verify_quantum_group
 from fqg.linalg import vec_eq, flip_map
 from fqg.scalar import scalar, use_backend
@@ -77,3 +80,32 @@ def test_character_duality_runs_on_float_backend():
 def test_character_duality_refuses_exact_backend():
     with pytest.raises(RuntimeError):
         pontryagin_character_check(3)
+
+
+def test_character_duality_is_the_hopf_morphism_report():
+    with use_backend("float"):
+        rep = pontryagin_character_check(4)
+    assert [c.name for c in rep.checks] == [
+        "multiplicative", "unital", "star_preserving", "coproduct_intertwined",
+        "counit_intertwined", "antipode_intertwined", "haar_intertwined"]
+    assert rep.passed and rep.subject == "hopf-morphism(grp(Z4) -> fun(Z4))"
+
+
+def _live_groups():
+    gc.collect()
+    return sum(type(o) is FiniteGroup for o in gc.get_objects())
+
+
+def test_constructor_memos_die_with_their_group():
+    before = _live_groups()
+    for _ in range(5):
+        group = cyclic(5)
+        built = [f(group) for f in (function_algebra, group_algebra, universal_classical_family)]
+        # memoised on the group: a second call returns the same objects
+        assert all(f(group) is x for f, x in zip(
+            (function_algebra, group_algebra, universal_classical_family), built))
+    with use_backend("float"):
+        for n in (3, 4, 5, 6):
+            assert pontryagin_character_check(n).passed
+    del group, built
+    assert _live_groups() == before

@@ -10,9 +10,9 @@ import fqg.hopf
 from fqg.algebra import InvalidDataError, StarAlgebra
 from fqg.constructors import function_algebra, group_algebra
 from fqg.groups import cyclic, named_group
-from fqg.hopf import (QuantumGroup, check_haar_antipode_identity,
-                      solve_haar_element, solve_haar_state,
-                      verify_quantum_group)
+from fqg.classical import enumerate_automorphisms
+from fqg.hopf import (QuantumGroup, check_haar_antipode_identity, check_hopf_morphism,
+                      solve_haar_element, solve_haar_state, verify_quantum_group)
 from fqg.linalg import LinearMap, vec_eq
 from fqg.scalar import scalar
 
@@ -290,3 +290,76 @@ def test_coassociativity_certificate_applies_no_coproduct_leg(monkeypatch):
     monkeypatch.setattr(fqg.hopf, "leg_apply", counted)
     assert verify_quantum_group(g).passed
     assert legs_of_delta == []
+
+
+# -- Hopf morphisms: oracle against Kronecker products and plain loops ---------
+
+MORPHISM_CHECKS = ["multiplicative", "unital", "star_preserving", "coproduct_intertwined",
+                   "counit_intertwined", "antipode_intertwined", "haar_intertwined"]
+
+
+def _reference_hopf_morphism(g, h, t):
+    """The seven verdicts of check_hopf_morphism, with (T⊗T)∘Δ as the
+    Kronecker product T.tensor(T) composed with Δ."""
+    a, b, n = g.algebra, h.algebra, g.dim
+    return [
+        all(vec_eq(t.apply(a.basis_product(i, j)), b.multiply_vec(t.cols[i], t.cols[j]))
+            for i, j in product(range(n), repeat=2)),
+        vec_eq(t.apply(a.unit), b.unit),
+        all(vec_eq(t.apply(a.star.cols[i]), b.star_vec(t.cols[i])) for i in range(n)),
+        h.coproduct.compose(t) == t.tensor(t).compose(g.coproduct),
+        h.counit.compose(t) == g.counit,
+        h.antipode.compose(t) == t.compose(g.antipode),
+        h.haar_state.compose(t) == g.haar_state,
+    ]
+
+
+def _permutation_map(perm):
+    return LinearMap(len(perm), len(perm), [{perm[j]: scalar(1)} for j in range(len(perm))])
+
+
+def _morphism_cases():
+    s3, z3 = named_group("S3"), cyclic(3)
+    aut = enumerate_automorphisms(s3)[-1]
+    # fixes the identity and swaps an element of order 2 with one of order 3
+    two = next(x for x in range(6) if s3.element_order(x) == 2)
+    three = next(x for x in range(6) if s3.element_order(x) == 3)
+    bad = list(range(6))
+    bad[two], bad[three] = three, two
+    fun, grp, fun3 = function_algebra(s3), group_algebra(s3), function_algebra(z3)
+    return {
+        "fun-identity": (fun, fun, LinearMap.identity(6, scalar(1))),
+        "fun-automorphism": (fun, fun, _permutation_map(aut)),
+        "fun-bijection": (fun, fun, _permutation_map(bad)),
+        "grp-automorphism": (grp, grp, _permutation_map(aut)),
+        "grp-bijection": (grp, grp, _permutation_map(bad)),
+        "fun-doubled": (fun, fun, LinearMap.identity(6, scalar(2))),
+        "fun3-rotated": (fun3, fun3, LinearMap.identity(3, scalar(0, 1))),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_morphism_cases())), st.booleans(), st.data())
+def test_hopf_morphism_checks_match_kronecker_reference(case, change, data):
+    g, h, t = _morphism_cases()[case]
+    if change:  # one entry set to 1, 2, -1 or i
+        cols = [dict(col) for col in t.cols]
+        j = data.draw(st.integers(0, g.dim - 1))
+        k = data.draw(st.integers(0, h.dim - 1))
+        cols[j][k] = data.draw(st.sampled_from([scalar(1), scalar(2), scalar(-1), scalar(0, 1)]))
+        t = LinearMap(g.dim, h.dim, cols)
+    rep = check_hopf_morphism(g, h, t)
+    assert [c.name for c in rep.checks] == MORPHISM_CHECKS
+    assert [c.passed for c in rep.checks] == _reference_hopf_morphism(g, h, t)
+
+
+def test_hopf_morphism_verdicts_on_named_maps():
+    verdicts = {case: check_hopf_morphism(*args).failed_names()
+                for case, args in _morphism_cases().items()}
+    assert verdicts["fun-identity"] == verdicts["fun-automorphism"] == []
+    assert verdicts["grp-automorphism"] == []
+    # a bijection of points keeps the pointwise structure, not the group law
+    assert verdicts["fun-bijection"] == ["coproduct_intertwined", "antipode_intertwined"]
+    assert "multiplicative" in verdicts["grp-bijection"]
+    assert verdicts["fun-doubled"][:2] == ["multiplicative", "unital"]
+    assert verdicts["fun3-rotated"][:3] == MORPHISM_CHECKS[:3]

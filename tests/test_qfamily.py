@@ -15,7 +15,7 @@ from fqg.fixtures import (broken_adjoint_family, counit_degenerate_family,
                           translation_family)
 from fqg.groups import cyclic, named_group
 from fqg.hopf import QuantumGroup
-from fqg.linalg import LinearMap, leg_compose
+from fqg.linalg import LinearMap, flip_map, leg_compose
 from fqg.qfamily import (QuantumFamily, check_action, check_family,
                          check_convolution_preservation, compose,
                          double_hat_formula_matches, hat, identity_family,
@@ -156,6 +156,35 @@ def test_compose_matches_the_tensor_and_compose_formula():
     gamma = translation_family(named_group("S3"))
     assert compose(beta, gamma).alpha == _tensor_and_compose(
         beta.alpha, gamma.alpha, gamma.target_algebra.dim, 0)
+
+
+def _shuffled_tensor_coproduct(hb, hc):
+    """shuffle∘(Δ_B⊗Δ_C), with shuffle = id_B⊗flip(B, C)⊗id_C, from
+    Kronecker products, and ε_B⊗ε_C: the Hopf data of B⊗C by definition."""
+    mb, mc = hb.coproduct.source_dim, hc.coproduct.source_dim
+    one = scalar(1)
+    shuffle = LinearMap.identity(mb, one).tensor(flip_map(mb, mc, one)).tensor(
+        LinearMap.identity(mc, one))
+    return (shuffle.compose(hb.coproduct.tensor(hc.coproduct)),
+            hb.counit.tensor(hc.counit))
+
+
+@pytest.mark.parametrize("pair", ["universal(Z5), translation(Z5)",
+                                  "universal(D4), universal(D4)"])
+def test_composed_coproduct_is_the_shuffled_tensor_product(pair):
+    z5, d4 = named_group("Z5"), named_group("D4")
+    beta, gamma = {
+        "universal(Z5), translation(Z5)": (universal_classical_family(z5),
+                                           translation_family(z5)),
+        "universal(D4), universal(D4)": (universal_classical_family(d4),
+                                         universal_classical_family(d4)),
+    }[pair]
+    hopf = compose(beta, gamma).hopf_on_target
+    coproduct, counit = _shuffled_tensor_coproduct(beta.hopf_on_target, gamma.hopf_on_target)
+    m = beta.target_algebra.dim * gamma.target_algebra.dim
+    assert hopf.coproduct.source_dim == m and hopf.coproduct.target_dim == m * m
+    assert hopf.coproduct == coproduct
+    assert hopf.counit == counit
 
 
 def test_hat_of_universal_family_is_automorphism_family_on_dual():
@@ -570,8 +599,8 @@ def test_family_certificates_skip_most_of_the_s4_sweeps(backend, monkeypatch):
     calls = {"multiplicative": 0, "conv_product": 0}
     predicate = fqg.qfamily.hom_predicate
 
-    def counted_predicate(a, b, alpha):
-        holds = predicate(a, b, alpha)
+    def counted_predicate(a, c, alpha, b=None):
+        holds = predicate(a, c, alpha, b)
         # conv_product is the multiplicative identity on the convolution algebra
         key = "multiplicative" if a is qf_hat.source.algebra else "conv_product"
 

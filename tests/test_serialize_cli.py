@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from fqg.constructors import (function_algebra, group_algebra,
 from fqg.fixtures import counit_degenerate_family, sign_twisted_dual_family
 from fqg.groups import cyclic, named_group
 from fqg.linalg import LinearMap
-from fqg.scalar import parse_scalar, set_backend
+from fqg.scalar import CFloat, format_scalar, parse_scalar, scalar, set_backend, use_backend
 from fqg.serialize import (algebra_from_dict, canonical_json, family_from_dict,
                            family_to_dict, group_from_dict, group_to_dict,
                            matrix_from_dense, matrix_from_json, matrix_from_sparse,
@@ -739,3 +740,28 @@ def test_d4_relations_witnesses_are_byte_stable(tmp_path, capsys):
         assert main(["relations", str(path), "--scheme", scheme, "--format", "json"]) == 1
         got[scheme] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert got == D4_DOUBLED_RELATIONS_SHA256
+
+
+def _sparse_reference(m):
+    """The sparse form by the definition: every entry formatted on its own,
+    the (row, col, scalar) triples sorted."""
+    cells = sorted((r, c, s) for c, col in enumerate(m.cols) for r, s in col.items())
+    return {"shape": [m.target_dim, m.source_dim],
+            "entries": [[r, c, *format_scalar(s)] for r, c, s in cells]}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_sparse_writer_formats_each_scalar_as_the_reference_does(backend):
+    with use_backend(backend):
+        one = scalar(1)
+        cols = [{2: one, 0: scalar(-1), 5: scalar(Fraction(1, 3), 2)}, {}, {4: one, 1: one}]
+        if backend == "float":
+            # equal scalars whose texts differ: the signed zero is kept
+            cols[1] = {3: CFloat(1.0, -0.0), 0: CFloat(1.0, 0.0), 2: CFloat(-0.0, 1.0)}
+        m = LinearMap(3, 6, cols)
+        assert matrix_to_sparse(m) == _sparse_reference(m)
+        coproduct = function_algebra(named_group("S3")).coproduct.transpose()
+        assert matrix_to_sparse(coproduct) == _sparse_reference(coproduct)
+    if backend == "float":
+        texts = {tuple(e[2:]) for e in matrix_to_sparse(m)["entries"]}
+        assert {("1.0", "-0.0"), ("1.0", "0.0"), ("-0.0", "1.0")} <= texts
