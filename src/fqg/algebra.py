@@ -18,7 +18,7 @@ from itertools import chain, product
 
 from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
                      vec_eq, vec_from_dense, vec_is_zero, vec_sub)
-from .report import Check, Report, sweep
+from .report import Check, Report, first_failure, sweep
 from .scalar import object_cache, one_like, parse_number, scalar
 
 
@@ -493,13 +493,33 @@ def hom_predicate(a: StarAlgebra, c: StarAlgebra, alpha: LinearMap, b=None):
     return holds
 
 
-def hom_check(name: str, n: int, law, identity: str, certificate=None) -> Check:
-    """The check ``name`` of one ``identity`` of a :func:`hom_predicate` law
-    for a map out of an n-dimensional algebra: its witness is the first
-    failing index without its tag.  ``certificate`` is :func:`sweep`'s."""
-    check = sweep(name, hom_indices(n, (identity,)), law, certificate)
-    check.witness = check.witness[1:]
+def hom_check(name: str, a: StarAlgebra, c: StarAlgebra, alpha: LinearMap,
+              identities=HOM_IDENTITIES, b=None, certificate=None) -> Check:
+    """The check ``name`` that α: A → C, or α: A → C⊗B when ``b`` is given,
+    satisfies ``identities`` of :func:`hom_predicate`; its witness is the
+    first failing index of :func:`hom_indices`, untagged for one identity.
+    ``certificate`` is :func:`sweep`'s; for a map into C⊗B whose identities
+    include the multiplicative one it defaults to :func:`hom_on_generators`."""
+    if certificate is None and b is not None and "multiplicative" in identities:
+        certificate = partial(hom_on_generators, a, c, alpha, identities, b)
+    check = sweep(name, hom_indices(a.dim, identities), hom_predicate(a, c, alpha, b),
+                  certificate)
+    if len(identities) == 1:
+        check.witness = check.witness[1:]
     return check
+
+
+def hom_on_generators(a: StarAlgebra, c: StarAlgebra, alpha: LinearMap, identities,
+                      b=None) -> bool:
+    """A one-sided certificate that α satisfies ``identities`` of
+    :func:`hom_predicate`: True only if it does.  Once A, C and B are
+    associative, the a with α(ax) = α(a)α(x) for all basis x form a
+    subalgebra (the nucleus lemma), so the multiplicative identity is checked
+    for left factors among the generators of A (:func:`_basis_generators`)."""
+    return (_is_associative(a) and _is_associative(c)
+            and (b is None or _is_associative(b))
+            and first_failure(hom_indices(a.dim, identities, _basis_generators(a)),
+                              hom_predicate(a, c, alpha, b)) is None)
 
 
 def flip(a: StarAlgebra, b: StarAlgebra) -> LinearMap:

@@ -14,12 +14,11 @@ from __future__ import annotations
 from itertools import product
 from operator import itemgetter
 
-from .algebra import Element, InvalidDataError, StarAlgebra, tensor_vec
+from .algebra import Element, InvalidDataError, StarAlgebra, hom_check, tensor_vec
 from .groups import FiniteGroup, _perm_group, group_from_table
 from .hopf import QuantumGroup
 from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is_zero
-from .qfamily import (HopfOnTarget, QuantumFamily, check_action, hom_sweep,
-                      is_automorphism_family)
+from .qfamily import HopfOnTarget, QuantumFamily, check_action, is_automorphism_family
 from .report import Check, Report, sweep
 from .scalar import object_cache, scalar
 
@@ -532,7 +531,8 @@ def check_dual_group_theorem(qf: QuantumFamily) -> Report:
                          qf.hopf_on_target.opposite(), "beta(%s)" % qf.label)
     action = check_action(beta).checks[0]
     checks += [
-        hom_sweep("transposed_family_star_hom", beta.source.algebra, b, beta.alpha),
+        hom_check("transposed_family_star_hom", beta.source.algebra, beta.source.algebra,
+                  beta.alpha, b=b),
         Check("transposed_family_action", action.passed, action.witness),
         sweep("transposed_counit_slice", range(n),
               lambda x: vec_eq(leg_apply(eps_b, beta.alpha.cols[x], m, 1), {x: one})),

@@ -11,14 +11,15 @@ selftest.  Exit codes: 0 all requested checks pass, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .algebra import InvalidDataError, verify_star_algebra
 from .groups import named_group
 from .hopf import verify_quantum_group
-from .scalar import set_backend
-from .serialize import (canonical_json, dual_pair_to_dict, family_from_dict,
+from .scalar import set_backend, valid_tolerance
+from .serialize import (canonical_json, check_entries, dual_pair_to_dict, family_from_dict,
                         family_to_dict, load_json_file, quantum_group_from_dict,
                         quantum_group_to_dict)
 
@@ -27,12 +28,19 @@ _GLOBAL_DEFAULTS = {"backend": "exact", "tol": 1e-9, "fmt": "table",
                     "output": None, "skip_verify": False}
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return valid_tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _common_flags() -> argparse.ArgumentParser:
     # accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     sup = argparse.SUPPRESS
     common.add_argument("--backend", choices=["exact", "float"], default=sup)
-    common.add_argument("--tol", type=float, default=sup,
+    common.add_argument("--tol", type=_tolerance, default=sup,
                         help="comparison tolerance for the float backend")
     common.add_argument("--format", choices=["json", "table"], default=sup,
                         dest="fmt")
@@ -211,6 +219,12 @@ def _cmd_compose(args) -> int:
 
     first = family_from_dict(load_json_file(args.first), verify=not args.skip_verify)
     second = family_from_dict(load_json_file(args.second), verify=not args.skip_verify)
+    if first.hopf_on_target is not None and second.hopf_on_target is not None:
+        # the composite coproduct has an entry per pair of entries of Δ_B and Δ_C
+        # (at most, on the float backend): refuse an output too large to write
+        m = first.target_algebra.dim * second.target_algebra.dim
+        check_entries(m * m, m, math.prod(sum(map(len, f.hopf_on_target.coproduct.cols))
+                                          for f in (first, second)))
     out = compose(first, second)
     payload = canonical_json(family_to_dict(out))
     _emit(args, payload,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import StarAlgebra
-from .fourier import dual_pair
+from .fourier import convolution_algebra, dual_pair
 from .groups import FiniteGroup
 from .hopf import QuantumGroup, check_hopf_morphism
 from .linalg import LinearMap, vec_eq, vec_scale
@@ -100,9 +100,7 @@ def check_fundamental_examples(group: FiniteGroup) -> Report:
     fun = function_algebra(group)
     grp = group_algebra(group)
 
-    from .fourier import conv_table
-
-    ct_fun, ct_grp = conv_table(fun), conv_table(grp)
+    conv_fun, conv_grp = convolution_algebra(fun), convolution_algebra(grp)
     pair, pair_grp = dual_pair(fun), dual_pair(grp)
     fr = pair.fourier
     big = scalar(n)
@@ -119,13 +117,14 @@ def check_fundamental_examples(group: FiniteGroup) -> Report:
     grp_iso = quantum_group_data_equal(pair_grp.dual, fun)
     checks = [
         sweep("fun_convolution_formula", product(range(n), repeat=2),
-              lambda gh: vec_eq(ct_fun.get(gh, {}), {group.mul(*gh): w})),
+              lambda gh: vec_eq(conv_fun.basis_product(*gh), {group.mul(*gh): w})),
         sweep("fun_conv_adjoint_formula", range(n),
-              lambda g: vec_eq(fun.bullet_vec({g: one}), {group.inv(g): one})),
+              lambda g: vec_eq(conv_fun.star_vec({g: one}), {group.inv(g): one})),
         sweep("grp_convolution_formula", product(range(n), repeat=2),
-              lambda gh: vec_eq(ct_grp.get(gh, {}), {gh[1]: one} if gh[0] == gh[1] else {})),
+              lambda gh: vec_eq(conv_grp.basis_product(*gh),
+                                {gh[1]: one} if gh[0] == gh[1] else {})),
         sweep("grp_conv_adjoint_formula", range(n),
-              lambda g: vec_eq(grp.bullet_vec({g: one}), {g: one})),
+              lambda g: vec_eq(conv_grp.star_vec({g: one}), {g: one})),
         sweep("fun_fourier_matrix", range(n), lambda g: vec_eq(fr.cols[g], {g: w})),
         sweep("fourier_product_formula", product(range(n), repeat=2),
               lambda gg: vec_eq(pair.dual.algebra.multiply_vec(fr.cols[gg[0]], fr.cols[gg[1]]),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import InvalidDataError, Element, StarAlgebra, hom_check, hom_predicate
+from .algebra import InvalidDataError, Element, StarAlgebra, hom_check
 from .hopf import QuantumGroup, dual_algebra, dual_coproduct, verify_quantum_group
 from .linalg import LinearMap, entry_eq, vec_eq, vec_scale
 from .report import Check, Report, sweep
@@ -65,7 +65,7 @@ def convolution_algebra(g: QuantumGroup) -> StarAlgebra:
                     acc[b] = t
             if acc:
                 table[(i, j)] = acc
-    return StarAlgebra(n, table, {}, g.bullet_map(), "conv(%s)" % g.label)
+    return StarAlgebra(n, table, {}, anti.compose(g.algebra.star), "conv(%s)" % g.label)
 
 
 def conv_table(g: QuantumGroup) -> dict:
@@ -84,7 +84,7 @@ def convolve(g: QuantumGroup, x: Element, y: Element) -> Element:
 
 def conv_adjoint(g: QuantumGroup, x: Element) -> Element:
     """The convolution adjoint a ↦ S(a*)."""
-    return Element(g.algebra, g.bullet_vec(x.coeffs))
+    return Element(g.algebra, convolution_algebra(g).star_vec(x.coeffs))
 
 
 # -- duality -------------------------------------------------------------------
@@ -191,14 +191,13 @@ def verify_fourier_identities(pair: DualPair) -> Report:
     """The transform identities relating ⋆, the adjoints and the antipodes.
 
     ``fourier_convolution`` and ``fourier_star`` are the product and star
-    laws of :func:`hom_predicate` for F: (A, ⋆, •) → Â, and
+    laws of :func:`hom_check` for F: (A, ⋆, •) → Â, and
     ``fourier_conv_adjoint`` the star law for F: A → (Â, ⋆̂, •̂)."""
     g, d = pair.primal, pair.dual
     n = g.dim
     fr = pair.fourier
     conv = convolution_algebra(g)
     conv_dual = convolution_algebra(d)
-    from_conv = hom_predicate(conv, d.algebra, fr)
     h_eta = g.haar_of_eta()
     one = scalar(1)
 
@@ -208,14 +207,14 @@ def verify_fourier_identities(pair: DualPair) -> Report:
                       conv_dual.multiply_vec(fr.cols[j], fr.cols[i]))
 
     checks = [
-        hom_check("fourier_convolution", n, from_conv, "multiplicative"),
-        hom_check("fourier_star", n, from_conv, "star"),
+        hom_check("fourier_convolution", conv, d.algebra, fr, ("multiplicative",)),
+        hom_check("fourier_star", conv, d.algebra, fr, ("star",)),
         Check("fourier_antipode", d.antipode.compose(fr) == fr.compose(g.antipode), ()),
         sweep("fourier_dual_convolution", product(range(n), repeat=2), dual_convolution),
         sweep("counit_of_convolution", product(range(n), repeat=2),
               lambda ij: entry_eq(g.counit_of(conv.basis_product(*ij)), g.haar_of(
                   g.algebra.multiply_vec(g.antipode.cols[ij[1]], {ij[0]: one})))),
-        hom_check("fourier_conv_adjoint", n, hom_predicate(g.algebra, conv_dual, fr), "star"),
+        hom_check("fourier_conv_adjoint", g.algebra, conv_dual, fr, ("star",)),
     ]
     return Report("fourier(%s)" % g.label, checks)
 

@@ -197,12 +197,22 @@ class _State(threading.local):
 _state = _State()
 
 
+def valid_tolerance(tol) -> float:
+    """``tol`` as a float if it is finite and at least 0; else ValueError."""
+    tol = float(tol)
+    if not 0 <= tol < math.inf:  # false for nan too
+        raise ValueError("tolerance %r is not a finite number >= 0" % tol)
+    return tol
+
+
 def set_backend(name: str, tol: float | None = None) -> None:
+    """Select the backend, and the float tolerance unless ``tol`` is None;
+    a bad name or tolerance raises ValueError and changes nothing."""
     if name not in (EXACT, FLOAT):
         raise ValueError("unknown backend %r" % name)
-    _state.name = name
     if tol is not None:
-        _state.tol = float(tol)
+        _state.tol = valid_tolerance(tol)
+    _state.name = name
 
 
 def backend_name() -> str:

@@ -68,14 +68,15 @@ def _pair(s) -> list:
     return list(format_scalar(s))
 
 
-def _check_entries(m: LinearMap, entries: int) -> None:
+def check_entries(rows: int, cols: int, entries: int) -> None:
+    """Refuse to write a rows x cols matrix of more than MAX_ENTRIES entries."""
     if entries > MAX_ENTRIES:
         raise InvalidDataError("a %d x %d matrix has %d entries, above the output limit %d"
-                               % (m.target_dim, m.source_dim, entries, MAX_ENTRIES))
+                               % (rows, cols, entries, MAX_ENTRIES))
 
 
 def matrix_to_dense(m: LinearMap):
-    _check_entries(m, m.target_dim * m.source_dim)
+    check_entries(m.target_dim, m.source_dim, m.target_dim * m.source_dim)
     rows = []
     for r in range(m.target_dim):
         row = []
@@ -87,7 +88,7 @@ def matrix_to_dense(m: LinearMap):
 
 
 def matrix_to_sparse(m: LinearMap) -> dict:
-    _check_entries(m, sum(map(len, m.cols)))
+    check_entries(m.target_dim, m.source_dim, sum(map(len, m.cols)))
     # each distinct scalar is formatted once; a float is keyed by its text,
     # as 0.0 and -0.0 are equal but print apart
     text = {}
@@ -203,6 +204,8 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
 
 
 def algebra_from_dict(d: dict) -> StarAlgebra:
+    if type(d) is not dict:
+        raise InvalidDataError("an algebra must be a JSON object, not %.40r" % (d,))
     try:
         weights = d.get("trace_weights")
         # rationals travel as strings; BlockAlgebra would take a JSON number

@@ -602,7 +602,8 @@ def test_single_target_hom_predicate_matches_reference_loop(backend):
                 j = data.draw(st.integers(0, a.dim - 1))
                 cols[j] = dict(cols[j])
                 cols[j][data.draw(st.integers(0, c.dim - 1))] = scalar(*data.draw(_cancelling))
-            law = hom_predicate(a, c, LinearMap(a.dim, c.dim, cols))
+            alpha = LinearMap(a.dim, c.dim, cols)
+            law = hom_predicate(a, c, alpha)
             verdicts = [law(idx) for idx in hom_indices(a.dim)]
             assert verdicts == [_reference_hom_law(a, c, cols, idx)
                                 for idx in hom_indices(a.dim)]
@@ -611,7 +612,7 @@ def test_single_target_hom_predicate_matches_reference_loop(backend):
             for identity in ("unit", "multiplicative", "star"):
                 expected = next((idx[1:] for idx in hom_indices(a.dim, (identity,))
                                  if not _reference_hom_law(a, c, cols, idx)), None)
-                check = hom_check(identity, a.dim, law, identity)
+                check = hom_check(identity, a, c, alpha, (identity,))
                 assert check.passed == (expected is None)
                 assert check.witness == (expected or ())
 

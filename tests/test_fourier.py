@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fqg.constructors import (function_algebra, group_algebra,
                               quantum_group_data_equal)
 from fqg.fourier import (build_dual, check_iteration_lemma, conv_adjoint,
-                         conv_table, conv_vec, convolve, dual_pair,
+                         conv_table, conv_vec, convolution_algebra, convolve, dual_pair,
                          verify_fourier_identities)
 from fqg.groups import cyclic, named_group
 from fqg.hopf import QuantumGroup, dual_algebra
@@ -74,12 +74,13 @@ def test_convolution_associative_on_basis():
 
 def test_conv_adjoint_antimultiplicative_for_convolution():
     g = group_algebra(named_group("S3"))
-    ct = conv_table(g)
+    conv = convolution_algebra(g)
+    ct = conv.mult
     for i in range(6):
         for j in range(6):
-            lhs = g.bullet_vec(ct.get((i, j), {}))
-            rhs = conv_vec(g, g.bullet_vec({j: scalar(1)}),
-                           g.bullet_vec({i: scalar(1)}))
+            lhs = conv.star_vec(ct.get((i, j), {}))
+            rhs = conv_vec(g, conv.star_vec({j: scalar(1)}),
+                           conv.star_vec({i: scalar(1)}))
             assert vec_eq(lhs, rhs)
 
 

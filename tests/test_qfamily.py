@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fqg.qfamily
+import fqg.algebra
+import fqg.hopf
 from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra, scalar_algebra
 from fqg.classical import enumerate_automorphisms, universal_classical_family
 from fqg.constructors import function_algebra, group_algebra
-from fqg.fourier import conv_table, dual_pair
+from fqg.fourier import conv_table, dual_pair, verify_fourier_identities
 from fqg.fixtures import (broken_adjoint_family, counit_degenerate_family,
                           identity_family_with_hopf, target_permuted_family,
                           translation_family)
 from fqg.groups import cyclic, named_group
-from fqg.hopf import QuantumGroup
+from fqg.hopf import (QuantumGroup, check_hopf_morphism, dual_algebra, dual_coproduct,
+                      verify_quantum_group)
 from fqg.linalg import LinearMap, flip_map, leg_compose
 from fqg.qfamily import (QuantumFamily, check_action, check_family,
                          check_convolution_preservation, compose,
@@ -594,10 +596,45 @@ def _fresh(qf):
     return QuantumFamily(qf.source, qf.target_algebra, qf.alpha, qf.hopf_on_target, qf.label)
 
 
+def test_only_maps_into_a_tensor_product_consult_the_generator_certificate(monkeypatch):
+    """A family, its convolution laws and the coproduct (maps into C⊗B) try
+    ``hom_on_generators`` first; the counit, antipode, Fourier and
+    Hopf-morphism checks (maps into one algebra) never consult it."""
+    original = fqg.algebra.hom_on_generators
+    consulted = []
+
+    def recorded(a, c, alpha, identities, b=None):
+        consulted.append((alpha, b))
+        return original(a, c, alpha, identities, b)
+
+    for module in (fqg.algebra, fqg.hopf):
+        monkeypatch.setattr(module, "hom_on_generators", recorded)
+
+    def consults(run):
+        consulted.clear()
+        assert run().passed
+        return list(consulted)
+
+    qf = universal_classical_family(named_group("S3"))
+    s = qf.source
+    g = QuantumGroup(s.algebra, s.coproduct, s.counit, s.antipode, s.haar_state,
+                     s.haar_element, s.label)
+    dual = dual_algebra(g)
+    # fun(S3) has 6 generators and its dual algebra grp(S3) 2: Δ is certified
+    # through the dual coproduct
+    assert consults(lambda: verify_quantum_group(g)) == [(dual_coproduct(g), dual)]
+    pair = dual_pair(g)
+    assert consults(lambda: verify_fourier_identities(pair)) == []
+    assert consults(lambda: check_hopf_morphism(g, g, LinearMap.identity(g.dim, scalar(1)))) == []
+    target = (qf.alpha, qf.target_algebra)
+    assert consults(lambda: check_family(_fresh(qf))) == [target]
+    assert consults(lambda: check_convolution_preservation(_fresh(qf))) == [target]
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_family_certificates_skip_most_of_the_s4_sweeps(backend, monkeypatch):
     calls = {"multiplicative": 0, "conv_product": 0}
-    predicate = fqg.qfamily.hom_predicate
+    predicate = fqg.algebra.hom_predicate
 
     def counted_predicate(a, c, alpha, b=None):
         holds = predicate(a, c, alpha, b)
@@ -612,7 +649,7 @@ def test_family_certificates_skip_most_of_the_s4_sweeps(backend, monkeypatch):
     with use_backend(backend):
         qf = universal_classical_family(named_group("S4"))
         qf_hat = hat(qf)
-        monkeypatch.setattr(fqg.qfamily, "hom_predicate", counted_predicate)
+        monkeypatch.setattr(fqg.algebra, "hom_predicate", counted_predicate)
         assert check_family(_fresh(qf_hat)).passed
         assert check_convolution_preservation(_fresh(qf)).passed
     n = qf.source.dim

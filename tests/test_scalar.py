@@ -57,6 +57,22 @@ def test_backend_switch_and_factory():
     assert backend_name() == "exact"
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+def test_a_tolerance_must_be_finite_and_not_negative(tol):
+    set_backend("float", 1e-6)
+    with pytest.raises(ValueError, match="not a finite number >= 0"):
+        set_backend("exact", tol)
+    assert (backend_name(), tolerance()) == ("float", 1e-6)
+    with pytest.raises(ValueError, match="not a finite number >= 0"):
+        with use_backend("exact", tol):
+            pass
+    assert (backend_name(), tolerance()) == ("float", 1e-6)
+    with use_backend("exact", 0):
+        assert tolerance() == 0.0
+    set_backend("float", 1e308)
+    assert tolerance() == 1e308
+
+
 @pytest.mark.parametrize("re,im", [("3/4", "0"), ("-1/2", "7"), ("0.25", "1e-3")])
 def test_parse_format_roundtrip_exact(re, im):
     s = parse_scalar(re, im)

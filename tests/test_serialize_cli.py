@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqg.qfamily
 import fqg.serialize
 from fqg.algebra import InvalidDataError, StarAlgebra
 from fqg.cli import main
@@ -508,6 +510,58 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, monkeypatch):
         assert captured.err.startswith("error: [input]"), extra
         assert "above the output limit" in captured.err and not captured.out, extra
         assert not out.exists(), extra
+
+
+@pytest.mark.parametrize("command", ["verify", "dual", "check-family", "relations", "compose"])
+def test_cli_input_that_is_not_an_object_exits_2(command, tmp_path, capsys):
+    """A quantum group file, or a family's target algebra, that is a JSON
+    list or string is refused as input."""
+    path = tmp_path / "bad.json"
+    extra = {"relations": ["--scheme", "auto"], "compose": [str(path)]}.get(command, [])
+    for bad in ([1], "x"):
+        doc = bad if command in ("verify", "dual") else {
+            "source": {"group": "Z2", "kind": "fun"}, "target": bad, "alpha": [[["1", "0"]]]}
+        path.write_text(canonical_json(doc))
+        assert main([command, str(path)] + extra) == 2, bad
+        assert capsys.readouterr().err == (
+            "error: [input] an algebra must be a JSON object, not %r\n" % (bad,)), bad
+    if command not in ("verify", "dual"):  # a family file that is not an object
+        path.write_text("[1]")
+        assert main([command, str(path)] + extra) == 2
+        assert capsys.readouterr().err.startswith("error: [input] malformed family")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_cli_tolerance_must_be_finite_and_not_negative(tol, tmp_path, capsys):
+    path = tmp_path / "z3.json"
+    path.write_text(canonical_json(quantum_group_to_dict(function_algebra(cyclic(3)))))
+    with pytest.raises(SystemExit) as exc:
+        main(["--backend", "float", "--tol=" + tol, "verify", str(path)])
+    assert exc.value.code == 2
+    assert "argument --tol: tolerance %s is not a finite number >= 0" % float(tol) in (
+        capsys.readouterr().err)
+    assert main(["--backend", "float", "--tol", "0", "verify", str(path)]) == 0
+
+
+def test_cli_compose_refuses_an_oversized_coproduct_before_building_it(tmp_path, capsys,
+                                                                        monkeypatch):
+    """D4∘D4 composed with itself has an index coproduct of 4096² entries,
+    above the output limit: refused from the two files, without compose."""
+    _composed_d4_dict(tmp_path)
+    capsys.readouterr()
+
+    def no_compose(*args):
+        raise AssertionError("compose ran")
+
+    monkeypatch.setattr(fqg.qfamily, "compose", no_compose)
+    dd = str(tmp_path / "dd.json")
+    start = time.perf_counter()
+    assert main(["compose", dd, dd]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [input] a 16777216 x 4096 matrix has 16777216 entries,"
+                            " above the output limit 4194304\n")
+    assert not captured.out
 
 
 def test_cli_cell_that_is_not_a_pair_exits_2(tmp_path, capsys):
