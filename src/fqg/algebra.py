@@ -44,15 +44,18 @@ class StarAlgebra:
     ``_diag`` is True when the cleaned table is exactly {(i, i): {i: 1}} for
     every i, with each 1 read off its raw components rather than through the
     float tolerance; :meth:`multiply_vec` and :func:`tensor_mult` then take
-    the diagonal path.  It is derived from the table, never set."""
+    the diagonal path.  ``_ones`` is True when every structure constant is 1,
+    read the same way; the products then add c·e_k for each stated e_k
+    without multiplying c by the constant.  Both are derived from the table,
+    never set."""
 
-    __slots__ = ("dim", "mult", "unit", "star", "label", "_cache", "_diag")
+    __slots__ = ("dim", "mult", "unit", "star", "label", "_cache", "_diag", "_ones")
 
     def __init__(self, dim, mult, unit, star, label=""):
         if dim <= 0:
             raise InvalidDataError("dimension must be positive")
         clean = {}
-        diag = True
+        diag = ones = True
         for (i, j), terms in mult.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InvalidDataError("structure constant index out of range")
@@ -62,6 +65,8 @@ class StarAlgebra:
                     raise InvalidDataError("structure constant index out of range")
                 if c.is_zero():
                     zero = True
+                elif c.re != 1 or c.im != 0:
+                    ones = False
             if zero:
                 terms = {k: c for k, c in terms.items() if not c.is_zero()}
             if terms:
@@ -72,6 +77,7 @@ class StarAlgebra:
         self.dim = dim
         self.mult = clean
         self._diag = diag and len(clean) == dim
+        self._ones = ones
         self.unit = {i: c for i, c in dict(unit).items() if not c.is_zero()}
         if isinstance(star, LinearMap):
             if star.source_dim != dim or star.target_dim != dim:
@@ -98,7 +104,7 @@ class StarAlgebra:
                     if not c.is_zero():
                         acc[i] = c
             return acc
-        mult = self.mult
+        mult, ones = self.mult, self._ones
         acc = {}
         for i, ci in u.items():
             for j, cj in v.items():
@@ -109,8 +115,9 @@ class StarAlgebra:
                 if c.is_zero():
                     continue
                 for k, ck in terms.items():
+                    p = c if ones else c * ck
                     cur = acc.get(k)
-                    t = c * ck if cur is None else cur + c * ck
+                    t = p if cur is None else cur + p
                     if t.is_zero():
                         acc.pop(k, None)
                     else:
@@ -289,9 +296,10 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
     walking whichever of the two is smaller.  When B is diagonal (see
     :class:`StarAlgebra`), each group is a dict over the second-leg index,
     and a term of ``u`` looks up its own second-leg index in it instead of
-    walking the group.
+    walking the group.  A table of 1s (``_ones``) contributes no factor.
     """
     arows, bm, db, b_diag = _mult_rows(a), b.mult, b.dim, b._diag
+    a_ones, b_ones = a._ones, b._ones
     vrows: dict = {}
     if b_diag:
         for q, cq in v.items():
@@ -321,8 +329,9 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
                     continue
                 for k1, c1 in ta.items():
                     k = k1 * db + b1
+                    p = c if a_ones else c * c1
                     cur = acc.get(k)
-                    t = c * c1 if cur is None else cur + c * c1
+                    t = p if cur is None else cur + p
                     if t.is_zero():
                         acc.pop(k, None)
                     else:
@@ -338,11 +347,12 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
                     continue
                 for k1, c1 in ta.items():
                     base = k1 * db
-                    cc = c * c1
+                    cc = c if a_ones else c * c1
                     for k2, c2 in tb.items():
                         k = base + k2
+                        p = cc if b_ones else cc * c2
                         cur = acc.get(k)
-                        t = cc * c2 if cur is None else cur + cc * c2
+                        t = p if cur is None else cur + p
                         if t.is_zero():
                             acc.pop(k, None)
                         else:
@@ -372,35 +382,39 @@ def _basis_generators(algebra: StarAlgebra) -> tuple:
     (g·g a multiple of g) last, so the unit of a group-like table is reached
     as a product rather than picked.  The closure starts empty, not at the
     unit, whose law is a check of its own.  Any other table gets every
-    index."""
+    index.
+
+    Each closure is walked through the products the table states: when an
+    index a is taken up, its row (a·b) and its column (b·a) are read for
+    the b reached so far, so every stated product is read at most twice and
+    the walk is linear in the table, not quadratic in the dimension."""
     n = algebra.dim
     rows = _mult_rows(algebra)
     if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
         return tuple(range(n))
+    cols: dict = {}  # b -> {a: a·b}
+    for a, row in rows.items():
+        for b, terms in row.items():
+            cols.setdefault(b, {})[a] = terms
     empty: dict = {}
     idempotent = [g in rows.get(g, empty).get(g, empty) for g in range(n)]
     gens = []
-    closure: list = []
     reached = [False] * n
     for g in sorted(range(n), key=idempotent.__getitem__):
         if reached[g]:
             continue
         gens.append(g)
         reached[g] = True
-        frontier = [g]
-        while frontier:
-            fresh = []
-            for a in frontier:
-                closure.append(a)
-                row_a = rows.get(a, empty)
-                for b in closure:  # a·b and b·a, each pair once
-                    for terms in (row_a.get(b), rows.get(b, empty).get(a)):
-                        if terms is not None:
-                            for k in terms:
-                                if not reached[k]:
-                                    reached[k] = True
-                                    fresh.append(k)
-            frontier = fresh
+        todo = [g]
+        while todo:
+            a = todo.pop()
+            for line in (rows.get(a, empty), cols.get(a, empty)):
+                for b, terms in line.items():
+                    if reached[b]:
+                        for k in terms:
+                            if not reached[k]:
+                                reached[k] = True
+                                todo.append(k)
     return tuple(gens)
 
 
@@ -413,14 +427,14 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     For any bilinear product the a with (xa)y = x(ay) for all basis x, y form
     a subspace closed under the product, so it is enough to check them for
     the generators a of :func:`_basis_generators`.  A triple with x·a = 0 and
-    a·y = 0 has 0 on both sides and is skipped."""
+    a·y = 0 has 0 on both sides and is skipped, and so is an x with no
+    products at all."""
     rows = _mult_rows(algebra)
     empty: dict = {}
     everything = range(algebra.dim)
     for a in _basis_generators(algebra):
         right = rows.get(a, empty)  # y -> a·y
-        for x in everything:
-            row_x = rows.get(x, empty)
+        for row_x in rows.values():
             xa = row_x.get(a)
             for y in (everything if xa is not None else right):
                 lhs: dict = {}

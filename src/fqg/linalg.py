@@ -94,9 +94,12 @@ def vec_from_dense(coeffs) -> dict:
 
 
 class LinearMap:
-    """A target_dim x source_dim matrix, stored as sparse columns."""
+    """A target_dim x source_dim matrix, stored as sparse columns.
 
-    __slots__ = ("source_dim", "target_dim", "cols")
+    The columns are built here and never changed, so whether every entry is
+    1 (:meth:`all_ones`) is decided once, on first use."""
+
+    __slots__ = ("source_dim", "target_dim", "cols", "_ones")
 
     def __init__(self, source_dim, target_dim, cols):
         if len(cols) != source_dim:
@@ -107,6 +110,7 @@ class LinearMap:
         self.source_dim = source_dim
         self.target_dim = target_dim
         self.cols = tuple(clean)
+        self._ones = None
 
     # -- constructors -------------------------------------------------
 
@@ -133,11 +137,29 @@ class LinearMap:
         """Entry (r, c); None stands for a structural zero."""
         return self.cols[c].get(r)
 
+    def all_ones(self) -> bool:
+        """Whether every entry is 1, read off its raw components (never
+        through the float tolerance); then applying the map multiplies by
+        nothing."""
+        if self._ones is None:
+            self._ones = all(s.re == 1 and s.im == 0 for col in self.cols for s in col.values())
+        return self._ones
+
     def apply(self, vec: dict) -> dict:
         cols = self.cols
         acc: dict = {}
+        if not self.all_ones():
+            for j, c in vec.items():
+                vec_add_into(acc, cols[j], c)
+            return acc
         for j, c in vec.items():
-            vec_add_into(acc, cols[j], c)
+            for k in cols[j]:
+                cur = acc.get(k)
+                t = c if cur is None else cur + c
+                if t.is_zero():
+                    acc.pop(k, None)
+                else:
+                    acc[k] = t
         return acc
 
     # -- algebra -------------------------------------------------------
@@ -246,6 +268,7 @@ def leg_apply(m: LinearMap, v: dict, right_dim: int, leg: int) -> dict:
     """
     cols = m.cols
     td = m.target_dim
+    ones = m.all_ones()
     acc: dict = {}
     for r, c in v.items():
         x, y = divmod(r, right_dim)
@@ -255,8 +278,9 @@ def leg_apply(m: LinearMap, v: dict, right_dim: int, leg: int) -> dict:
             col, base, step = cols[y], x * td, 1
         for r2, c2 in col.items():
             k = base + r2 * step
+            p = c if ones else c * c2
             cur = acc.get(k)
-            t = c * c2 if cur is None else cur + c * c2
+            t = p if cur is None else cur + p
             if t.is_zero():
                 acc.pop(k, None)
             else:

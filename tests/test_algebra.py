@@ -1,6 +1,8 @@
 import ast
+import random
 import time
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import product
 from pathlib import Path
 
@@ -9,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
-                         _basis_generators, _mult_rows, flip, hom_check, hom_indices,
+                         _basis_generators, _is_associative, _mult_rows, flip, hom_check, hom_indices,
                          hom_predicate, multiply, rank_of_span, scalar_algebra, star,
                          tensor_algebra, tensor_mult, verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
 from fqg.fourier import convolution_algebra
 from fqg.groups import CATALOG, cyclic, direct_product, named_group
-from fqg.linalg import LinearMap, vec_eq
+from fqg.linalg import LinearMap, vec_add_into, vec_eq
 from fqg.scalar import QQi, scalar, use_backend
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=5)
@@ -280,6 +282,122 @@ def test_group_like_generators_skip_the_identity_and_reach_everything(name):
     assert _basis_generators(fun.algebra) == tuple(range(n))
 
 
+def _quadratic_generators(algebra):
+    """The greedy generators as first written: each newly reached index
+    walks the whole closure so far, quadratic in the dimension."""
+    n = algebra.dim
+    rows = _mult_rows(algebra)
+    if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
+        return tuple(range(n))
+    empty: dict = {}
+    idempotent = [g in rows.get(g, empty).get(g, empty) for g in range(n)]
+    gens, closure, reached = [], [], [False] * n
+    for g in sorted(range(n), key=idempotent.__getitem__):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        frontier = [g]
+        while frontier:
+            fresh = []
+            for a in frontier:
+                closure.append(a)
+                for b in closure:
+                    for terms in (rows.get(a, empty).get(b), rows.get(b, empty).get(a)):
+                        for k in terms or ():
+                            if not reached[k]:
+                                reached[k] = True
+                                fresh.append(k)
+            frontier = fresh
+    return tuple(gens)
+
+
+def _quadratic_is_associative(algebra):
+    """The associativity certificate as first written, with x over every
+    index rather than the nonempty rows."""
+    rows = _mult_rows(algebra)
+    empty: dict = {}
+    everything = range(algebra.dim)
+    for a in _quadratic_generators(algebra):
+        right = rows.get(a, empty)
+        for x in everything:
+            row_x = rows.get(x, empty)
+            xa = row_x.get(a)
+            for y in (everything if xa is not None else right):
+                lhs: dict = {}
+                for k, c in (xa or {}).items():
+                    vec_add_into(lhs, rows.get(k, empty).get(y, {}), c)
+                rhs: dict = {}
+                for k, c in right.get(y, {}).items():
+                    vec_add_into(rhs, row_x.get(k, {}), c)
+                if not vec_eq(lhs, rhs):
+                    return False
+    return True
+
+
+def _random_table_algebra(seed):
+    """A seeded sparse table: monomial with coefficients among 1, -1, ±i and
+    1/2 for most seeds, a sum of two basis elements now and then."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    coeffs = [QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1), QQi(Fraction(1, 2))]
+    mult = {}
+    for i, j in product(range(n), repeat=2):
+        if rng.random() < 0.3:
+            ks = rng.sample(range(n), 2 if n > 1 and rng.random() < 0.02 else 1)
+            mult[(i, j)] = {k: rng.choice(coeffs) for k in ks}
+    return StarAlgebra(n, mult, {}, LinearMap.identity(n, scalar(1)), "random%d" % seed)
+
+
+def _truncated_polynomials(n):
+    """e_i e_j = e_{i+j} below n: associative, monomial and mostly empty."""
+    mult = {(i, j): {i + j: scalar(1)} for i, j in product(range(n), repeat=2) if i + j < n}
+    return StarAlgebra(n, mult, {0: scalar(1)}, LinearMap.identity(n, scalar(1)), "poly%d" % n)
+
+
+def _catalog_algebra(*factors):
+    """The tensor product of catalog algebras named by (kind, group) pairs."""
+    return reduce(tensor_algebra, [
+        (function_algebra if kind == "fun" else group_algebra)(named_group(name)).algebra
+        for kind, name in factors])
+
+
+def _walk_cases():
+    """Label -> a function that builds each algebra the walk is compared on."""
+    cases = {}
+    for name in CATALOG:
+        for kind in ("fun", "grp"):
+            cases["%s(%s)" % (kind, name)] = partial(_catalog_algebra, (kind, name))
+        cases["fun(%s)(x)grp(S3)" % name] = partial(_catalog_algebra, ("fun", name), ("grp", "S3"))
+        cases["grp(%s)(x)grp(Z2)" % name] = partial(_catalog_algebra, ("grp", name), ("grp", "Z2"))
+    for n in (1, 5, 17):
+        cases["poly%d" % n] = partial(_truncated_polynomials, n)
+    for seed in range(40):
+        cases["random%d" % seed] = partial(_random_table_algebra, seed)
+    return cases
+
+
+WALK_CASES = _walk_cases()
+
+
+@pytest.mark.parametrize("label", WALK_CASES)
+def test_generator_walk_matches_the_quadratic_one(label):
+    algebra = WALK_CASES[label]()
+    assert _basis_generators(algebra) == _quadratic_generators(algebra)
+    assert _is_associative(algebra) == _quadratic_is_associative(algebra)
+
+
+def test_generator_walk_is_linear_in_an_empty_table():
+    """An empty table has every index as a generator; walking it reads no
+    product, so a large dimension costs time proportional to it."""
+    n = 20_000
+    empty = StarAlgebra(n, {}, {}, LinearMap(n, n, [{} for _ in range(n)]), "empty")
+    start = time.process_time()
+    assert _basis_generators(empty) == tuple(range(n))
+    assert _is_associative(empty)
+    assert time.process_time() - start < 2.0
+
+
 def test_block_algebra_m2_plus_c():
     b = BlockAlgebra([2, 1])
     assert b.dim == 5
@@ -440,11 +558,14 @@ _ORACLE_ALGEBRAS = {
     "grp(Z3)(x)fun(Z2)": _tensor(_grp("Z3"), _fun("Z2")),
     "grp(Z3)": _grp("Z3"),
     "blocks[1,2]": lambda: BlockAlgebra([1, 2]),
+    # the convolution table's constants are 1/3, not 1
+    "conv(Z3)": lambda: convolution_algebra(function_algebra(named_group("Z3"))),
 }
 _ORACLE_PAIRS = [("fun(S3)", "fun(S3)"), ("fun(S3)", "blocks[1]*4"),
                  ("blocks[1]*4", "fun(S3)"), ("fun(Z2)(x)fun(Z3)", "fun(Z2)(x)fun(Z3)"),
                  ("grp(Z3)", "fun(S3)"), ("fun(S3)", "grp(Z3)"),
-                 ("fun(Z2)(x)grp(Z3)", "fun(S3)"), ("blocks[1,2]", "fun(Z2)(x)fun(Z3)")]
+                 ("fun(Z2)(x)grp(Z3)", "fun(S3)"), ("blocks[1,2]", "fun(Z2)(x)fun(Z3)"),
+                 ("conv(Z3)", "fun(S3)"), ("grp(Z3)", "conv(Z3)"), ("conv(Z3)", "conv(Z3)")]
 # few distinct small coefficients, so that sums of products cancel often
 _cancelling = st.sampled_from([(1, 0), (-1, 0), (Fraction(1, 2), 0), (-2, 0), (0, 1), (0, -1)])
 
@@ -467,7 +588,8 @@ def _assert_kernel_agrees(got, expected):
 def test_multiply_vec_matches_reference_loop(name, backend):
     with use_backend(backend):
         a = _ORACLE_ALGEBRAS[name]()
-        assert a._diag == (name.count("grp") + name.count("[1,2]") == 0)
+        assert a._diag == (name.count("grp") + name.count("[1,2]") + name.count("conv") == 0)
+        assert a._ones == (name != "conv(Z3)")
         vectors = _oracle_vectors(a.dim)
 
         @settings(max_examples=60, deadline=None)
@@ -537,6 +659,17 @@ def test_diagonal_table_is_detected_only_when_exact():
         assert vec_eq(near[(1, 1)], {1: scalar(1)})
         assert not _table_algebra(near)._diag
         assert function_algebra(named_group("S3")).algebra._diag
+
+
+def test_ones_flag_reads_every_stated_constant():
+    assert _table_algebra(_diagonal_table(3) | {(0, 1): {2: scalar(1)}})._ones
+    # an explicit zero is dropped, and any other constant clears the flag
+    assert _table_algebra(_diagonal_table(3) | {(0, 1): {1: scalar(0)}})._ones
+    for c in (scalar(2), scalar(-1), scalar(0, 1), scalar(Fraction(1, 2))):
+        assert not _table_algebra(_diagonal_table(3) | {(0, 1): {1: c}})._ones
+    with use_backend("float"):
+        assert _table_algebra(_diagonal_table(3))._ones
+        assert not _table_algebra(_diagonal_table(3) | {(1, 1): {1: scalar(1 + 1e-10)}})._ones
 
 
 def test_diagonal_flag_on_catalog_algebras():

@@ -203,6 +203,42 @@ def _random_map(rng, source_dim, target_dim):
     return LinearMap(source_dim, target_dim, cols)
 
 
+def _reference_apply(m, v):
+    """m applied to v entry by entry, with every product formed."""
+    acc = {}
+    for j, c in v.items():
+        for r, s in m.cols[j].items():
+            acc[r] = acc[r] + c * s if r in acc else c * s
+    return {r: s for r, s in acc.items() if not s.is_zero()}
+
+
+def test_a_map_of_ones_applies_as_the_reference():
+    import random
+
+    rng = random.Random(11)
+    dx, dy = 3, 2
+    for _ in range(5):
+        v = {k: QQi(rng.randint(-4, 4), rng.randint(-2, 2)) for k in range(dx * dy)
+             if rng.random() < 0.7}
+        for leg, d in ((0, dx), (1, dy)):
+            for target in (d, d * d, 1):
+                ones = LinearMap(d, target, [{r: ONE for r in range(target) if rng.random() < 0.6}
+                                             for _ in range(d)])
+                assert ones.all_ones()
+                kron = (ones.tensor(LinearMap.identity(dy, ONE)) if leg == 0
+                        else LinearMap.identity(dx, ONE).tensor(ones))
+                u = {k: c for k, c in v.items() if k < d}
+                assert vec_eq(ones.apply(u), _reference_apply(ones, u))
+                assert vec_eq(kron.apply(v), _reference_apply(kron, v))
+                assert vec_eq(leg_apply(ones, v, dy, leg), _reference_apply(kron, v))
+    assert LinearMap(2, 2, [{}, {}]).all_ones()
+    assert not LinearMap(2, 2, [{0: ONE}, {1: -ONE}]).all_ones()
+    assert not LinearMap(1, 1, [{0: QQi(0, 1)}]).all_ones()
+    with use_backend("float"):
+        assert LinearMap.identity(2, CFloat(1.0)).all_ones()
+        assert not LinearMap.identity(2, CFloat(1.0 + 1e-10)).all_ones()
+
+
 def test_leg_apply_matches_kronecker_reference():
     import random
 

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -135,3 +137,82 @@ def test_inverse_divides_exactly():
     assert format_scalar(half) == ("1/2", "0")
     minus_i = QQi(0, 1).inv()
     assert (minus_i.re, minus_i.im) == (0, -1) and type(minus_i.im) is int
+
+
+# -- products by a unit ----------------------------------------------------------
+
+UNITS = [QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1), QQi(Fraction(1)),
+         QQi._raw(Fraction(1), 0)]  # arithmetic may leave an integral Fraction
+NON_UNITS = [QQi(0), QQi(3), QQi(-7, 2), QQi(Fraction(2, 3)), QQi(0, Fraction(-5, 7)),
+             QQi(Fraction(1, 2), -4), QQi(Fraction(-3, 4), Fraction(9, 5))]
+OPERANDS = NON_UNITS + UNITS
+
+
+def _by_hand(x, y):
+    a, b, c, d = (Fraction(v) for v in (x.re, x.im, y.re, y.im))
+    return (a * c - b * d, a * d + b * c)
+
+
+@pytest.mark.parametrize("unit", UNITS, ids=repr)
+@pytest.mark.parametrize("x", OPERANDS, ids=repr)
+def test_a_product_by_a_unit_is_the_four_product_formula(unit, x):
+    assert _agrees(unit * x, _by_hand(unit, x))
+    assert _agrees(x * unit, _by_hand(x, unit))
+
+
+@pytest.mark.parametrize("x", OPERANDS, ids=repr)
+def test_a_product_by_one_returns_the_other_factor(x):
+    assert QQi(1) * x is x
+    if any(x is y for y in NON_UNITS):  # a unit on the left is tried first
+        assert x * QQi(1) is x
+
+
+def test_float_products_keep_their_own_path():
+    for one in (CFloat(1.0), CFloat(-1.0), CFloat(0.0, 1.0)):
+        for x in (CFloat(2.5, -1.0), CFloat(1.0), CFloat(0.1, 0.3)):
+            for p, q in ((one, x), (x, one)):
+                product = p * q
+                assert product is not p and product is not q
+                assert (product.re, product.im) == (p.re * q.re - p.im * q.im,
+                                                    p.re * q.im + p.im * q.re)
+
+
+class _ComponentWrites(ast.NodeVisitor):
+    """Where a module stores to, deletes or ``setattr``s an attribute named
+    ``re`` or ``im``, as the name of the innermost enclosing function."""
+
+    def __init__(self):
+        self.where, self.found = None, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.where = self.where, node.name
+        self.generic_visit(node)
+        self.where = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if node.attr in ("re", "im") and not isinstance(node.ctx, ast.Load):
+            self.found.append(self.where)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in ("setattr", "__setattr__", "delattr") and any(
+                isinstance(arg, ast.Constant) and arg.value in ("re", "im")
+                for arg in node.args):
+            self.found.append(self.where)
+        self.generic_visit(node)
+
+
+def test_no_module_assigns_a_scalar_component_outside_its_constructors():
+    """The product by 1 returns its other factor itself, so a scalar must
+    never change once built: only scalar.py's ``__init__`` and ``_raw`` may
+    assign ``.re`` or ``.im``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "fqg"
+    writes = set()
+    for path in sorted(src.glob("*.py")):
+        visitor = _ComponentWrites()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        writes |= {(path.name, where) for where in visitor.found}
+    assert writes == {("scalar.py", "__init__"), ("scalar.py", "_raw")}
