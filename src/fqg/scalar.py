@@ -73,31 +73,12 @@ class QQi:
         c, d = other.re, other.im
         if type(other) is QQi:
             # a factor 1 returns the other one itself (values are never
-            # mutated), and -1 or ±i negates or swaps its components; a unit
-            # is looked for among int components, which integral ones nearly
-            # always are
-            if not b:
-                if type(a) is int:
-                    if a == 1:
-                        return other
-                    if a == -1:
-                        return QQi._raw(-c, -d)
-            elif not a and type(b) is int:
-                if b == 1:
-                    return QQi._raw(-d, c)
-                if b == -1:
-                    return QQi._raw(d, -c)
-            if not d:
-                if type(c) is int:
-                    if c == 1:
-                        return self
-                    if c == -1:
-                        return QQi._raw(-a, -b)
-            elif not c and type(d) is int:
-                if d == 1:
-                    return QQi._raw(-b, a)
-                if d == -1:
-                    return QQi._raw(b, -a)
+            # mutated); only an int 1 is looked for, as integral components
+            # nearly always are ints
+            if not b and type(a) is int and a == 1:
+                return other
+            if not d and type(c) is int and c == 1:
+                return self
         if not b:
             if not d:
                 return QQi._raw(a * c, 0)
