@@ -44,18 +44,15 @@ class StarAlgebra:
     ``_diag`` is True when the cleaned table is exactly {(i, i): {i: 1}} for
     every i, with each 1 read off its raw components rather than through the
     float tolerance; :meth:`multiply_vec` and :func:`tensor_mult` then take
-    the diagonal path.  ``_ones`` is True when every structure constant is 1,
-    read the same way; the products then add c·e_k for each stated e_k
-    without multiplying c by the constant.  Both are derived from the table,
-    never set."""
+    the diagonal path.  It is derived from the table, never set."""
 
-    __slots__ = ("dim", "mult", "unit", "star", "label", "_cache", "_diag", "_ones")
+    __slots__ = ("dim", "mult", "unit", "star", "label", "_cache", "_diag")
 
     def __init__(self, dim, mult, unit, star, label=""):
         if dim <= 0:
             raise InvalidDataError("dimension must be positive")
         clean = {}
-        diag = ones = True
+        diag = True
         for (i, j), terms in mult.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InvalidDataError("structure constant index out of range")
@@ -65,8 +62,6 @@ class StarAlgebra:
                     raise InvalidDataError("structure constant index out of range")
                 if c.is_zero():
                     zero = True
-                elif c.re != 1 or c.im != 0:
-                    ones = False
             if zero:
                 terms = {k: c for k, c in terms.items() if not c.is_zero()}
             if terms:
@@ -77,7 +72,6 @@ class StarAlgebra:
         self.dim = dim
         self.mult = clean
         self._diag = diag and len(clean) == dim
-        self._ones = ones
         self.unit = {i: c for i, c in dict(unit).items() if not c.is_zero()}
         if isinstance(star, LinearMap):
             if star.source_dim != dim or star.target_dim != dim:
@@ -104,7 +98,7 @@ class StarAlgebra:
                     if not c.is_zero():
                         acc[i] = c
             return acc
-        mult, ones = self.mult, self._ones
+        mult = self.mult
         acc = {}
         for i, ci in u.items():
             for j, cj in v.items():
@@ -115,7 +109,7 @@ class StarAlgebra:
                 if c.is_zero():
                     continue
                 for k, ck in terms.items():
-                    p = c if ones else c * ck
+                    p = c * ck
                     cur = acc.get(k)
                     t = p if cur is None else cur + p
                     if t.is_zero():
@@ -264,12 +258,7 @@ def tensor_algebra(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     mult = {}
     for (i1, j1), ta in a.mult.items():
         for (i2, j2), tb in b.mult.items():
-            terms = {}
-            for k1, c1 in ta.items():
-                base = k1 * db
-                for k2, c2 in tb.items():
-                    terms[base + k2] = c1 * c2
-            mult[(i1 * db + i2, j1 * db + j2)] = terms
+            mult[(i1 * db + i2, j1 * db + j2)] = tensor_vec(ta, tb, db)
     unit = tensor_vec(a.unit, b.unit, db)
     star_map = a.star.tensor(b.star)
     label = "%s (x) %s" % (a.label or "A", b.label or "B")
@@ -296,10 +285,9 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
     walking whichever of the two is smaller.  When B is diagonal (see
     :class:`StarAlgebra`), each group is a dict over the second-leg index,
     and a term of ``u`` looks up its own second-leg index in it instead of
-    walking the group.  A table of 1s (``_ones``) contributes no factor.
+    walking the group.
     """
     arows, bm, db, b_diag = _mult_rows(a), b.mult, b.dim, b._diag
-    a_ones, b_ones = a._ones, b._ones
     vrows: dict = {}
     if b_diag:
         for q, cq in v.items():
@@ -329,7 +317,7 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
                     continue
                 for k1, c1 in ta.items():
                     k = k1 * db + b1
-                    p = c if a_ones else c * c1
+                    p = c * c1
                     cur = acc.get(k)
                     t = p if cur is None else cur + p
                     if t.is_zero():
@@ -347,10 +335,10 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
                     continue
                 for k1, c1 in ta.items():
                     base = k1 * db
-                    cc = c if a_ones else c * c1
+                    cc = c * c1
                     for k2, c2 in tb.items():
                         k = base + k2
-                        p = cc if b_ones else cc * c2
+                        p = cc * c2
                         cur = acc.get(k)
                         t = p if cur is None else cur + p
                         if t.is_zero():
@@ -428,7 +416,10 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     a subspace closed under the product, so it is enough to check them for
     the generators a of :func:`_basis_generators`.  A triple with x·a = 0 and
     a·y = 0 has 0 on both sides and is skipped, and so is an x with no
-    products at all."""
+    products at all.  A diagonal table (e_i e_j = [i = j] e_i) is
+    associative without a walk."""
+    if algebra._diag:
+        return True
     rows = _mult_rows(algebra)
     empty: dict = {}
     everything = range(algebra.dim)

@@ -11,10 +11,11 @@ summation identity, and the proof chain for families on the dual of Γ.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 
 from .algebra import Element, InvalidDataError, StarAlgebra, hom_check, tensor_vec
+from .constructors import function_algebra
 from .groups import FiniteGroup, _perm_group, group_from_table
 from .hopf import QuantumGroup
 from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is_zero
@@ -370,8 +371,6 @@ def check_cyclic_identity(matrix: MagicMatrix) -> Report:
 
 def enumerate_automorphisms_brute(group: FiniteGroup):
     """Independent oracle: scan all bijections fixing the identity (|Γ| ≤ 8)."""
-    from itertools import permutations
-
     n = group.order
     if n > 8:
         raise InvalidDataError("full bijection scan is limited to order 8")
@@ -460,8 +459,6 @@ def automorphism_group(group: FiniteGroup):
 @object_cache
 def universal_classical_family(group: FiniteGroup) -> QuantumFamily:
     """The family over functions on Aut(Γ) with p_{x,y} = Σ_{ψ(y)=x} δ_ψ."""
-    from .constructors import function_algebra
-
     aut, auts = automorphism_group(group)
     fun = function_algebra(group)
     fun_aut = function_algebra(aut)
@@ -518,8 +515,6 @@ def check_dual_group_theorem(qf: QuantumFamily) -> Report:
                                    "column_sums_one", "row_orthogonality"))
 
     # transposed family on functions over Γ, against the opposite coproduct
-    from .constructors import function_algebra
-
     beta_cols = []
     for x in range(n):
         col = {}

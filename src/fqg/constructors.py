@@ -14,7 +14,7 @@ from itertools import product
 
 from .algebra import StarAlgebra
 from .fourier import convolution_algebra, dual_pair
-from .groups import FiniteGroup
+from .groups import FiniteGroup, cyclic
 from .hopf import QuantumGroup, check_hopf_morphism
 from .linalg import LinearMap, vec_eq, vec_scale
 from .report import Check, Report, sweep
@@ -147,8 +147,6 @@ def pontryagin_character_check(n: int) -> Report:
     """
     if backend_name() != "float":
         raise RuntimeError("character basis change needs the float backend")
-    from .groups import cyclic
-
     group = cyclic(n)
     fun = function_algebra(group)
     grp = group_algebra(group)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .algebra import scalar_algebra
 from .constructors import function_algebra, group_algebra
-from .groups import FiniteGroup
+from .groups import FiniteGroup, cyclic
 from .hopf import QuantumGroup
 from .linalg import LinearMap, leg_compose
 from .qfamily import HopfOnTarget, QuantumFamily, identity_family
@@ -80,8 +80,6 @@ def sign_twisted_dual_family() -> QuantumFamily:
     Entries u_{y,x} = v_{y-x} with v_0 = δ_0 and v_1 = -δ_1 over fun(Z_2);
     the sign makes u_{0,1} square to +δ_1 ≠ -δ_1.
     """
-    from .groups import cyclic
-
     z2 = cyclic(2)
     grp = group_algebra(z2)
     fun_b = function_algebra(z2)

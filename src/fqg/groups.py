@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 
 from .algebra import InvalidDataError, exact_int
@@ -202,8 +202,6 @@ def cyclic(n: int) -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 4:
         raise InvalidDataError("symmetric groups supported up to n=4")
-    from itertools import permutations
-
     return _perm_group(permutations(range(n)), "S%d" % n)
 
 

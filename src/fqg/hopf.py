@@ -13,11 +13,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .algebra import (InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
-                      hom_check, hom_on_generators, scalar_algebra, tensor_mult, tensor_vec)
+                      hom_check, hom_on_generators, scalar_algebra, tensor_mult, tensor_vec,
+                      verify_star_algebra)
 from .linalg import (LinearMap, entry_eq, leg_apply, leg_compose, nullspace_basis,
                      vec_add_into, vec_eq, vec_scale, vec_sub)
 from .report import Check, Report, first_failure, sweep
-from .scalar import QQi, object_cache, scalar, zero_like
+from .scalar import QQi, object_cache, scalar, tolerance, zero_like
 
 
 class QuantumGroup:
@@ -213,8 +214,6 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     The float backend always runs the full sweeps.  The unit, product and
     star laws are :func:`hom_check`'s: for Δ: A → A⊗A, for ε: A → ℂ and,
     the star law only, for S: A → A."""
-    from .algebra import verify_star_algebra
-
     a = g.algebra
     n = a.dim
     one = scalar(1)
@@ -298,8 +297,6 @@ def _gram_positivity_check(g: QuantumGroup) -> Check:
         return Check("haar_positive", False, ("not-hermitian",) + asymmetric)
     m = [row[:] for row in gram]
     exact = type(one) is QQi
-    from .scalar import tolerance
-
     tol = tolerance()
     for k in range(n):
         piv = m[k][k]

@@ -147,15 +147,13 @@ class LinearMap:
 
     def apply(self, vec: dict) -> dict:
         cols = self.cols
+        ones = self.all_ones()
         acc: dict = {}
-        if not self.all_ones():
-            for j, c in vec.items():
-                vec_add_into(acc, cols[j], c)
-            return acc
         for j, c in vec.items():
-            for k in cols[j]:
+            for k, s in cols[j].items():
+                p = c if ones else c * s
                 cur = acc.get(k)
-                t = c if cur is None else cur + c
+                t = p if cur is None else cur + p
                 if t.is_zero():
                     acc.pop(k, None)
                 else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import (InvalidDataError, StarAlgebra, hom_check, scalar_algebra, tensor_algebra,
                       tensor_vec)
+from .constructors import quantum_group_data_equal
 from .fourier import convolution_algebra, dual_pair
 from .hopf import QuantumGroup, check_hopf_morphism
 from .linalg import (LinearMap, flip_map, leg_apply, leg_compose, rank_of_vectors, vec_eq,
@@ -232,10 +233,12 @@ def is_automorphism_family(qf: QuantumFamily, deep: bool = True):
 
 
 def compose(beta: QuantumFamily, gamma: QuantumFamily) -> QuantumFamily:
-    """Composition (β⊗id)∘γ over the tensor product of the index algebras."""
-    if beta.source is not gamma.source and beta.source.dim != gamma.source.dim:
-        raise InvalidDataError("composition needs families on the same quantum group")
+    """Composition (β⊗id)∘γ over the tensor product of the index algebras.
+    Both families must be on the same quantum group: the same object, or
+    two with equal structure data (:func:`quantum_group_data_equal`)."""
     g = beta.source
+    if gamma.source is not g and not quantum_group_data_equal(g, gamma.source):
+        raise InvalidDataError("composition needs families on the same quantum group")
     b = beta.target_algebra
     c = gamma.target_algebra
     mb, mc = b.dim, c.dim

@@ -26,7 +26,7 @@ from .fourier import check_iteration_lemma, dual_pair, verify_fourier_identities
 from .groups import CATALOG, named_group
 from .hopf import check_haar_antipode_identity, verify_quantum_group
 from .linalg import LinearMap
-from .qfamily import (QuantumFamily, check_action, compose, hat,
+from .qfamily import (QuantumFamily, check_action, compose, double_hat_formula_matches, hat,
                       identity_family, is_automorphism_family,
                       slice_commutative, verify_dual_equivalences)
 from .report import Check, Report, first_failure
@@ -142,8 +142,6 @@ def suite_universal_families() -> Report:
 
 def suite_family_duality() -> Report:
     checks = []
-    from .qfamily import double_hat_formula_matches
-
     for label, fam, _expected in family_catalog():
         hat(fam)  # both closed formulas agree or this raises
         checks.append(_collect("%s-hat-formulas" % label, True))

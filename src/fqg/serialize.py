@@ -28,6 +28,7 @@ import json
 from operator import itemgetter
 
 from .algebra import BlockAlgebra, InvalidDataError, StarAlgebra, exact_int
+from .constructors import function_algebra, group_algebra
 from .groups import FiniteGroup, group_from_table, named_group
 from .hopf import QuantumGroup, solve_haar_element, solve_haar_state, verify_quantum_group
 from .linalg import LinearMap
@@ -303,8 +304,6 @@ def family_to_dict(qf: QuantumFamily) -> dict:
 
 
 def _source_from_ref(ref, verify: bool) -> QuantumGroup:
-    from .constructors import function_algebra, group_algebra
-
     if isinstance(ref, dict) and "group" in ref and "dim" not in ref:
         group = named_group(str(ref["group"]))
         kind = ref.get("kind", "fun")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqg.algebra
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
                          _basis_generators, _is_associative, _mult_rows, flip, hom_check, hom_indices,
                          hom_predicate, multiply, rank_of_span, scalar_algebra, star,
@@ -104,6 +105,54 @@ def test_tensor_associativity_on_structure_constants():
         assert vec_eq(left.mult.get(k, {}), right.mult.get(k, {}))
     assert vec_eq(left.unit, right.unit)
     assert left.star == right.star
+
+
+def _left_regular(a, i):
+    """Dense matrix of x ↦ e_i x on ``a``: column j is e_i e_j."""
+    zero = scalar(0)
+    m = [[zero] * a.dim for _ in range(a.dim)]
+    for j in range(a.dim):
+        for k, c in a.mult.get((i, j), {}).items():
+            m[k][j] = c
+    return m
+
+
+def _kronecker(x, y):
+    return [[cx * cy for cx in row_x for cy in row_y] for row_x in x for row_y in y]
+
+
+def _root_of_i():
+    """C[u]/(u² − i): the one structure constant of u·u is i."""
+    one = scalar(1)
+    return StarAlgebra(2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+                           (1, 1): {0: scalar(0, 1)}},
+                       {0: one}, LinearMap.identity(2, one), "C[u]/(u^2-i)")
+
+
+_CONSTANT_ALGEBRAS = {
+    "conv(Z3)": lambda: convolution_algebra(function_algebra(cyclic(3))),
+    "grp(Z3)": lambda: group_algebra(cyclic(3)).algebra,
+    "C[u]/(u^2-i)": _root_of_i,
+}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("first,second", [
+    ("conv(Z3)", "conv(Z3)"), ("conv(Z3)", "grp(Z3)"), ("grp(Z3)", "conv(Z3)"),
+    ("C[u]/(u^2-i)", "C[u]/(u^2-i)"), ("C[u]/(u^2-i)", "conv(Z3)"),
+    ("conv(Z3)", "C[u]/(u^2-i)")])
+def test_tensor_table_is_the_kronecker_product_of_left_regular_maps(first, second, backend):
+    # (e_i⊗f_k)(e_j⊗f_l) is column j·dim B + l of L(e_i)⊗L(f_k), entry by entry
+    with use_backend(backend):
+        a, b = _CONSTANT_ALGEBRAS[first](), _CONSTANT_ALGEBRAS[second]()
+        t = tensor_algebra(a, b)
+        assert any((c.re, c.im) != (1, 0) for terms in t.mult.values() for c in terms.values())
+        for i, k in product(range(a.dim), range(b.dim)):
+            left = _kronecker(_left_regular(a, i), _left_regular(b, k))
+            for q in range(t.dim):
+                column = {r: row[q] for r, row in enumerate(left) if not row[q].is_zero()}
+                got = t.mult.get((i * b.dim + k, q), {})
+                assert vec_eq(got, column), (i, k, q)
 
 
 def test_flip_is_star_isomorphism(fun_z2, grp_z3):
@@ -236,6 +285,18 @@ def test_associativity_certificate_skips_the_cubic_sweep(monkeypatch):
     calls = _count_multiply_vec(monkeypatch)
     assert verify_star_algebra(fresh).passed
     assert len(calls) < n ** 3 / 4
+
+
+def test_a_diagonal_table_is_associative_without_the_walk(monkeypatch):
+    def walked(algebra):
+        raise AssertionError("walked the generators of %s" % algebra.label)
+
+    monkeypatch.setattr(fqg.algebra, "_basis_generators", walked)
+    assert _is_associative(StarAlgebra(5, {(i, i): {i: scalar(1)} for i in range(5)},
+                                       {}, LinearMap.identity(5, scalar(1)), "diagonal"))
+    base = group_algebra(cyclic(3)).algebra
+    with pytest.raises(AssertionError, match="walked the generators of grp"):
+        _is_associative(StarAlgebra(base.dim, base.mult, base.unit, base.star, "grp"))
 
 
 def test_float_backend_sweeps_every_associativity_triple(monkeypatch):
@@ -589,7 +650,6 @@ def test_multiply_vec_matches_reference_loop(name, backend):
     with use_backend(backend):
         a = _ORACLE_ALGEBRAS[name]()
         assert a._diag == (name.count("grp") + name.count("[1,2]") + name.count("conv") == 0)
-        assert a._ones == (name != "conv(Z3)")
         vectors = _oracle_vectors(a.dim)
 
         @settings(max_examples=60, deadline=None)
@@ -659,17 +719,6 @@ def test_diagonal_table_is_detected_only_when_exact():
         assert vec_eq(near[(1, 1)], {1: scalar(1)})
         assert not _table_algebra(near)._diag
         assert function_algebra(named_group("S3")).algebra._diag
-
-
-def test_ones_flag_reads_every_stated_constant():
-    assert _table_algebra(_diagonal_table(3) | {(0, 1): {2: scalar(1)}})._ones
-    # an explicit zero is dropped, and any other constant clears the flag
-    assert _table_algebra(_diagonal_table(3) | {(0, 1): {1: scalar(0)}})._ones
-    for c in (scalar(2), scalar(-1), scalar(0, 1), scalar(Fraction(1, 2))):
-        assert not _table_algebra(_diagonal_table(3) | {(0, 1): {1: c}})._ones
-    with use_backend("float"):
-        assert _table_algebra(_diagonal_table(3))._ones
-        assert not _table_algebra(_diagonal_table(3) | {(1, 1): {1: scalar(1 + 1e-10)}})._ones
 
 
 def test_diagonal_flag_on_catalog_algebras():

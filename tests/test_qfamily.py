@@ -244,6 +244,16 @@ def test_compose_with_identity_is_unit_factor_isomorphic():
     assert right.alpha == qf.alpha
 
 
+def test_compose_refuses_families_over_different_quantum_groups():
+    # Z4 and K4 have the same order, and fun(Z4) and grp(Z4) the same dimension
+    z4 = universal_classical_family(cyclic(4))
+    k4 = universal_classical_family(named_group("K4"))
+    on_grp = identity_family(group_algebra(cyclic(4)))
+    for beta, gamma in ((z4, k4), (k4, z4), (z4, on_grp), (on_grp, z4)):
+        with pytest.raises(InvalidDataError, match="same quantum group"):
+            compose(beta, gamma)
+
+
 def test_compose_universal_z5_is_automorphism_family_of_dim_16():
     qf = universal_classical_family(cyclic(5))
     comp = compose(qf, qf)

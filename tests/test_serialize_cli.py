@@ -436,6 +436,19 @@ def test_cli_compose(tmp_path, capsys):
     assert main(["check-family", str(out)]) == 0
 
 
+def test_cli_compose_refuses_families_over_different_groups(tmp_path, capsys):
+    z4, k4 = tmp_path / "z4.json", tmp_path / "k4.json"
+    assert main(["aut", "--group", "Z4", "--emit-family", str(z4)]) == 0
+    assert main(["aut", "--group", "K4", "--emit-family", str(k4)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "zk.json"
+    assert main(["compose", str(z4), str(k4), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [input] composition needs families on the same")
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.exists()
+
+
 def test_cli_readme_build_then_verify(tmp_path, monkeypatch, capsys):
     # the README sequence, run as written: -o without --format json
     monkeypatch.chdir(tmp_path)
