@@ -38,33 +38,36 @@ def convolution_algebra(g: QuantumGroup) -> StarAlgebra:
 
     e_i ⋆ e_j = (h⊗id)(((S⊗id)Δ(e_j))(e_i⊗1)); with the second leg untouched
     this contracts to sum over Δ(e_j) terms (a, b) of h(S(e_a) e_i) e_b.
+    :func:`pair_haar` is read by its first index, so each term S(e_a) ∋ e_a'
+    visits only the i with h(e_a' e_i) ≠ 0.  The entries for each j are
+    stored with i ascending, and each entry sums its terms in the order of
+    Δ(e_j) and then S(e_a).
     The unit stays empty: η is the ⋆-unit only up to h(η), which is 0 on
     some unverified input, and ``haar_element`` is a check of its own.
     """
     n = g.dim
     anti = g.antipode
-    ph = pair_haar(g)
+    haar_rows: dict = {}  # {a': {i: h(e_a' e_i)}}
+    for (a2, i), hval in pair_haar(g).items():
+        haar_rows.setdefault(a2, {})[i] = hval
     table = {}
     for j in range(n):
-        terms = []  # (b, a', coefficient) with a' running over S(e_a)
+        accs: dict = {}  # {i: e_i ⋆ e_j}
         for r, c in g.coproduct.cols[j].items():
             a, b = divmod(r, n)
             for a2, s in anti.cols[a].items():
-                terms.append((b, a2, c * s))
-        for i in range(n):
-            acc: dict = {}
-            for b, a2, cs in terms:
-                hval = ph.get((a2, i))
-                if hval is None:
-                    continue
-                cur = acc.get(b)
-                t = cs * hval if cur is None else cur + cs * hval
-                if t.is_zero():
-                    acc.pop(b, None)
-                else:
-                    acc[b] = t
-            if acc:
-                table[(i, j)] = acc
+                cs = c * s
+                for i, hval in haar_rows.get(a2, {}).items():
+                    acc = accs.setdefault(i, {})
+                    cur = acc.get(b)
+                    t = cs * hval if cur is None else cur + cs * hval
+                    if t.is_zero():
+                        acc.pop(b, None)
+                    else:
+                        acc[b] = t
+        for i in sorted(accs):
+            if accs[i]:
+                table[(i, j)] = accs[i]
     return StarAlgebra(n, table, {}, anti.compose(g.algebra.star), "conv(%s)" % g.label)
 
 

@@ -10,13 +10,13 @@ exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .algebra import (InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
-                      hom_check, hom_on_generators, scalar_algebra, tensor_mult, tensor_vec,
-                      verify_star_algebra)
-from .linalg import (LinearMap, entry_eq, leg_apply, leg_compose, nullspace_basis,
-                     vec_add_into, vec_eq, vec_scale, vec_sub)
+                      _mult_rows, hom_check, hom_on_generators, scalar_algebra, tensor_mult,
+                      tensor_vec, verify_star_algebra)
+from .linalg import (LinearMap, _subtract_row, entry_eq, leg_apply, leg_compose,
+                     nullspace_basis, vec_add_into, vec_eq, vec_scale, vec_sub)
 from .report import Check, Report, first_failure, sweep
 from .scalar import QQi, object_cache, scalar, tolerance, zero_like
 
@@ -279,37 +279,52 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
 
 
 def _gram_positivity_check(g: QuantumGroup) -> Check:
-    """h(e_j* e_i) must be Hermitian positive definite (Sylvester pivots)."""
+    """h(e_j* e_i) must be Hermitian positive definite (Sylvester pivots).
+
+    gram[i][j] is formed only for the i that a basis element in the support
+    of e_j* has a stated product with (:func:`_mult_rows`); every other
+    entry is 0.  The Hermitian scan visits the pairs i <= j with an entry
+    in either order, lexicographically, and the elimination runs on sparse
+    rows, so the witness is the one a dense scan and elimination give."""
     a = g.algebra
     n = a.dim
     one = scalar(1)
     zero = zero_like(one)
-    gram = [[None] * n for _ in range(n)]
-    for i in range(n):
-        ei = {i: one}
-        for j in range(n):
-            v = g.haar_of(a.multiply_vec(a.star.cols[j], ei))
-            gram[i][j] = v if v is not None else zero
+    rows = _mult_rows(a)
+    gram = [dict() for _ in range(n)]
+    for j in range(n):
+        ej_star = a.star.cols[j]
+        reached = set()
+        for k in ej_star:
+            reached.update(rows.get(k, ()))
+        for i in sorted(reached):
+            v = g.haar_of(a.multiply_vec(ej_star, {i: one}))
+            if v is not None:
+                gram[i][j] = v
     # (i, j) fails exactly when (j, i) does, so the first failing pair has i <= j
-    asymmetric = first_failure(combinations_with_replacement(range(n), 2),
-                               lambda w: (gram[w[0]][w[1]] - gram[w[1]][w[0]].conj()).is_zero())
+    stated = sorted({(min(i, j), max(i, j)) for i, row in enumerate(gram) for j in row})
+    asymmetric = first_failure(stated, lambda w: (
+        gram[w[0]].get(w[1], zero) - gram[w[1]].get(w[0], zero).conj()).is_zero())
     if asymmetric is not None:
         return Check("haar_positive", False, ("not-hermitian",) + asymmetric)
-    m = [row[:] for row in gram]
     exact = type(one) is QQi
     tol = tolerance()
     for k in range(n):
-        piv = m[k][k]
+        piv = gram[k].get(k, zero)
         ok = piv.is_real() and (piv.re > 0 if exact else piv.re > tol)
         if not ok:
             return Check("haar_positive", False, ("pivot", k))
         pinv = piv.inv()
+        top = [(j, b) for j, b in gram[k].items() if j >= k]
         for i in range(k + 1, n):
-            f = m[i][k] * pinv
+            row = gram[i]
+            x = row.get(k)
+            if x is None:
+                continue
+            f = x * pinv
             if f.is_zero():
                 continue
-            for j in range(k, n):
-                m[i][j] = m[i][j] - f * m[k][j]
+            _subtract_row(row, f, top, zero)
     return Check("haar_positive", True, ())
 
 

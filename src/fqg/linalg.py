@@ -4,9 +4,10 @@ Vectors are plain ``{index: scalar}`` dicts with zero entries omitted.
 Linear maps are concrete matrices stored column-sparse; the full shape is
 always declared, so every entry is retrievable even when not stored.
 One Gauss-Jordan routine, ``_eliminate``, serves ``nullspace_basis``,
-``LinearMap.inverse`` and float rank: it pivots on the first nonzero entry
-on the exact backend and on the largest magnitude above the global
-tolerance on the float backend.  Exact rank clears each row's denominators
+``LinearMap.inverse`` and float rank.  It works on sparse rows
+``{column: scalar}`` and touches only the entries a pivot row states; it
+pivots on the first nonzero entry on the exact backend and on the largest
+magnitude above the global tolerance on the float backend.  Exact rank clears each row's denominators
 and runs fraction-free (Bareiss) elimination on Gaussian integers held as
 (re, im) pairs of Python ints, so no rational arithmetic happens inside
 that elimination.
@@ -226,7 +227,8 @@ class LinearMap:
         return rank_of_vectors(list(self.cols), self.target_dim)
 
     def inverse(self) -> "LinearMap":
-        """Gauss-Jordan inverse of [M | I]; raises ValueError when singular."""
+        """Gauss-Jordan inverse of [M | I] on sparse rows; raises ValueError
+        when singular."""
         if self.source_dim != self.target_dim:
             raise ValueError("only square maps invert")
         n = self.source_dim
@@ -235,13 +237,21 @@ class LinearMap:
         sample = _any_scalar(self.cols)
         if sample is None:
             raise ValueError("singular map")
-        zero, one = zero_like(sample), one_like(sample)
-        cols = self.cols
-        m = [[cols[c].get(r, zero) for c in range(n)] + [one if i == r else zero for i in range(n)]
-             for r in range(n)]
+        one = one_like(sample)
+        m = [dict() for _ in range(n)]
+        for c, col in enumerate(self.cols):
+            for r, s in col.items():
+                m[r][c] = s
+        for r, row in enumerate(m):
+            row[n + r] = one
         if len(_eliminate(m, n)) < n:
             raise ValueError("singular map")
-        return LinearMap.from_rows([row[n:] for row in m])
+        cols = [dict() for _ in range(n)]
+        for r, row in enumerate(m):
+            for c, s in row.items():
+                if c >= n:
+                    cols[c - n][r] = s
+        return LinearMap(n, n, cols)
 
     def _same_shape(self, other):
         if self.source_dim != other.source_dim or self.target_dim != other.target_dim:
@@ -321,8 +331,7 @@ def rank_of_vectors(vectors, dim: int) -> int:
     if type(sample) is QQi:
         distinct = {frozenset(v.items()): v for v in rows}
         return _rank_bareiss([_gaussian_integer_row(v, dim) for v in distinct.values()], dim)
-    zero = zero_like(sample)
-    return len(_eliminate([[v.get(c, zero) for c in range(dim)] for v in rows], dim))
+    return len(_eliminate([dict(v) for v in rows], dim))
 
 
 _GZERO = (0, 0)
@@ -377,19 +386,41 @@ def _rank_bareiss(m, ncols) -> int:
     return r
 
 
+def _subtract_row(row: dict, f, top, zero) -> None:
+    """row -= f*top for a sparse row and the (column, scalar) pairs ``top``.
+
+    Each entry is computed as in a dense row, ``cur - f*b`` with an absent
+    ``cur`` read as ``zero``, so float results are the dense ones.  An exact
+    zero is dropped; a float result is kept as computed, as a dense row
+    would keep it."""
+    exact = type(zero) is QQi
+    for k, b in top:
+        cur = row.get(k)
+        t = (zero if cur is None else cur) - f * b
+        if exact and t.is_zero():
+            row.pop(k, None)
+        else:
+            row[k] = t
+
+
 def _eliminate(rows, ncols) -> list:
-    """Gauss-Jordan reduction of dense scalar rows over their first ``ncols``
-    columns, in place; a row may be longer, its tail rides along.
+    """Gauss-Jordan reduction of sparse rows ``{column: scalar}`` over their
+    first ``ncols`` columns, in place; a row may hold later columns, which
+    ride along.
 
     The pivot is the first nonzero entry on the exact backend and the
     largest magnitude above the tolerance on the float backend.  Each pivot
-    row is scaled to a leading 1 and cleared from every other row.  Returns
-    the pivot columns; the i-th of them leads ``rows[i]``.
+    row is scaled to a leading 1 and cleared from every other row that holds
+    its column.  A row update visits only the pivot row's entries and
+    computes each as a dense row would (:func:`_subtract_row`).  Returns the
+    pivot columns; the i-th of them leads ``rows[i]``.
     """
-    if not rows or not ncols:
+    sample = _any_scalar(rows)
+    if sample is None or not ncols:
         return []
     nrows = len(rows)
-    exact = type(rows[0][0]) is QQi
+    exact = type(sample) is QQi
+    zero = zero_like(sample)
     tol = tolerance()
     pivots = []
     for c in range(ncols):
@@ -399,50 +430,46 @@ def _eliminate(rows, ncols) -> list:
         piv = None
         if exact:
             for i in range(r, nrows):
-                if not rows[i][c].is_zero():
+                x = rows[i].get(c)
+                if x is not None and not x.is_zero():
                     piv = i
                     break
         else:
             best = tol
             for i in range(r, nrows):
-                mag = rows[i][c].magnitude()
-                if mag > best:
-                    best = mag
-                    piv = i
+                x = rows[i].get(c)
+                if x is not None:
+                    mag = x.magnitude()
+                    if mag > best:
+                        best = mag
+                        piv = i
         if piv is None:
             continue
         rows[piv], rows[r] = rows[r], rows[piv]
         pinv = rows[r][c].inv()
-        top = rows[r] = [x * pinv for x in rows[r]]
+        top = rows[r] = {k: x * pinv for k, x in rows[r].items()}
         for i in range(nrows):
-            if i == r:
+            row = rows[i]
+            f = row.get(c)
+            if i == r or f is None or f.is_zero():
                 continue
-            f = rows[i][c]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+            _subtract_row(row, f, top.items(), zero)
         pivots.append(c)
     return pivots
 
 
 def nullspace_basis(rows, ncols: int):
     """Basis (list of sparse vectors) of {x : R x = 0} for sparse rows R."""
-    live = [r for r in rows if not vec_is_zero(r)]
+    live = [dict(r) for r in rows if not vec_is_zero(r)]
     if not live:
         return [{i: scalar(1)} for i in range(ncols)]
-    sample = next(iter(live[0].values()))
-    zero, one = zero_like(sample), one_like(sample)
-    dense = [[r.get(c, zero) for c in range(ncols)] for r in live]
-    pivots = _eliminate(dense, ncols)
+    one = one_like(next(iter(live[0].values())))
+    pivots = _eliminate(live, ncols)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = {free: one}
-        for row, pc in zip(dense, pivots):
-            coeff = row[free]
-            if not coeff.is_zero():
+    basis = {free: {free: one} for free in range(ncols) if free not in pivot_set}
+    for row, pc in zip(live, pivots):
+        for k, coeff in row.items():
+            v = basis.get(k)
+            if v is not None and not coeff.is_zero():
                 v[pc] = -coeff
-        basis.append(v)
-    return basis
+    return list(basis.values())

@@ -35,6 +35,18 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _not_a_scalar(s, other):
+    """What ``s == other`` gives when ``other`` is not a scalar of the same
+    backend: a Python number raises TypeError, since the answer False would
+    hide the slip (``scalar(1) == 1`` is a comparison of a QQi with an int);
+    anything else is NotImplemented.  Python tries the reflected ``__eq__``
+    on a number first, so ``1 == s`` and both ``!=`` raise too."""
+    if isinstance(other, (int, float, complex, Fraction)):
+        raise TypeError("cannot compare %s with the Python number %r; build a scalar first"
+                        % (type(s).__name__, other))
+    return NotImplemented
+
+
 class QQi:
     """Gaussian rational ``re + im*i``.
 
@@ -116,7 +128,7 @@ class QQi:
     def __eq__(self, other):
         if type(other) is QQi:
             return self.re == other.re and self.im == other.im
-        return NotImplemented
+        return _not_a_scalar(self, other)
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -187,7 +199,7 @@ class CFloat:
         if type(other) is CFloat:
             tol = _state.tol
             return abs(self.re - other.re) <= tol and abs(self.im - other.im) <= tol
-        return NotImplemented
+        return _not_a_scalar(self, other)
 
     def __repr__(self):
         return "CFloat(%r, %r)" % (self.re, self.im)

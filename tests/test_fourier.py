@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,11 +8,11 @@ from fqg.constructors import (function_algebra, group_algebra,
                               quantum_group_data_equal)
 from fqg.fourier import (build_dual, check_iteration_lemma, conv_adjoint,
                          conv_table, conv_vec, convolution_algebra, convolve, dual_pair,
-                         verify_fourier_identities)
-from fqg.groups import cyclic, named_group
+                         pair_haar, verify_fourier_identities)
+from fqg.groups import CATALOG, cyclic, named_group
 from fqg.hopf import QuantumGroup, dual_algebra
 from fqg.linalg import vec_eq, vec_scale
-from fqg.scalar import QQi, scalar
+from fqg.scalar import QQi, scalar, use_backend
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -180,3 +181,60 @@ def test_the_dual_is_built_on_the_one_dual_algebra():
         # the double dual is not rebuilt: the dual's dual algebra is g's
         assert dual_algebra(pair.dual) is g.algebra
         assert dual_pair(pair.dual).dual.algebra is g.algebra
+
+
+def _dense_conv_table(g):
+    """The convolution table as it was built before :func:`pair_haar` was
+    indexed by its first index: every (i, j) visits every term of
+    (S⊗id)Δ(e_j)."""
+    n = g.dim
+    anti = g.antipode
+    ph = pair_haar(g)
+    table = {}
+    for j in range(n):
+        terms = []
+        for r, c in g.coproduct.cols[j].items():
+            a, b = divmod(r, n)
+            for a2, s in anti.cols[a].items():
+                terms.append((b, a2, c * s))
+        for i in range(n):
+            acc = {}
+            for b, a2, cs in terms:
+                hval = ph.get((a2, i))
+                if hval is None:
+                    continue
+                cur = acc.get(b)
+                t = cs * hval if cur is None else cur + cs * hval
+                if t.is_zero():
+                    acc.pop(b, None)
+                else:
+                    acc[b] = t
+            if acc:
+                table[(i, j)] = acc
+    return table
+
+
+def _same_table(got, want, exact):
+    """Same keys in the same order, each entry with the same terms in the
+    same order and equal values (bit for bit on the float backend)."""
+    if list(got) != list(want):
+        return False
+    for key, terms in got.items():
+        ref = want[key]
+        if list(terms) != list(ref):
+            return False
+        for k, c in terms.items():
+            d = ref[k]
+            if not (c == d if exact else (c.re, c.im) == (d.re, d.im)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name", CATALOG)
+def test_convolution_table_matches_the_dense_loop(backend, name):
+    with use_backend(backend):
+        for build in (function_algebra, group_algebra):
+            g = build(named_group(name))
+            for q in (g, dual_pair(g).dual):
+                assert _same_table(conv_table(q), _dense_conv_table(q), backend == "exact"), q.label

@@ -11,10 +11,11 @@ from fqg.algebra import InvalidDataError, StarAlgebra
 from fqg.constructors import function_algebra, group_algebra
 from fqg.groups import cyclic, named_group
 from fqg.classical import enumerate_automorphisms
-from fqg.hopf import (QuantumGroup, check_haar_antipode_identity, check_hopf_morphism,
-                      solve_haar_element, solve_haar_state, verify_quantum_group)
+from fqg.hopf import (QuantumGroup, _gram_positivity_check, check_haar_antipode_identity,
+                      check_hopf_morphism, solve_haar_element, solve_haar_state,
+                      verify_quantum_group)
 from fqg.linalg import LinearMap, vec_eq
-from fqg.scalar import scalar
+from fqg.scalar import QQi, scalar, use_backend
 
 
 def test_catalog_groups_verify():
@@ -363,3 +364,77 @@ def test_hopf_morphism_verdicts_on_named_maps():
     assert "multiplicative" in verdicts["grp-bijection"]
     assert verdicts["fun-doubled"][:2] == ["multiplicative", "unital"]
     assert verdicts["fun3-rotated"][:3] == MORPHISM_CHECKS[:3]
+
+
+# h on the basis, as (re, im) pairs, and the haar_positive witness it gives:
+# on fun(Z3) the Gram matrix h(e_j* e_i) is diag(h); on grp(Z3) it is
+# h(λ_{i-j}), Hermitian exactly when h(λ_2) = conj(h(λ_1))
+GRAM_CASES = [
+    ("fun", [(1, 0), (1, 0), (-1, 0)], ("pivot", 2)),
+    ("grp", [(1, 0), (0, 1), (0, 0)], ("not-hermitian", 0, 1)),
+    ("grp", [(1, 0), (1, 0), (1, 0)], ("pivot", 1)),
+    ("grp", [(1, 0), (Fraction(2, 3), 0), (Fraction(2, 3), 0)], ()),
+    ("grp", [(1, 0), (Fraction(2, 3), 0), (Fraction(1, 3), 0)], ("not-hermitian", 0, 1)),
+]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("kind, values, witness", GRAM_CASES)
+def test_haar_gram_check_names_its_first_failure(backend, kind, values, witness):
+    with use_backend(backend):
+        g = (function_algebra if kind == "fun" else group_algebra)(cyclic(3))
+        h = LinearMap(3, 1, [{0: scalar(re, im)} for re, im in values])
+        changed = QuantumGroup(g.algebra, g.coproduct, g.counit, g.antipode, h,
+                               g.haar_element)
+        check = _gram_positivity_check(changed)
+        assert (check.name, check.passed, check.witness) == ("haar_positive", not witness, witness)
+        report = verify_quantum_group(changed)
+        assert [c.witness for c in report.checks if c.name == "haar_positive"] == [witness]
+
+
+def _dense_gram_witness(g):
+    """haar_positive's witness from the full Gram matrix: every pair scanned,
+    every entry eliminated (the check before it read stated entries only)."""
+    a, n = g.algebra, g.dim
+    one = scalar(1)
+    zero = one - one
+    gram = [[g.haar_of(a.multiply_vec(a.star.cols[j], {i: one})) or zero for j in range(n)]
+            for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if not (gram[i][j] - gram[j][i].conj()).is_zero():
+                return ("not-hermitian", i, j)
+    for k in range(n):
+        piv = gram[k][k]
+        if not (piv.is_real() and piv.re > (0 if type(one) is QQi else 1e-9)):
+            return ("pivot", k)
+        for i in range(k + 1, n):
+            f = gram[i][k] * piv.inv()
+            gram[i] = [x if j < k else x - f * gram[k][j] for j, x in enumerate(gram[i])]
+    return ()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name", ["Z4", "S3", "D4", "Q8"])
+def test_haar_gram_check_agrees_with_the_dense_scan(backend, name):
+    import random
+
+    rng = random.Random(name)
+    with use_backend(backend):
+        for g in (function_algebra(named_group(name)), group_algebra(named_group(name))):
+            n = g.dim
+            for trial in range(12):
+                values = [scalar(rng.randint(-1, 3), rng.randint(-1, 1) if trial % 3 else 0)
+                          for _ in range(n)]
+                if trial % 2:  # h(x*) = conj(h(x)), so only the pivots can fail
+                    star = g.algebra.star.cols
+                    for i in range(n):
+                        (k, c), = star[i].items()
+                        if k < i:
+                            values[i] = (values[k] * c).conj()
+                        elif k == i:
+                            values[i] = scalar(values[i].re)
+                h = LinearMap(n, 1, [{0: v} for v in values])
+                changed = QuantumGroup(g.algebra, g.coproduct, g.counit, g.antipode, h,
+                                       g.haar_element)
+                assert _gram_positivity_check(changed).witness == _dense_gram_witness(changed)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fqg.linalg import (LinearMap, flip_map, leg_apply, nullspace_basis,
+from fqg.linalg import (LinearMap, _eliminate, flip_map, leg_apply, nullspace_basis,
                         rank_of_vectors, vec_add_into, vec_eq)
-from fqg.scalar import QQi, use_backend, CFloat
+from fqg.scalar import QQi, scalar, tolerance, use_backend, CFloat
 
 ONE = QQi(1)
 
@@ -256,3 +256,162 @@ def test_leg_apply_matches_kronecker_reference():
                 else:
                     ref = LinearMap.identity(dx, ONE).tensor(m).apply(v)
                 assert vec_eq(leg_apply(m, v, dy, leg), ref), (kind, leg)
+
+
+# -- dense references for the sparse Gauss-Jordan kernel ------------------------
+
+
+def _dense_eliminate(rows, ncols):
+    """The dense Gauss-Jordan routine that ``_eliminate`` replaced: the same
+    pivot rules, every entry of every row updated."""
+    if not rows or not ncols:
+        return []
+    nrows = len(rows)
+    exact = type(rows[0][0]) is QQi
+    tol = tolerance()
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = None
+        if exact:
+            for i in range(r, nrows):
+                if not rows[i][c].is_zero():
+                    piv = i
+                    break
+        else:
+            best = tol
+            for i in range(r, nrows):
+                mag = rows[i][c].magnitude()
+                if mag > best:
+                    best = mag
+                    piv = i
+        if piv is None:
+            continue
+        rows[piv], rows[r] = rows[r], rows[piv]
+        pinv = rows[r][c].inv()
+        top = rows[r] = [x * pinv for x in rows[r]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f.is_zero():
+                continue
+            rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        pivots.append(c)
+    return pivots
+
+
+def _dense_inverse(m):
+    n = m.source_dim
+    zero, one = scalar(0), scalar(1)
+    rows = [[m.cols[c].get(r, zero) for c in range(n)] + [one if i == r else zero for i in range(n)]
+            for r in range(n)]
+    if len(_dense_eliminate(rows, n)) < n:
+        raise ValueError("singular map")
+    return LinearMap.from_rows([row[n:] for row in rows])
+
+
+def _dense_nullspace(rows, ncols):
+    live = [r for r in rows if not all(s.is_zero() for s in r.values())]
+    zero, one = scalar(0), scalar(1)
+    if not live:
+        return [{i: one} for i in range(ncols)]
+    dense = [[r.get(c, zero) for c in range(ncols)] for r in live]
+    pivots = _dense_eliminate(dense, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = {free: one}
+        for row, pc in zip(dense, pivots):
+            if not row[free].is_zero():
+                v[pc] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _same_scalar(x, y):
+    """Equal values: exactly on the exact backend, as floats (so only the
+    sign of a zero may differ) on the float one."""
+    if type(x) is QQi:
+        return x == y
+    return x.re == y.re and x.im == y.im
+
+
+def _same_vector(u, v):
+    return list(u) == list(v) and all(_same_scalar(u[k], v[k]) for k in u)
+
+
+def _random_entry(rng, exact):
+    """A nonzero scalar of the backend."""
+    if exact:
+        re, im = Fraction(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(-1, 1)
+        return QQi(re if rng.random() < 0.5 else -re, im)
+    return CFloat(rng.uniform(0.1, 2) * rng.choice((-1, 1)), rng.uniform(-1, 1))
+
+
+def _oracle_matrices(seed, exact):
+    """Square column lists: sparse, dense, monomial and singular ones."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3, 5, 8):
+        for density in (0.3, 1.0):
+            out.append([{r: _random_entry(rng, exact) for r in range(n) if rng.random() < density}
+                        for _ in range(n)])
+        perm = rng.sample(range(n), n)
+        out.append([{perm[c]: _random_entry(rng, exact)} for c in range(n)])
+        if n > 1:  # the last column is a combination of the first two
+            cols = [{r: _random_entry(rng, exact) for r in range(n)} for _ in range(n)]
+            combo = dict(cols[0])
+            vec_add_into(combo, cols[min(1, n - 2)], _random_entry(rng, exact))
+            cols[-1] = combo
+            out.append(cols)
+    return out
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_elimination_matches_the_dense_reference(backend, seed):
+    exact = backend == "exact"
+    outcomes = set()
+    with use_backend(backend, 1e-9):
+        for cols in _oracle_matrices(seed, exact):
+            n = len(cols)
+            m = LinearMap(n, n, cols)
+            zero = scalar(0)
+            # the elimination itself: the same pivots, the same rows
+            dense = [[m.cols[c].get(r, zero) for c in range(n)] for r in range(n)]
+            sparse = [{c: s for c in range(n) if (s := m.cols[c].get(r)) is not None}
+                      for r in range(n)]
+            assert _eliminate(sparse, n) == _dense_eliminate(dense, n)
+            for srow, drow in zip(sparse, dense):
+                for c in range(n):
+                    s = srow.get(c)
+                    assert _same_scalar(zero if s is None else s, drow[c])
+            # inverse
+            try:
+                want = _dense_inverse(m)
+            except ValueError:
+                outcomes.add("singular")
+                with pytest.raises(ValueError, match="singular map"):
+                    m.inverse()
+            else:
+                outcomes.add("invertible")
+                got = m.inverse()
+                assert len(got.cols) == len(want.cols)
+                assert all(_same_vector(a, b) for a, b in zip(got.cols, want.cols))
+            # null space of the rows, and the float rank
+            rows = [{c: s for c in range(n) if (s := m.cols[c].get(r)) is not None}
+                    for r in range(n)]
+            got = nullspace_basis(rows, n)
+            want = _dense_nullspace(rows, n)
+            assert len(got) == len(want)
+            assert all(_same_vector(a, b) for a, b in zip(got, want))
+            if not exact:
+                ref = [[row.get(c, zero) for c in range(n)] for row in rows if row]
+                assert rank_of_vectors(rows, n) == len(_dense_eliminate(ref, n))
+    assert outcomes == {"singular", "invertible"}

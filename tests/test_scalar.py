@@ -216,3 +216,33 @@ def test_no_module_assigns_a_scalar_component_outside_its_constructors():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         writes |= {(path.name, where) for where in visitor.found}
     assert writes == {("scalar.py", "__init__"), ("scalar.py", "_raw")}
+
+
+PYTHON_NUMBERS = (0, 1, -3, True, 1.0, 0.5, 1j, complex(1, 0), Fraction(1), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("number", PYTHON_NUMBERS, ids=repr)
+def test_comparing_a_scalar_with_a_python_number_raises(backend, number):
+    with use_backend(backend):
+        s = scalar(1)
+        for compare in (lambda: s == number, lambda: number == s,
+                        lambda: s != number, lambda: number != s):
+            with pytest.raises(TypeError, match="Python number"):
+                compare()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_comparing_scalars_is_unchanged(backend):
+    with use_backend(backend, 1e-9):
+        one, two = scalar(1), scalar(2)
+        assert one == scalar(1) and not one != scalar(1)
+        assert one != two and not one == two
+        assert scalar(0, 1) == scalar(0, 1) and scalar(0, 1) != scalar(0, -1)
+        # anything that is not a number still compares by identity
+        for other in ("1", None, (1,), object()):
+            assert not one == other and one != other
+            assert not other == one and other != one
+        assert one not in [None, "1"]
+    with use_backend("float", 1e-9):
+        assert CFloat(1.0) == CFloat(1.0 + 1e-12)
