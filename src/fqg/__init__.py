@@ -9,8 +9,7 @@ over classical groups.
 """
 
 from .algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
-                      flip, multiply, rank_of_span, scalar_algebra, star,
-                      tensor_algebra, verify_star_algebra)
+                      rank_of_span, scalar_algebra, tensor_algebra, verify_star_algebra)
 from .classical import (MagicMatrix, automorphism_group, check_cyclic_identity,
                         check_dual_group_theorem, check_dualact_consequences,
                         check_magic_unitary, check_order_properties,
@@ -19,8 +18,8 @@ from .classical import (MagicMatrix, automorphism_group, check_cyclic_identity,
                         universal_classical_family)
 from .constructors import (check_fundamental_examples, function_algebra,
                            group_algebra, pontryagin_character_check)
-from .fourier import (DualPair, build_dual, conv_adjoint, conv_table, convolve,
-                      check_iteration_lemma, dual_pair, verify_fourier_identities)
+from .fourier import (DualPair, build_dual, conv_adjoint, convolve, check_iteration_lemma,
+                      dual_pair, verify_fourier_identities)
 from .groups import (CATALOG, FiniteGroup, cyclic, dihedral, direct_product,
                      group_from_table, klein4, named_group, quaternion8,
                      symmetric)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, product
 
-from .linalg import (LinearMap, flip_map, rank_of_vectors, vec_add_into,
-                     vec_eq, vec_from_dense, vec_is_zero, vec_sub)
+from .linalg import (LinearMap, leg_apply, rank_of_vectors, vec_add_into, vec_eq,
+                     vec_from_dense, vec_is_zero, vec_sub)
 from .report import Check, Report, first_failure, sweep
 from .scalar import object_cache, one_like, parse_number, scalar
 
@@ -69,16 +69,16 @@ class StarAlgebra:
                 if diag and (i != j or len(terms) != 1 or (c := terms.get(i)) is None
                              or c.re != 1 or c.im != 0):
                     diag = False
+        unit = dict(unit)
+        if not all(0 <= i < dim for i in unit):
+            raise InvalidDataError("unit index out of range")
+        if star.source_dim != dim or star.target_dim != dim:
+            raise InvalidDataError("involution matrix must be %d x %d" % (dim, dim))
         self.dim = dim
         self.mult = clean
         self._diag = diag and len(clean) == dim
-        self.unit = {i: c for i, c in dict(unit).items() if not c.is_zero()}
-        if isinstance(star, LinearMap):
-            if star.source_dim != dim or star.target_dim != dim:
-                raise InvalidDataError("involution matrix must be %d x %d" % (dim, dim))
-            self.star = star
-        else:
-            self.star = LinearMap.from_rows(star)
+        self.unit = {i: c for i, c in unit.items() if not c.is_zero()}
+        self.star = star
         self.label = label
         self._cache = {}
 
@@ -153,29 +153,20 @@ class StarAlgebra:
         """True when the basis is orthogonal self-adjoint idempotents summing to 1.
 
         This is the structural shape of functions on a finite set, which is
-        what commutative-family slicing requires.
+        what commutative-family slicing requires.  Only the stated entries
+        are read: the table must state e_i e_i = 1·e_i for every i and no
+        other product, each star column be 1·e_i and the unit 1 at every i,
+        each 1 up to the float tolerance.
         """
-        for i in range(self.dim):
-            for j in range(self.dim):
-                terms = self.mult.get((i, j), {})
-                if i == j:
-                    if len(terms) != 1 or i not in terms:
-                        return False
-                    c = terms[i]
-                    if not (c - one_like(c)).is_zero():
-                        return False
-                elif terms:
-                    return False
-        for i in range(self.dim):
-            col = self.star.cols[i]
-            if len(col) != 1 or i not in col:
-                return False
-            c = col[i]
-            if not (c - one_like(c)).is_zero():
-                return False
-        if set(self.unit) != set(range(self.dim)):
-            return False
-        return all((c - one_like(c)).is_zero() for c in self.unit.values())
+        def one_at(terms, i):
+            c = terms.get(i)
+            return len(terms) == 1 and c is not None and (c - one_like(c)).is_zero()
+
+        n = self.dim
+        return (len(self.mult) == n and len(self.unit) == n
+                and all(i == j and one_at(terms, i) for (i, j), terms in self.mult.items())
+                and all(one_at(col, i) for i, col in enumerate(self.star.cols))
+                and all((c - one_like(c)).is_zero() for c in self.unit.values()))
 
     def __repr__(self):
         return "StarAlgebra(%r, dim=%d)" % (self.label, self.dim)
@@ -233,20 +224,6 @@ class Element:
 
     def __repr__(self):
         return "Element(%r)" % (self.coeffs,)
-
-
-def multiply(algebra: StarAlgebra, x: Element, y: Element) -> Element:
-    """Product of two elements through the structure-constant tensor."""
-    if x.algebra.dim != algebra.dim or y.algebra.dim != algebra.dim:
-        raise InvalidDataError("dimension mismatch")
-    return Element(algebra, algebra.multiply_vec(x.coeffs, y.coeffs))
-
-
-def star(algebra: StarAlgebra, x: Element) -> Element:
-    """Conjugate-linear involution applied through the involution matrix."""
-    if x.algebra.dim != algebra.dim:
-        raise InvalidDataError("dimension mismatch")
-    return Element(algebra, algebra.star_vec(x.coeffs))
 
 
 # -- tensor calculus -------------------------------------------------------
@@ -446,17 +423,6 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     return True
 
 
-def tensor_star(a: StarAlgebra, b: StarAlgebra, v: dict) -> dict:
-    """(x⊗y)* = x*⊗y* applied to a sparse vector over A⊗B."""
-    db = b.dim
-    acc: dict = {}
-    for p, c in v.items():
-        x, y = divmod(p, db)
-        piece = tensor_vec(a.star.cols[x], b.star.cols[y], db)
-        vec_add_into(acc, piece, c.conj())
-    return acc
-
-
 # -- *-homomorphisms -----------------------------------------------------------
 
 
@@ -479,11 +445,17 @@ def hom_predicate(a: StarAlgebra, c: StarAlgebra, alpha: LinearMap, b=None):
     """Whether α: A → C, or α: A → C⊗B when ``b`` is given, satisfies the
     identity at a tagged index: ("unit",) for α(1) = 1, ("multiplicative",
     i, j) for α(e_i e_j) = α(e_i)α(e_j) and ("star", i) for α(e_i*) = α(e_i)*.
-    A family is the case C = A, a coproduct C = B = A, a counit C = ℂ."""
+    A family is the case C = A, a coproduct C = B = A, a counit C = ℂ.
+    Into C⊗B the star is (x⊗y)* = x*⊗y*: the conjugated vector goes through
+    the star matrix of B on leg 1, then that of C on leg 0."""
     if b is None:
         mult, star = c.multiply_vec, c.star_vec
     else:
-        mult, star = partial(tensor_mult, c, b), partial(tensor_star, c, b)
+        mult = partial(tensor_mult, c, b)
+
+        def star(v):
+            conj = {k: s.conj() for k, s in v.items()}
+            return leg_apply(c.star, leg_apply(b.star, conj, b.dim, 1), b.dim, 0)
     cols = alpha.cols
 
     def holds(idx):
@@ -525,11 +497,6 @@ def hom_on_generators(a: StarAlgebra, c: StarAlgebra, alpha: LinearMap, identiti
             and (b is None or _is_associative(b))
             and first_failure(hom_indices(a.dim, identities, _basis_generators(a)),
                               hom_predicate(a, c, alpha, b)) is None)
-
-
-def flip(a: StarAlgebra, b: StarAlgebra) -> LinearMap:
-    """The flip A⊗B → B⊗A as a permutation matrix."""
-    return flip_map(a.dim, b.dim, scalar(1))
 
 
 def rank_of_span(vectors) -> int:

@@ -12,7 +12,7 @@ from .constructors import function_algebra, group_algebra
 from .groups import FiniteGroup, cyclic
 from .hopf import QuantumGroup
 from .linalg import LinearMap, leg_compose
-from .qfamily import HopfOnTarget, QuantumFamily, identity_family
+from .qfamily import HopfOnTarget, QuantumFamily
 from .scalar import scalar
 
 
@@ -118,9 +118,3 @@ def trivial_hopf_target() -> HopfOnTarget:
     """Coproduct/counit of the one-dimensional index algebra."""
     one = scalar(1)
     return HopfOnTarget(LinearMap(1, 1, [{0: one}]), LinearMap(1, 1, [{0: one}]))
-
-
-def identity_family_with_hopf(g: QuantumGroup) -> QuantumFamily:
-    qf = identity_family(g)
-    return QuantumFamily(g, qf.target_algebra, qf.alpha, trivial_hopf_target(),
-                         qf.label)

@@ -71,18 +71,9 @@ def convolution_algebra(g: QuantumGroup) -> StarAlgebra:
     return StarAlgebra(n, table, {}, anti.compose(g.algebra.star), "conv(%s)" % g.label)
 
 
-def conv_table(g: QuantumGroup) -> dict:
-    """Structure constants of the convolution product: (i, j) -> sparse vector."""
-    return convolution_algebra(g).mult
-
-
-def conv_vec(g: QuantumGroup, u: dict, v: dict) -> dict:
-    return convolution_algebra(g).multiply_vec(u, v)
-
-
 def convolve(g: QuantumGroup, x: Element, y: Element) -> Element:
     """Convolution product of two elements of the function algebra."""
-    return Element(g.algebra, conv_vec(g, x.coeffs, y.coeffs))
+    return Element(g.algebra, convolution_algebra(g).multiply_vec(x.coeffs, y.coeffs))
 
 
 def conv_adjoint(g: QuantumGroup, x: Element) -> Element:

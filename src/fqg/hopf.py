@@ -72,8 +72,7 @@ class QuantumGroup:
 # -- solvers -----------------------------------------------------------------
 
 
-def solve_haar_state(algebra: StarAlgebra, coproduct: LinearMap,
-                     stored: LinearMap | None = None) -> LinearMap:
+def solve_haar_state(algebra: StarAlgebra, coproduct: LinearMap) -> LinearMap:
     """The unique functional with h(1)=1 and (id⊗h)Δ(a) = h(a)·1.
 
     Solves the invariance system exactly; anything but a one-dimensional
@@ -96,10 +95,7 @@ def solve_haar_state(algebra: StarAlgebra, coproduct: LinearMap,
                 rows.append(row)
     h = _normalised_solution(rows, n, unit, "haar state",
                              "invariant functional kills the unit; no haar state")
-    result = LinearMap(n, 1, [{0: h[i]} if i in h else {} for i in range(n)])
-    if stored is not None and result != stored:
-        raise InvalidDataError("stored haar state disagrees with the solved one")
-    return result
+    return LinearMap(n, 1, [{0: h[i]} if i in h else {} for i in range(n)])
 
 
 def solve_haar_element(algebra: StarAlgebra, counit: LinearMap) -> dict:

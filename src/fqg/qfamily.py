@@ -239,18 +239,15 @@ def compose(beta: QuantumFamily, gamma: QuantumFamily) -> QuantumFamily:
     g = beta.source
     if gamma.source is not g and not quantum_group_data_equal(g, gamma.source):
         raise InvalidDataError("composition needs families on the same quantum group")
-    b = beta.target_algebra
     c = gamma.target_algebra
-    mb, mc = b.dim, c.dim
-    target = tensor_algebra(b, c)
-    alpha = leg_compose(beta.alpha, gamma.alpha, mc, 0)
+    target = tensor_algebra(beta.target_algebra, c)
+    alpha = leg_compose(beta.alpha, gamma.alpha, c.dim, 0)
 
     hopf = None
     if beta.hopf_on_target is not None and gamma.hopf_on_target is not None:
         hb, hc = beta.hopf_on_target, gamma.hopf_on_target
-        cu = LinearMap(mb * mc, 1, [{0: x[0] * y[0]} if x and y else {}
-                                    for x in hb.counit.cols for y in hc.counit.cols])
-        hopf = HopfOnTarget(_tensor_coproduct(hb.coproduct, hc.coproduct), cu)
+        hopf = HopfOnTarget(_tensor_coproduct(hb.coproduct, hc.coproduct),
+                            hb.counit.tensor(hc.counit))
     return QuantumFamily(g, target, alpha, hopf,
                          "compose(%s, %s)" % (beta.label, gamma.label))
 

@@ -37,12 +37,17 @@ def _exact(x):
 
 def _not_a_scalar(s, other):
     """What ``s == other`` gives when ``other`` is not a scalar of the same
-    backend: a Python number raises TypeError, since the answer False would
-    hide the slip (``scalar(1) == 1`` is a comparison of a QQi with an int);
+    backend: a Python number or a scalar of the other backend raises
+    TypeError, since the answer False would hide the slip (``scalar(1) == 1``
+    is a comparison of a QQi with an int, and ``QQi(1) == CFloat(1.0)`` one
+    of a value built under one backend with a value built under the other);
     anything else is NotImplemented.  Python tries the reflected ``__eq__``
     on a number first, so ``1 == s`` and both ``!=`` raise too."""
     if isinstance(other, (int, float, complex, Fraction)):
         raise TypeError("cannot compare %s with the Python number %r; build a scalar first"
+                        % (type(s).__name__, other))
+    if isinstance(other, (QQi, CFloat)):
+        raise TypeError("cannot compare %s with %r, a scalar of the other backend"
                         % (type(s).__name__, other))
     return NotImplemented
 

@@ -26,9 +26,8 @@ from .fourier import check_iteration_lemma, dual_pair, verify_fourier_identities
 from .groups import CATALOG, named_group
 from .hopf import check_haar_antipode_identity, verify_quantum_group
 from .linalg import LinearMap
-from .qfamily import (QuantumFamily, check_action, compose, double_hat_formula_matches, hat,
-                      identity_family, is_automorphism_family,
-                      slice_commutative, verify_dual_equivalences)
+from .qfamily import (check_action, compose, double_hat_formula_matches, hat, identity_family,
+                      is_automorphism_family, slice_commutative, verify_dual_equivalences)
 from .report import Check, Report, first_failure
 from .scalar import backend_cached, scalar, use_backend
 
@@ -233,9 +232,8 @@ def suite_dual_group_actions() -> Report:
         fam = hat(universal_classical_family(named_group(name)))
         rep = check_dual_group_theorem(fam)
         checks.append(_collect("dual-theorem-%s" % name, rep.passed, rep.failed_names()))
-    idf = identity_family(catalog_quantum_group("Z4", "grp"))
-    idf = QuantumFamily(idf.source, idf.target_algebra, idf.alpha,
-                        trivial_hopf_target(), idf.label)
+    idf = identity_family(catalog_quantum_group("Z4", "grp"),
+                          hopf_on_target=trivial_hopf_target())
     rep = check_dual_group_theorem(idf)
     checks.append(_collect("dual-theorem-identity-Z4", rep.passed, rep.failed_names()))
     neg = sign_twisted_dual_family()

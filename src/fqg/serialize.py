@@ -110,17 +110,15 @@ def matrix_to_json(m: LinearMap):
     return matrix_to_sparse(m)
 
 
-def matrix_from_dense(rows, source_dim=None, target_dim=None) -> LinearMap:
+def matrix_from_dense(rows, source_dim: int, target_dim: int) -> LinearMap:
     parse = _cell_parser()
     try:
         parsed = [[parse(cell) for cell in row] for row in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad matrix entry: %s" % exc)
-    if not parsed:
-        raise InvalidDataError("empty matrix")
-    if target_dim is not None and len(parsed) != target_dim:
+    if len(parsed) != target_dim:
         raise InvalidDataError("matrix has %d rows, expected %d" % (len(parsed), target_dim))
-    if source_dim is not None and any(len(r) != source_dim for r in parsed):
+    if any(len(r) != source_dim for r in parsed):
         raise InvalidDataError("matrix row length mismatch")
     return LinearMap.from_rows(parsed)
 
@@ -217,6 +215,8 @@ def algebra_from_dict(d: dict) -> StarAlgebra:
         if "blocks" in d and "mult" not in d:
             return BlockAlgebra(d["blocks"], weights, d.get("label", ""))
         dim = exact_int(d["dim"], "dim")
+        if dim < 1:
+            raise InvalidDataError("dim %d is not positive" % dim)
         mult = {}
         parse = _cell_parser()
         for row in d["mult"]:

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 
 import fqg.algebra
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
-                         _basis_generators, _is_associative, _mult_rows, flip, hom_check, hom_indices,
-                         hom_predicate, multiply, rank_of_span, scalar_algebra, star,
-                         tensor_algebra, tensor_mult, verify_star_algebra)
+                         _basis_generators, _is_associative, _mult_rows, hom_check, hom_indices,
+                         hom_predicate, rank_of_span, scalar_algebra, tensor_algebra, tensor_mult,
+                         verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
 from fqg.fourier import convolution_algebra
 from fqg.groups import CATALOG, cyclic, direct_product, named_group
-from fqg.linalg import LinearMap, vec_add_into, vec_eq
-from fqg.scalar import QQi, scalar, use_backend
+from fqg.hopf import dual_algebra
+from fqg.linalg import LinearMap, flip_map, vec_add_into, vec_eq
+from fqg.qfamily import QuantumFamily, check_family
+from fqg.scalar import QQi, one_like, scalar, use_backend
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 coeff_lists = st.lists(st.builds(QQi, fractions, fractions), min_size=3, max_size=3)
@@ -37,40 +39,40 @@ def grp_z3():
 
 def test_orthogonal_idempotents(fun_z2):
     d0, d1 = fun_z2.basis_element(0), fun_z2.basis_element(1)
-    assert multiply(fun_z2, d0, d1).is_zero()
-    assert multiply(fun_z2, d0, d0) == d0
+    assert (d0 * d1).is_zero()
+    assert d0 * d0 == d0
 
 
 @given(coeff_lists)
 def test_unit_law_random(coeffs):
     a = group_algebra(cyclic(3)).algebra
     x = a.element(coeffs)
-    assert multiply(a, a.unit_element(), x) == x
-    assert multiply(a, x, a.unit_element()) == x
+    assert a.unit_element() * x == x
+    assert x * a.unit_element() == x
 
 
 def test_group_ring_product(grp_z3):
     l1, l2 = grp_z3.basis_element(1), grp_z3.basis_element(2)
-    assert multiply(grp_z3, l1, l2) == grp_z3.basis_element(0)
+    assert l1 * l2 == grp_z3.basis_element(0)
 
 
 def test_star_examples(fun_z2, grp_z3):
     i_d0 = fun_z2.element({0: scalar(0, 1)})
-    assert star(fun_z2, i_d0) == fun_z2.element({0: scalar(0, -1)})
+    assert i_d0.star() == fun_z2.element({0: scalar(0, -1)})
     # group elements are unitary, so the involution inverts them
-    assert star(grp_z3, grp_z3.basis_element(1)) == grp_z3.basis_element(2)
+    assert grp_z3.basis_element(1).star() == grp_z3.basis_element(2)
 
 
 @given(coeff_lists)
 def test_star_involutive(coeffs):
     a = group_algebra(cyclic(3)).algebra
     x = a.element(coeffs)
-    assert star(a, star(a, x)) == x
+    assert x.star().star() == x
 
 
 def test_dimension_mismatch_rejected(fun_z2, grp_z3):
     with pytest.raises(InvalidDataError):
-        multiply(fun_z2, fun_z2.basis_element(0), grp_z3.basis_element(0))
+        fun_z2.basis_element(0) * grp_z3.basis_element(0)
 
 
 def test_tensor_dimension_and_unit(fun_z2, grp_z3):
@@ -78,7 +80,7 @@ def test_tensor_dimension_and_unit(fun_z2, grp_z3):
     assert t.dim == fun_z2.dim * grp_z3.dim
     assert verify_star_algebra(t).passed
     u = t.unit_element()
-    assert multiply(t, u, u) == u
+    assert u * u == u
 
 
 def test_tensor_of_function_algebras_is_product_group_functions():
@@ -159,7 +161,7 @@ def test_flip_is_star_isomorphism(fun_z2, grp_z3):
     a, b = fun_z2, grp_z3
     t_ab = tensor_algebra(a, b)
     t_ba = tensor_algebra(b, a)
-    sigma = flip(a, b)
+    sigma = flip_map(a.dim, b.dim, scalar(1))
     for i in range(t_ab.dim):
         for j in range(t_ab.dim):
             lhs = sigma.apply(t_ab.basis_product(i, j))
@@ -167,7 +169,7 @@ def test_flip_is_star_isomorphism(fun_z2, grp_z3):
             assert vec_eq(lhs, rhs)
     for i in range(t_ab.dim):
         assert vec_eq(sigma.apply(t_ab.star.cols[i]), t_ba.star_vec(sigma.cols[i]))
-    back = flip(b, a)
+    back = flip_map(b.dim, a.dim, scalar(1))
     assert back.compose(sigma).entry(0, 0) == scalar(1)
 
 
@@ -466,8 +468,8 @@ def test_block_algebra_m2_plus_c():
     assert rep.passed, rep.failed_names()
     # e_{00} e_{01} = e_{01}, e_{01} e_{01} = 0 inside the 2x2 block
     e00, e01 = b.basis_element(0), b.basis_element(1)
-    assert multiply(b, e00, e01) == e01
-    assert multiply(b, e01, e01).is_zero()
+    assert e00 * e01 == e01
+    assert (e01 * e01).is_zero()
 
 
 def test_block_algebra_rejects_bad_weights():
@@ -509,6 +511,13 @@ def test_element_validation(fun_z2):
         Element(fun_z2, {5: scalar(1)})
 
 
+def test_unit_index_outside_the_basis_is_refused(fun_z2):
+    one = scalar(1)
+    for unit in ({0: one, 5: one}, {-1: one}, {2: scalar(0)}):
+        with pytest.raises(InvalidDataError, match="unit index out of range"):
+            StarAlgebra(2, fun_z2.mult, unit, fun_z2.star)
+
+
 # -- the row-indexed tensor kernel against the materialized tensor algebra ----
 
 _KERNEL_ALGEBRAS = {
@@ -548,12 +557,9 @@ def test_tensor_mult_matches_tensor_algebra(first, second):
 
 
 def test_convolution_kernel_matches_tensor_algebra():
-    from fqg.fourier import conv_table
-    from fqg.linalg import LinearMap
-
     g = function_algebra(named_group("S3"))
     b = BlockAlgebra([1, 2])
-    conv = StarAlgebra(g.dim, conv_table(g), {}, LinearMap.identity(g.dim, scalar(1)))
+    conv = StarAlgebra(g.dim, convolution_algebra(g).mult, {}, LinearMap.identity(g.dim, scalar(1)))
     ab = tensor_algebra(conv, b)
     vectors = _sparse_vectors(ab.dim)
 
@@ -732,6 +738,82 @@ def test_diagonal_flag_on_catalog_algebras():
     assert BlockAlgebra([1] * 3)._diag and not BlockAlgebra([1, 2])._diag
 
 
+# -- the pointwise basis, read off the stated entries ---------------------------
+
+
+def _quadratic_pointwise(a):
+    """The n² scan of every table cell that has_pointwise_basis once made."""
+    for i in range(a.dim):
+        for j in range(a.dim):
+            terms = a.mult.get((i, j), {})
+            if i == j:
+                if len(terms) != 1 or i not in terms:
+                    return False
+                c = terms[i]
+                if not (c - one_like(c)).is_zero():
+                    return False
+            elif terms:
+                return False
+    for i in range(a.dim):
+        col = a.star.cols[i]
+        if len(col) != 1 or i not in col:
+            return False
+        c = col[i]
+        if not (c - one_like(c)).is_zero():
+            return False
+    if set(a.unit) != set(range(a.dim)):
+        return False
+    return all((c - one_like(c)).is_zero() for c in a.unit.values())
+
+
+def _pointwise_cases():
+    """Each catalog group's fun and grp, their convolution and dual algebras
+    and two tensor products, the block algebras, and fun(Z3) perturbed."""
+    cases = {}
+    for name in CATALOG:
+        for build in (function_algebra, group_algebra):
+            g = build(named_group(name))
+            cases[g.label] = g.algebra
+            cases["conv " + g.label] = convolution_algebra(g)
+            cases["dual " + g.label] = dual_algebra(g)
+            cases[g.label + " (x) fun(Z2)"] = tensor_algebra(g.algebra, _fun("Z2")())
+            cases["fun(Z3) (x) " + g.label] = tensor_algebra(_fun("Z3")(), g.algebra)
+    for k in range(1, 5):
+        cases["blocks[1]*%d" % k] = BlockAlgebra([1] * k)
+    cases["blocks[2]"] = BlockAlgebra([2])
+    one = scalar(1)
+    f = _fun("Z3")()
+
+    def perturbed(mult=f.mult, unit=f.unit, star=f.star):
+        return StarAlgebra(3, mult, unit, star, "perturbed fun(Z3)")
+
+    cases["diagonal 1 + 1e-12"] = perturbed(mult=f.mult | {(1, 1): {1: scalar(1 + 1e-12)}})
+    cases["off-diagonal entry"] = perturbed(mult=f.mult | {(0, 1): {1: one}})
+    cases["missing diagonal entry"] = perturbed(
+        mult={k: t for k, t in f.mult.items() if k != (2, 2)})
+    # as many products as basis vectors, one of them e_0 e_1 = e_0 in place of e_0 e_0
+    cases["off-diagonal for a diagonal"] = perturbed(
+        mult={k: t for k, t in f.mult.items() if k != (0, 0)} | {(0, 1): {0: one}})
+    cases["unit without index 2"] = perturbed(unit={0: one, 1: one})
+    cases["star entry 2"] = perturbed(star=LinearMap(3, 3, [{0: one}, {1: scalar(2)}, {2: one}]))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_pointwise_basis_matches_the_quadratic_scan(backend):
+    with use_backend(backend):
+        cases = _pointwise_cases()
+        for label, a in cases.items():
+            assert a.has_pointwise_basis() == _quadratic_pointwise(a), label
+        pointwise = {label for label, a in cases.items() if a.has_pointwise_basis()}
+    assert {"fun(S4)", "dual grp(S4)", "fun(Q8) (x) fun(Z2)", "blocks[1]*4"} <= pointwise
+    assert not {"grp(S4)", "conv fun(S4)", "blocks[2]", "fun(Z3) (x) grp(Z2)",
+                "off-diagonal entry", "missing diagonal entry", "off-diagonal for a diagonal",
+                "unit without index 2", "star entry 2"} & pointwise
+    # 1 + 1e-12 is 1 within the float tolerance, and not 1 exactly
+    assert ("diagonal 1 + 1e-12" in pointwise) == (backend == "float")
+
+
 # -- the *-homomorphism laws of a map into a single algebra ---------------------
 
 _HOM_ALGEBRAS = ("grp(Z3)", "fun(Z3)", "fun(S3)", "blocks[1,2]")
@@ -799,3 +881,45 @@ def test_single_target_hom_predicate_matches_reference_loop(backend):
                 assert check.witness == (expected or ())
 
         agree()
+
+
+# -- the star law of a map into C⊗B, through leg_apply ---------------------------
+
+
+def _imaginary_z2():
+    """C[Z2] on the basis {1, i·g}: e₁·e₁ = −e₀ and e₁* = −e₁, so its star
+    matrix has an entry that is not 1."""
+    one = scalar(1)
+    return StarAlgebra(2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+                           (1, 1): {0: -one}},
+                       {0: one}, LinearMap(2, 2, [{0: one}, {1: -one}]), "C[Z2] on {1, ig}")
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_star_law_into_a_tensor_multiplies_by_the_star_matrices(backend):
+    with use_backend(backend):
+        b = _imaginary_z2()
+        assert verify_star_algebra(b).passed and not b.star.all_ones()
+        # the identity of C⊗B is a *-homomorphism onto C⊗B: the leg-wise star
+        # is the star of the materialised tensor algebra on every basis vector
+        for c in (b, group_algebra(cyclic(2)).algebra, _fun("Z3")(), BlockAlgebra([1, 2])):
+            for first, second in ((c, b), (b, c)):
+                t = tensor_algebra(first, second)
+                ident = LinearMap.identity(t.dim, scalar(1))
+                assert hom_check("id", t, first, ident, b=second).passed, t.label
+                # i·id is not a *-map: i·e_0* against (i·e_0)* = −i·e_0*
+                rotated = ident.scale(scalar(0, 1))
+                assert hom_check("star", t, first, rotated, ("star",), second).witness == (0,)
+
+        one, i = scalar(1), scalar(0, 1)
+        grp = group_algebra(cyclic(2))
+        a = grp.algebra
+        # g ↦ 1⊗g = 1⊗(−i·e₁) is a *-homomorphism C[Z2] → C[Z2]⊗B
+        good = LinearMap(2, 4, [{0: one}, {1: -i}])
+        assert hom_check("hom", a, a, good, b=b).passed
+        assert check_family(QuantumFamily(grp, b, good)).check("unital_star_hom").passed
+        # g ↦ 1⊗e₁ is not: (1⊗e₁)* = −1⊗e₁, and (1⊗e₁)² = −1⊗e₀ is not α(1)
+        bad = LinearMap(2, 4, [{0: one}, {1: one}])
+        assert hom_check("star", a, a, bad, ("star",), b).witness == (1,)
+        check = check_family(QuantumFamily(grp, b, bad)).check("unital_star_hom")
+        assert not check.passed and check.witness == ("multiplicative", 1, 1)

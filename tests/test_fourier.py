@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from fqg.constructors import (function_algebra, group_algebra,
                               quantum_group_data_equal)
 from fqg.fourier import (build_dual, check_iteration_lemma, conv_adjoint,
-                         conv_table, conv_vec, convolution_algebra, convolve, dual_pair,
-                         pair_haar, verify_fourier_identities)
+                         convolution_algebra, convolve, dual_pair, pair_haar,
+                         verify_fourier_identities)
 from fqg.groups import CATALOG, cyclic, named_group
 from fqg.hopf import QuantumGroup, dual_algebra
 from fqg.linalg import vec_eq, vec_scale
@@ -38,8 +38,9 @@ def test_group_ring_convolution_is_diagonal():
 def test_unit_convolution_collapses_to_haar(coeffs):
     g = function_algebra(named_group("S3"))
     x = g.algebra.element(coeffs)
-    left = conv_vec(g, g.algebra.unit, x.coeffs)
-    right = conv_vec(g, x.coeffs, g.algebra.unit)
+    conv = convolution_algebra(g)
+    left = conv.multiply_vec(g.algebra.unit, x.coeffs)
+    right = conv.multiply_vec(x.coeffs, g.algebra.unit)
     target = vec_scale(g.algebra.unit, g.haar_of(x.coeffs))
     assert vec_eq(left, target) and vec_eq(right, target)
 
@@ -64,12 +65,13 @@ def test_conv_adjoint_involutive(coeffs):
 
 def test_convolution_associative_on_basis():
     g = function_algebra(named_group("S3"))
-    ct = conv_table(g)
+    conv = convolution_algebra(g)
+    ct = conv.mult
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                left = conv_vec(g, ct.get((i, j), {}), {k: scalar(1)})
-                right = conv_vec(g, {i: scalar(1)}, ct.get((j, k), {}))
+                left = conv.multiply_vec(ct.get((i, j), {}), {k: scalar(1)})
+                right = conv.multiply_vec({i: scalar(1)}, ct.get((j, k), {}))
                 assert vec_eq(left, right)
 
 
@@ -80,8 +82,8 @@ def test_conv_adjoint_antimultiplicative_for_convolution():
     for i in range(6):
         for j in range(6):
             lhs = conv.star_vec(ct.get((i, j), {}))
-            rhs = conv_vec(g, conv.star_vec({j: scalar(1)}),
-                           conv.star_vec({i: scalar(1)}))
+            rhs = conv.multiply_vec(conv.star_vec({j: scalar(1)}),
+                                    conv.star_vec({i: scalar(1)}))
             assert vec_eq(lhs, rhs)
 
 
@@ -237,4 +239,5 @@ def test_convolution_table_matches_the_dense_loop(backend, name):
         for build in (function_algebra, group_algebra):
             g = build(named_group(name))
             for q in (g, dual_pair(g).dual):
-                assert _same_table(conv_table(q), _dense_conv_table(q), backend == "exact"), q.label
+                assert _same_table(convolution_algebra(q).mult, _dense_conv_table(q),
+                                   backend == "exact"), q.label

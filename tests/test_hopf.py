@@ -62,8 +62,8 @@ def test_haar_state_solver_function_algebra():
     for j in range(3):
         assert solved.cols[j].get(0) == third
     assert _independent_invariance_holds(g.algebra, g.coproduct, solved)
-    # agreement with the stored state does not raise
-    solve_haar_state(g.algebra, g.coproduct, stored=g.haar_state)
+    # the solved state is the stored one
+    assert solve_haar_state(g.algebra, g.coproduct) == g.haar_state
 
 
 def test_haar_state_solver_group_ring():
@@ -72,13 +72,6 @@ def test_haar_state_solver_group_ring():
     assert solved.cols[0].get(0) == scalar(1)
     assert solved.cols[1].get(0) is None
     assert _independent_invariance_holds(g.algebra, g.coproduct, solved)
-
-
-def test_haar_state_solver_rejects_disagreement():
-    g = function_algebra(cyclic(3))
-    wrong = LinearMap(3, 1, [{0: scalar(1)}, {}, {}])
-    with pytest.raises(InvalidDataError):
-        solve_haar_state(g.algebra, g.coproduct, stored=wrong)
 
 
 def test_haar_element_solver():

@@ -10,10 +10,9 @@ import fqg.hopf
 from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra, scalar_algebra
 from fqg.classical import enumerate_automorphisms, universal_classical_family
 from fqg.constructors import function_algebra, group_algebra
-from fqg.fourier import conv_table, dual_pair, verify_fourier_identities
+from fqg.fourier import convolution_algebra, dual_pair, verify_fourier_identities
 from fqg.fixtures import (broken_adjoint_family, counit_degenerate_family,
-                          identity_family_with_hopf, target_permuted_family,
-                          translation_family)
+                          target_permuted_family, translation_family, trivial_hopf_target)
 from fqg.groups import cyclic, named_group
 from fqg.hopf import (QuantumGroup, check_hopf_morphism, dual_algebra, dual_coproduct,
                       verify_quantum_group)
@@ -272,7 +271,7 @@ def test_compose_associative_up_to_reindexing():
 def test_action_equation():
     uf = universal_classical_family(named_group("S3"))
     assert check_action(uf).passed
-    idf = identity_family_with_hopf(function_algebra(cyclic(3)))
+    idf = identity_family(function_algebra(cyclic(3)), hopf_on_target=trivial_hopf_target())
     assert check_action(idf).passed
 
 
@@ -464,7 +463,7 @@ def _reference_sweeps(qf):
         return True, ()
 
     def conv_product():
-        ct = conv_table(g)
+        ct = convolution_algebra(g).mult
         for i, j in product(range(n), repeat=2):
             if apply(ct.get((i, j), {})) != tensor_times(ct, alpha[i], alpha[j]):
                 return False, (i, j)

@@ -232,6 +232,16 @@ def test_comparing_a_scalar_with_a_python_number_raises(backend, number):
                 compare()
 
 
+def test_comparing_scalars_of_the_two_backends_raises():
+    # a value built under one backend meeting one built under the other is a
+    # slip, not an unequal pair: QQi(1) == CFloat(1.0) was silently False
+    for exact, approx in ((QQi(1), CFloat(1.0)), (QQi(0), CFloat(0.0)), (QQi(2, 1), CFloat(0.5))):
+        for compare in (lambda: exact == approx, lambda: approx == exact,
+                        lambda: exact != approx, lambda: approx != exact):
+            with pytest.raises(TypeError, match="other backend"):
+                compare()
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_comparing_scalars_is_unchanged(backend):
     with use_backend(backend, 1e-9):

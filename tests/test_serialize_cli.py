@@ -150,7 +150,7 @@ def _cell_grids(draw, shape=None):
 
 def _assert_same_loads(grid, star, backend):
     set_backend(backend, 1e-9)
-    matrix, matrix_err = _outcome(matrix_from_dense, grid)
+    matrix, matrix_err = _outcome(matrix_from_dense, grid, len(grid[0]), len(grid))
     ref, ref_err = _outcome(_plain_matrix, grid)
     assert matrix_err == ref_err
     assert matrix == ref
@@ -186,7 +186,7 @@ def test_memoised_loads_keep_every_malformed_cell_message(odd):
     for grid in ([[one, odd, one]], [[odd, one], [one, one]], [[one], [one], [odd]],
                  [[["-1/2", "3"], odd, ["-1/2", "3"]]]):
         _assert_same_loads(grid, [[one, ["0", "0"]], [["0", "0"], one]], "exact")
-    assert _outcome(matrix_from_dense, [[one, odd, one]])[1] is not None
+    assert _outcome(matrix_from_dense, [[one, odd, one]], 3, 1)[1] is not None
 
 
 # -- sparse matrices -------------------------------------------------------
@@ -479,6 +479,11 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, monkeypatch):
         path.write_text(canonical_json(dict(base, mult=[[0, 0, 0, bad, "0"]])))
         assert main(["verify", str(path)]) == 2, bad
         assert capsys.readouterr().err.startswith("error: [input]"), bad
+    # a dim below 1 is refused as such, before the unit is read against it
+    for dim in (-3, 0):
+        path.write_text(canonical_json(dict(base, dim=dim)))
+        assert main(["verify", str(path)]) == 2, dim
+        assert capsys.readouterr().err == "error: [input] dim %d is not positive\n" % dim
 
     # oversized groups are refused before any table is built
     for name in ("Z100000", "D100000", "Z40xZ40", "Z" + "9" * 5000):
