@@ -1,9 +1,10 @@
 """Finite-dimensional associative *-algebras presented by structure constants.
 
-An algebra of dimension n is a sparse structure-constant tensor
-``mult[(i, j)] = {k: c}`` meaning ``e_i e_j = sum_k c e_k``, a unit vector,
-and an involution matrix ``St`` acting as ``(sum c_i e_i)* = sum conj(c_i)
-St(e_i)``.  Everything is immutable after construction.
+An algebra of dimension n is a sparse structure-constant tensor held as
+rows, ``mult[i][j] = {k: c}`` meaning ``e_i e_j = sum_k c e_k``, a unit
+vector, and an involution matrix ``St`` acting as ``(sum c_i e_i)* = sum
+conj(c_i) St(e_i)``.  A product the table does not state is 0.  Everything
+is immutable after construction.
 
 A *diagonal* table, e_i e_j = [i = j] e_i as for the functions on a finite
 set, is recognised when the algebra is built, and its products skip the
@@ -16,14 +17,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, product
 
-from .linalg import (LinearMap, leg_apply, rank_of_vectors, vec_add_into, vec_eq,
-                     vec_from_dense, vec_is_zero, vec_sub)
+from .linalg import (InvalidDataError, LinearMap, leg_apply, rank_of_vectors, vec_add_into,
+                     vec_eq, vec_from_dense, vec_is_zero, vec_sub)
 from .report import Check, Report, first_failure, sweep
 from .scalar import object_cache, one_like, parse_number, scalar
-
-
-class InvalidDataError(ValueError):
-    """Raised when user-supplied structures fail shape or axiom validation."""
 
 
 def exact_int(x, what: str) -> int:
@@ -34,14 +31,20 @@ def exact_int(x, what: str) -> int:
     return x
 
 
+# the terms of a product that a table does not state; shared, never changed
+_EMPTY: dict = {}
+
+
 class StarAlgebra:
     """A *-algebra on the basis e_0, ..., e_{dim-1}; see the module docstring.
 
-    The terms dicts of ``mult`` are kept as given, not copied, unless one
-    holds a zero coefficient to drop: a large table is held once, and its
+    ``mult`` is the row-indexed table ``{i: {j: {k: c}}}``.  Its rows and
+    terms dicts are kept as given, not copied, except a row that holds a
+    zero coefficient or an empty terms dict: it is copied without them, and
+    dropped if nothing is left.  So a large table is held once, and its
     builder must not change it afterwards.
 
-    ``_diag`` is True when the cleaned table is exactly {(i, i): {i: 1}} for
+    ``_diag`` is True when the cleaned table is exactly {i: {i: {i: 1}}} for
     every i, with each 1 read off its raw components rather than through the
     float tolerance; :meth:`multiply_vec` and :func:`tensor_mult` then take
     the diagonal path.  It is derived from the table, never set."""
@@ -53,20 +56,27 @@ class StarAlgebra:
             raise InvalidDataError("dimension must be positive")
         clean = {}
         diag = True
-        for (i, j), terms in mult.items():
-            if not (0 <= i < dim and 0 <= j < dim):
+        for i, row in mult.items():
+            if not 0 <= i < dim:
                 raise InvalidDataError("structure constant index out of range")
-            zero = False
-            for k, c in terms.items():
-                if not 0 <= k < dim:
+            dirty = False
+            for j, terms in row.items():
+                if not 0 <= j < dim:
                     raise InvalidDataError("structure constant index out of range")
-                if c.is_zero():
-                    zero = True
-            if zero:
-                terms = {k: c for k, c in terms.items() if not c.is_zero()}
-            if terms:
-                clean[(i, j)] = terms
-                if diag and (i != j or len(terms) != 1 or (c := terms.get(i)) is None
+                if not terms:
+                    dirty = True
+                for k, c in terms.items():
+                    if not 0 <= k < dim:
+                        raise InvalidDataError("structure constant index out of range")
+                    if c.is_zero():
+                        dirty = True
+            if dirty:
+                row = {j: kept for j, terms in row.items()
+                       if (kept := {k: c for k, c in terms.items() if not c.is_zero()})}
+            if row:
+                clean[i] = row
+                if diag and (len(row) != 1 or (terms := row.get(i)) is None
+                             or len(terms) != 1 or (c := terms.get(i)) is None
                              or c.re != 1 or c.im != 0):
                     diag = False
         unit = dict(unit)
@@ -101,8 +111,11 @@ class StarAlgebra:
         mult = self.mult
         acc = {}
         for i, ci in u.items():
+            row = mult.get(i)
+            if row is None:
+                continue
             for j, cj in v.items():
-                terms = mult.get((i, j))
+                terms = row.get(j)
                 if terms is None:
                     continue
                 c = ci * cj
@@ -126,7 +139,8 @@ class StarAlgebra:
         return acc
 
     def basis_product(self, i: int, j: int) -> dict:
-        return self.mult.get((i, j), {})
+        """The terms of e_i e_j: the table's own dict, never to be changed."""
+        return self.mult.get(i, _EMPTY).get(j, _EMPTY)
 
     # -- element construction --------------------------------------------
 
@@ -144,10 +158,8 @@ class StarAlgebra:
     # -- structural predicates ---------------------------------------------
 
     def is_commutative(self) -> bool:
-        for (i, j), terms in self.mult.items():
-            if not vec_eq(terms, self.mult.get((j, i), {})):
-                return False
-        return True
+        return all(vec_eq(terms, self.basis_product(j, i))
+                   for i, row in self.mult.items() for j, terms in row.items())
 
     def has_pointwise_basis(self) -> bool:
         """True when the basis is orthogonal self-adjoint idempotents summing to 1.
@@ -164,7 +176,8 @@ class StarAlgebra:
 
         n = self.dim
         return (len(self.mult) == n and len(self.unit) == n
-                and all(i == j and one_at(terms, i) for (i, j), terms in self.mult.items())
+                and all(len(row) == 1 and one_at(row.get(i, _EMPTY), i)
+                        for i, row in self.mult.items())
                 and all(one_at(col, i) for i, col in enumerate(self.star.cols))
                 and all((c - one_like(c)).is_zero() for c in self.unit.values()))
 
@@ -212,14 +225,14 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        if self.algebra.dim != other.algebra.dim:
+        if self.algebra is not other.algebra:
             return False
         return vec_eq(self.coeffs, other.coeffs)
 
     __hash__ = None
 
     def _same_algebra(self, other):
-        if self.algebra.dim != other.algebra.dim:
+        if self.algebra is not other.algebra:
             raise InvalidDataError("elements live in different algebras")
 
     def __repr__(self):
@@ -233,9 +246,10 @@ def tensor_algebra(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     """A⊗B on the row-major basis e_i⊗f_j ↦ i*dim(B)+j."""
     db = b.dim
     mult = {}
-    for (i1, j1), ta in a.mult.items():
-        for (i2, j2), tb in b.mult.items():
-            mult[(i1 * db + i2, j1 * db + j2)] = tensor_vec(ta, tb, db)
+    for i1, row_a in a.mult.items():
+        for i2, row_b in b.mult.items():
+            mult[i1 * db + i2] = {j1 * db + j2: tensor_vec(ta, tb, db)
+                                  for j1, ta in row_a.items() for j2, tb in row_b.items()}
     unit = tensor_vec(a.unit, b.unit, db)
     star_map = a.star.tensor(b.star)
     label = "%s (x) %s" % (a.label or "A", b.label or "B")
@@ -259,12 +273,12 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
 
     ``v`` is grouped by its first-leg index, so each term of ``u`` visits only
     the first-leg indices that both its row of A's table and ``v`` contain,
-    walking whichever of the two is smaller.  When B is diagonal (see
-    :class:`StarAlgebra`), each group is a dict over the second-leg index,
-    and a term of ``u`` looks up its own second-leg index in it instead of
-    walking the group.
+    walking whichever of the two is smaller, and reads its row of B's table
+    once.  When B is diagonal (see :class:`StarAlgebra`), each group is a
+    dict over the second-leg index, and a term of ``u`` looks up its own
+    second-leg index in it instead of walking the group.
     """
-    arows, bm, db, b_diag = _mult_rows(a), b.mult, b.dim, b._diag
+    arows, brows, db, b_diag = a.mult, b.mult, b.dim, b._diag
     vrows: dict = {}
     if b_diag:
         for q, cq in v.items():
@@ -302,9 +316,10 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
                     else:
                         acc[k] = t
             continue
+        brow = brows.get(b1, _EMPTY)
         for ta, vs in hits:
             for b2, cq in vs:
-                tb = bm.get((b1, b2))
+                tb = brow.get(b2)
                 if tb is None:
                     continue
                 c = cp * cq
@@ -326,16 +341,6 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
 
 
 @object_cache
-def _mult_rows(algebra: StarAlgebra) -> dict:
-    """The product table indexed by its first index, as ``{i: {j: terms}}``;
-    the terms are shared, not copied."""
-    rows: dict = {}
-    for (i, j), terms in algebra.mult.items():
-        rows.setdefault(i, {})[j] = terms
-    return rows
-
-
-@object_cache
 def _basis_generators(algebra: StarAlgebra) -> tuple:
     """Basis indices that generate ``algebra``: every basis element is a
     multiple of a product of them, so a subspace closed under the product
@@ -354,15 +359,14 @@ def _basis_generators(algebra: StarAlgebra) -> tuple:
     the b reached so far, so every stated product is read at most twice and
     the walk is linear in the table, not quadratic in the dimension."""
     n = algebra.dim
-    rows = _mult_rows(algebra)
+    rows = algebra.mult
     if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
         return tuple(range(n))
     cols: dict = {}  # b -> {a: a·b}
     for a, row in rows.items():
         for b, terms in row.items():
             cols.setdefault(b, {})[a] = terms
-    empty: dict = {}
-    idempotent = [g in rows.get(g, empty).get(g, empty) for g in range(n)]
+    idempotent = [g in algebra.basis_product(g, g) for g in range(n)]
     gens = []
     reached = [False] * n
     for g in sorted(range(n), key=idempotent.__getitem__):
@@ -373,7 +377,7 @@ def _basis_generators(algebra: StarAlgebra) -> tuple:
         todo = [g]
         while todo:
             a = todo.pop()
-            for line in (rows.get(a, empty), cols.get(a, empty)):
+            for line in (rows.get(a, _EMPTY), cols.get(a, _EMPTY)):
                 for b, terms in line.items():
                     if reached[b]:
                         for k in terms:
@@ -397,18 +401,17 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     associative without a walk."""
     if algebra._diag:
         return True
-    rows = _mult_rows(algebra)
-    empty: dict = {}
+    rows = algebra.mult
     everything = range(algebra.dim)
     for a in _basis_generators(algebra):
-        right = rows.get(a, empty)  # y -> a·y
+        right = rows.get(a, _EMPTY)  # y -> a·y
         for row_x in rows.values():
             xa = row_x.get(a)
             for y in (everything if xa is not None else right):
                 lhs: dict = {}
                 if xa is not None:
                     for k, c in xa.items():
-                        terms = rows.get(k, empty).get(y)
+                        terms = rows.get(k, _EMPTY).get(y)
                         if terms is not None:
                             vec_add_into(lhs, terms, c)
                 rhs: dict = {}
@@ -571,8 +574,7 @@ class BlockAlgebra(StarAlgebra):
                 trace_row[idx(b, i, i)] = w
                 for j in range(n):
                     star_cols[idx(b, i, j)] = {idx(b, j, i): one}
-                    for l in range(n):
-                        mult[(idx(b, i, j), idx(b, j, l))] = {idx(b, i, l): one}
+                    mult[idx(b, i, j)] = {idx(b, j, l): {idx(b, i, l): one} for l in range(n)}
         star_map = LinearMap(dim, dim, star_cols)
         super().__init__(dim, mult, unit, star_map,
                          label or "blocks%s" % (list(blocks),))
@@ -603,7 +605,6 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
     n = algebra.dim
     one = scalar(1)
     unit = algebra.unit
-    mult = algebra.mult
     star_cols = algebra.star.cols
 
     def unit_law(side_i):
@@ -614,8 +615,8 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
 
     def associative(ijk):
         i, j, k = ijk
-        return vec_eq(algebra.multiply_vec(mult.get((i, j), {}), {k: one}),
-                      algebra.multiply_vec({i: one}, mult.get((j, k), {})))
+        return vec_eq(algebra.multiply_vec(algebra.basis_product(i, j), {k: one}),
+                      algebra.multiply_vec({i: one}, algebra.basis_product(j, k)))
 
     checks = [
         sweep("unit_law", ((side, i) for i in range(n) for side in ("left", "right")),
@@ -625,7 +626,7 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
         sweep("star_involutive", range(n),
               lambda i: vec_eq(algebra.star_vec(algebra.star_vec({i: one})), {i: one})),
         sweep("star_antimultiplicative", product(range(n), repeat=2),
-              lambda ij: vec_eq(algebra.star_vec(mult.get(ij, {})),
+              lambda ij: vec_eq(algebra.star_vec(algebra.basis_product(*ij)),
                                 algebra.multiply_vec(star_cols[ij[1]], star_cols[ij[0]]))),
         Check("star_unit", vec_eq(algebra.star_vec(unit), unit), ()),
     ]

@@ -55,8 +55,9 @@ def group_of_group_algebra(g: QuantumGroup) -> FiniteGroup:
     one = scalar(1)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
+        row = a.mult.get(i, {})
         for j in range(n):
-            terms = a.mult.get((i, j), {})
+            terms = row.get(j, {})
             if len(terms) != 1:
                 raise InvalidDataError("source is not a group ring (non-monomial product)")
             (k, c), = terms.items()

@@ -27,7 +27,7 @@ def function_algebra(group: FiniteGroup) -> QuantumGroup:
     n = group.order
     one = scalar(1)
     e = group.identity
-    mult = {(i, i): {i: one} for i in range(n)}
+    mult = {i: {i: {i: one}} for i in range(n)}
     unit = {i: one for i in range(n)}
     star = LinearMap.identity(n, one)
     algebra = StarAlgebra(n, mult, unit, star, "fun(%s)" % (group.label or group.order))
@@ -56,7 +56,7 @@ def group_algebra(group: FiniteGroup) -> QuantumGroup:
     n = group.order
     one = scalar(1)
     e = group.identity
-    mult = {(i, j): {group.mul(i, j): one} for i in range(n) for j in range(n)}
+    mult = {i: {j: {group.mul(i, j): one} for j in range(n)} for i in range(n)}
     unit = {e: one}
     star = LinearMap(n, n, [{group.inv(g): one} for g in range(n)])
     algebra = StarAlgebra(n, mult, unit, star, "grp(%s)" % (group.label or group.order))
@@ -75,11 +75,8 @@ def quantum_group_data_equal(a: QuantumGroup, b: QuantumGroup) -> bool:
     """Structure-by-structure equality of two quantum groups on matching bases."""
     if a.dim != b.dim:
         return False
-    keys = set(a.algebra.mult) | set(b.algebra.mult)
-    for k in keys:
-        if not vec_eq(a.algebra.mult.get(k, {}), b.algebra.mult.get(k, {})):
-            return False
-    return (vec_eq(a.algebra.unit, b.algebra.unit)
+    return (a.algebra.mult == b.algebra.mult
+            and vec_eq(a.algebra.unit, b.algebra.unit)
             and a.algebra.star == b.algebra.star
             and a.coproduct == b.coproduct
             and a.counit == b.counit

@@ -22,12 +22,13 @@ from .scalar import cache_value, object_cache, scalar
 
 @object_cache
 def pair_haar(g: QuantumGroup) -> dict:
-    """Sparse table {(i, j): h(e_i e_j)}; also the Fourier matrix entries."""
+    """Sparse rows {i: {j: h(e_i e_j)}}; also the Fourier matrix entries."""
     table = {}
-    for (i, j), terms in g.algebra.mult.items():
-        v = g.haar_of(terms)
-        if v is not None and not v.is_zero():
-            table[(i, j)] = v
+    for i, row in g.algebra.mult.items():
+        for j, terms in row.items():
+            v = g.haar_of(terms)
+            if v is not None and not v.is_zero():
+                table.setdefault(i, {})[j] = v
     return table
 
 
@@ -38,18 +39,15 @@ def convolution_algebra(g: QuantumGroup) -> StarAlgebra:
 
     e_i ⋆ e_j = (h⊗id)(((S⊗id)Δ(e_j))(e_i⊗1)); with the second leg untouched
     this contracts to sum over Δ(e_j) terms (a, b) of h(S(e_a) e_i) e_b.
-    :func:`pair_haar` is read by its first index, so each term S(e_a) ∋ e_a'
-    visits only the i with h(e_a' e_i) ≠ 0.  The entries for each j are
-    stored with i ascending, and each entry sums its terms in the order of
-    Δ(e_j) and then S(e_a).
+    :func:`pair_haar` is read by rows, so each term S(e_a) ∋ e_a' visits
+    only the i with h(e_a' e_i) ≠ 0.  Each row states its j ascending, and
+    each entry sums its terms in the order of Δ(e_j) and then S(e_a).
     The unit stays empty: η is the ⋆-unit only up to h(η), which is 0 on
     some unverified input, and ``haar_element`` is a check of its own.
     """
     n = g.dim
     anti = g.antipode
-    haar_rows: dict = {}  # {a': {i: h(e_a' e_i)}}
-    for (a2, i), hval in pair_haar(g).items():
-        haar_rows.setdefault(a2, {})[i] = hval
+    haar_rows = pair_haar(g)  # {a': {i: h(e_a' e_i)}}
     table = {}
     for j in range(n):
         accs: dict = {}  # {i: e_i ⋆ e_j}
@@ -67,7 +65,7 @@ def convolution_algebra(g: QuantumGroup) -> StarAlgebra:
                         acc[b] = t
         for i in sorted(accs):
             if accs[i]:
-                table[(i, j)] = accs[i]
+                table.setdefault(i, {})[j] = accs[i]
     return StarAlgebra(n, table, {}, anti.compose(g.algebra.star), "conv(%s)" % g.label)
 
 
@@ -104,8 +102,9 @@ class DualPair:
 def _fourier_matrix(g: QuantumGroup) -> LinearMap:
     """F(e_j) = Σ_i h(e_i e_j) e_i*, read off :func:`pair_haar`."""
     cols = [dict() for _ in range(g.dim)]
-    for (i, j), v in pair_haar(g).items():
-        cols[j][i] = v
+    for i, row in pair_haar(g).items():
+        for j, v in row.items():
+            cols[j][i] = v
     return LinearMap(g.dim, g.dim, cols)
 
 

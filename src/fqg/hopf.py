@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import (InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
-                      _mult_rows, hom_check, hom_on_generators, scalar_algebra, tensor_mult,
+                      hom_check, hom_on_generators, scalar_algebra, tensor_mult,
                       tensor_vec, verify_star_algebra)
 from .linalg import (LinearMap, _subtract_row, entry_eq, leg_apply, leg_compose,
                      nullspace_basis, vec_add_into, vec_eq, vec_scale, vec_sub)
@@ -106,10 +106,7 @@ def solve_haar_element(algebra: StarAlgebra, counit: LinearMap) -> dict:
     for i in range(n):
         eps_i = eps[i].get(0)
         per_k: dict = {}
-        for j in range(n):
-            terms = algebra.mult.get((i, j))
-            if terms is None:
-                continue
+        for j, terms in algebra.mult.get(i, {}).items():
             for k, c in terms.items():
                 per_k.setdefault(k, {})[j] = c
         touched = set(per_k) | (set(range(n)) if eps_i is not None else set())
@@ -152,11 +149,7 @@ def _mult_map_apply(algebra: StarAlgebra, v: dict) -> dict:
     n = algebra.dim
     acc: dict = {}
     for r, c in v.items():
-        i, j = divmod(r, n)
-        terms = algebra.mult.get((i, j))
-        if terms is None:
-            continue
-        vec_add_into(acc, terms, c)
+        vec_add_into(acc, algebra.basis_product(*divmod(r, n)), c)
     return acc
 
 
@@ -173,7 +166,8 @@ def dual_algebra(g: QuantumGroup) -> StarAlgebra:
     mult: dict = {}
     for k, col in enumerate(g.coproduct.cols):
         for r, c in col.items():
-            mult.setdefault(divmod(r, n), {})[k] = c
+            i, j = divmod(r, n)
+            mult.setdefault(i, {}).setdefault(j, {})[k] = c
     unit = {i: c for i, col in enumerate(g.counit.cols) if (c := col.get(0)) is not None}
     star_cols = [dict() for _ in range(n)]
     for j in range(n):
@@ -188,10 +182,11 @@ def dual_coproduct(g: QuantumGroup) -> LinearMap:
     Δ̂(e_k*)(e_i⊗e_j) = e_k*(e_i e_j)."""
     n = g.dim
     cols = [dict() for _ in range(n)]
-    for (i, j), terms in g.algebra.mult.items():
-        r = i * n + j
-        for k, c in terms.items():
-            cols[k][r] = c
+    for i, row in g.algebra.mult.items():
+        for j, terms in row.items():
+            r = i * n + j
+            for k, c in terms.items():
+                cols[k][r] = c
     return LinearMap(n, n * n, cols)
 
 
@@ -277,22 +272,21 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
 def _gram_positivity_check(g: QuantumGroup) -> Check:
     """h(e_j* e_i) must be Hermitian positive definite (Sylvester pivots).
 
-    gram[i][j] is formed only for the i that a basis element in the support
-    of e_j* has a stated product with (:func:`_mult_rows`); every other
-    entry is 0.  The Hermitian scan visits the pairs i <= j with an entry
+    gram[i][j] is formed only for the i that a basis element e_k in the
+    support of e_j* has a stated product e_k e_i with, read off row k of the
+    table; every other entry is 0.  The Hermitian scan visits the pairs i <= j with an entry
     in either order, lexicographically, and the elimination runs on sparse
     rows, so the witness is the one a dense scan and elimination give."""
     a = g.algebra
     n = a.dim
     one = scalar(1)
     zero = zero_like(one)
-    rows = _mult_rows(a)
     gram = [dict() for _ in range(n)]
     for j in range(n):
         ej_star = a.star.cols[j]
         reached = set()
         for k in ej_star:
-            reached.update(rows.get(k, ()))
+            reached.update(a.mult.get(k, ()))
         for i in sorted(reached):
             v = g.haar_of(a.multiply_vec(ej_star, {i: one}))
             if v is not None:

@@ -20,6 +20,10 @@ import math
 from .scalar import QQi, one_like, scalar, tolerance, zero_like
 
 
+class InvalidDataError(ValueError):
+    """Raised when user-supplied structures fail shape or axiom validation."""
+
+
 def vec_add_into(acc: dict, v: dict, c=None) -> None:
     """acc += c*v (c=None means 1); zero results are stripped."""
     if c is None:
@@ -106,8 +110,11 @@ class LinearMap:
         if len(cols) != source_dim:
             raise ValueError("expected %d columns, got %d" % (source_dim, len(cols)))
         clean = []
-        for col in cols:
-            clean.append({r: s for r, s in col.items() if 0 <= r < target_dim and not s.is_zero()})
+        for c, col in enumerate(cols):
+            if col and (min(col) < 0 or max(col) >= target_dim):
+                raise InvalidDataError("column %d states a row outside 0..%d"
+                                       % (c, target_dim - 1))
+            clean.append({r: s for r, s in col.items() if not s.is_zero()})
         self.source_dim = source_dim
         self.target_dim = target_dim
         self.cols = tuple(clean)

@@ -185,10 +185,11 @@ def vector_from_list(lst, dim: int) -> dict:
 
 def algebra_to_dict(a: StarAlgebra) -> dict:
     mult_rows = []
-    for (i, j) in sorted(a.mult):
-        for k in sorted(a.mult[(i, j)]):
-            re, im = format_scalar(a.mult[(i, j)][k])
-            mult_rows.append([i, j, k, re, im])
+    for i, row in sorted(a.mult.items()):
+        for j, terms in sorted(row.items()):
+            for k, c in sorted(terms.items()):
+                re, im = format_scalar(c)
+                mult_rows.append([i, j, k, re, im])
     d = {
         "dim": a.dim,
         "label": a.label,
@@ -221,7 +222,8 @@ def algebra_from_dict(d: dict) -> StarAlgebra:
         parse = _cell_parser()
         for row in d["mult"]:
             i, j, k, re, im = row
-            terms = mult.setdefault((exact_int(i, "mult index"), exact_int(j, "mult index")), {})
+            terms = mult.setdefault(exact_int(i, "mult index"), {}).setdefault(
+                exact_int(j, "mult index"), {})
             if exact_int(k, "mult index") in terms:
                 raise InvalidDataError("mult states (i, j, k) = %r twice" % ((i, j, k),))
             terms[k] = parse([re, im])  # StarAlgebra drops the zeros

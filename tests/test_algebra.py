@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 import fqg.algebra
 from fqg.algebra import (BlockAlgebra, Element, InvalidDataError, StarAlgebra,
-                         _basis_generators, _is_associative, _mult_rows, hom_check, hom_indices,
+                         _basis_generators, _is_associative, hom_check, hom_indices,
                          hom_predicate, rank_of_span, scalar_algebra, tensor_algebra, tensor_mult,
                          verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
-from fqg.fourier import convolution_algebra
-from fqg.groups import CATALOG, cyclic, direct_product, named_group
-from fqg.hopf import dual_algebra
+from fqg.fourier import convolution_algebra, dual_pair, verify_fourier_identities
+from fqg.groups import CATALOG, cyclic, direct_product, named_group, symmetric
+from fqg.hopf import dual_algebra, verify_quantum_group
 from fqg.linalg import LinearMap, flip_map, vec_add_into, vec_eq
-from fqg.qfamily import QuantumFamily, check_family
+from fqg.qfamily import QuantumFamily, check_family, identity_family
 from fqg.scalar import QQi, one_like, scalar, use_backend
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=5)
@@ -89,9 +89,7 @@ def test_tensor_of_function_algebras_is_product_group_functions():
     t = tensor_algebra(a, a)
     prod = function_algebra(direct_product(z2, z2)).algebra
     assert t.dim == prod.dim
-    keys = set(t.mult) | set(prod.mult)
-    for k in keys:
-        assert vec_eq(t.mult.get(k, {}), prod.mult.get(k, {}))
+    assert t.mult == prod.mult
     assert vec_eq(t.unit, prod.unit)
     assert t.star == prod.star
 
@@ -102,9 +100,7 @@ def test_tensor_associativity_on_structure_constants():
     c = BlockAlgebra([1, 1])
     left = tensor_algebra(tensor_algebra(a, b), c)
     right = tensor_algebra(a, tensor_algebra(b, c))
-    keys = set(left.mult) | set(right.mult)
-    for k in keys:
-        assert vec_eq(left.mult.get(k, {}), right.mult.get(k, {}))
+    assert left.mult == right.mult
     assert vec_eq(left.unit, right.unit)
     assert left.star == right.star
 
@@ -113,8 +109,8 @@ def _left_regular(a, i):
     """Dense matrix of x ↦ e_i x on ``a``: column j is e_i e_j."""
     zero = scalar(0)
     m = [[zero] * a.dim for _ in range(a.dim)]
-    for j in range(a.dim):
-        for k, c in a.mult.get((i, j), {}).items():
+    for j, terms in a.mult.get(i, {}).items():
+        for k, c in terms.items():
             m[k][j] = c
     return m
 
@@ -126,8 +122,7 @@ def _kronecker(x, y):
 def _root_of_i():
     """C[u]/(u² − i): the one structure constant of u·u is i."""
     one = scalar(1)
-    return StarAlgebra(2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
-                           (1, 1): {0: scalar(0, 1)}},
+    return StarAlgebra(2, {0: {0: {0: one}, 1: {1: one}}, 1: {0: {1: one}, 1: {0: scalar(0, 1)}}},
                        {0: one}, LinearMap.identity(2, one), "C[u]/(u^2-i)")
 
 
@@ -148,12 +143,13 @@ def test_tensor_table_is_the_kronecker_product_of_left_regular_maps(first, secon
     with use_backend(backend):
         a, b = _CONSTANT_ALGEBRAS[first](), _CONSTANT_ALGEBRAS[second]()
         t = tensor_algebra(a, b)
-        assert any((c.re, c.im) != (1, 0) for terms in t.mult.values() for c in terms.values())
+        assert any((c.re, c.im) != (1, 0) for row in t.mult.values()
+                   for terms in row.values() for c in terms.values())
         for i, k in product(range(a.dim), range(b.dim)):
             left = _kronecker(_left_regular(a, i), _left_regular(b, k))
             for q in range(t.dim):
                 column = {r: row[q] for r, row in enumerate(left) if not row[q].is_zero()}
-                got = t.mult.get((i * b.dim + k, q), {})
+                got = t.mult.get(i * b.dim + k, {}).get(q, {})
                 assert vec_eq(got, column), (i, k, q)
 
 
@@ -187,8 +183,8 @@ def test_verify_star_algebra_passes_on_catalog():
 
 def test_verify_star_algebra_detects_broken_associativity():
     base = function_algebra(cyclic(3)).algebra
-    mult = {k: dict(v) for k, v in base.mult.items()}
-    mult[(1, 2)] = {0: scalar(1)}  # orthogonality broken on one pair
+    mult = {i: dict(row) for i, row in base.mult.items()}
+    mult[1][2] = {0: scalar(1)}  # orthogonality broken on one pair
     bad = StarAlgebra(3, mult, dict(base.unit), base.star, "broken")
     rep = verify_star_algebra(bad)
     assert not rep.passed
@@ -207,8 +203,8 @@ def _two_term_algebra():
     span of b0 and b1 + b2, and (b1 b1) b0 != b1 (b1 b0): a generator set
     must not count the two-term product as reaching b1 and b2."""
     one = scalar(1)
-    mult = {(0, 0): {1: one, 2: one}, (1, 1): {0: one}, (2, 2): {0: one},
-            (1, 2): {0: -one}, (2, 1): {0: -one}}
+    mult = {0: {0: {1: one, 2: one}}, 1: {1: {0: one}, 2: {0: -one}},
+            2: {2: {0: one}, 1: {0: -one}}}
     return StarAlgebra(3, mult, {}, LinearMap.identity(3, one), "two-term")
 
 
@@ -226,16 +222,18 @@ def _perturbed_table(table, n, data):
     """A copy of a structure-constant table, kept as it is or with one drawn
     constant scaled by 2, -1 or i, zeroed, or moved to a drawn (i, j, k),
     where it adds to what is there (so a product can become two-term)."""
-    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
+    (i, j), k = data.draw(st.sampled_from(sorted(((i, j), k) for i, row in table.items()
+                                                 for j, terms in row.items() for k in terms)))
     change = data.draw(st.sampled_from(sorted(SCALINGS) + ["keep", "zero", "move"]))
-    out = {key2: dict(terms) for key2, terms in table.items()}
+    out = {i2: {j2: dict(terms) for j2, terms in row.items()} for i2, row in table.items()}
     if change == "keep":
         return out
-    c = out[key].pop(k)
+    c = out[i][j].pop(k)
     if change in SCALINGS:
-        out[key][k] = c * SCALINGS[change]
+        out[i][j][k] = c * SCALINGS[change]
     elif change == "move":
-        terms = out.setdefault(data.draw(st.sampled_from(list(product(range(n), repeat=2)))), {})
+        i2, j2 = data.draw(st.sampled_from(list(product(range(n), repeat=2))))
+        terms = out.setdefault(i2, {}).setdefault(j2, {})
         k2 = data.draw(st.integers(0, n - 1))
         terms[k2] = terms[k2] + c if k2 in terms else c
     return out
@@ -247,7 +245,7 @@ def _full_associativity_sweep(table, n):
     def times(u, v):
         acc = {}
         for (i, ci), (j, cj) in product(u.items(), v.items()):
-            for k, c in table.get((i, j), {}).items():
+            for k, c in table.get(i, {}).get(j, {}).items():
                 acc[k] = acc.get(k, scalar(0)) + ci * cj * c
         return {k: c for k, c in acc.items() if not c.is_zero()}
 
@@ -294,7 +292,7 @@ def test_a_diagonal_table_is_associative_without_the_walk(monkeypatch):
         raise AssertionError("walked the generators of %s" % algebra.label)
 
     monkeypatch.setattr(fqg.algebra, "_basis_generators", walked)
-    assert _is_associative(StarAlgebra(5, {(i, i): {i: scalar(1)} for i in range(5)},
+    assert _is_associative(StarAlgebra(5, {i: {i: {i: scalar(1)}} for i in range(5)},
                                        {}, LinearMap.identity(5, scalar(1)), "diagonal"))
     base = group_algebra(cyclic(3)).algebra
     with pytest.raises(AssertionError, match="walked the generators of grp"):
@@ -340,7 +338,7 @@ def test_group_like_generators_skip_the_identity_and_reach_everything(name):
     for algebra in (group_algebra(group).algebra, convolution_algebra(fun)):
         gens = _basis_generators(algebra)
         assert group.identity not in gens
-        assert _closure(_mult_rows(algebra), gens) == set(range(n))
+        assert _closure(algebra.mult, gens) == set(range(n))
     # every basis element of fun(G) is idempotent, so each one is a generator
     assert _basis_generators(fun.algebra) == tuple(range(n))
 
@@ -349,7 +347,7 @@ def _quadratic_generators(algebra):
     """The greedy generators as first written: each newly reached index
     walks the whole closure so far, quadratic in the dimension."""
     n = algebra.dim
-    rows = _mult_rows(algebra)
+    rows = algebra.mult
     if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
         return tuple(range(n))
     empty: dict = {}
@@ -378,7 +376,7 @@ def _quadratic_generators(algebra):
 def _quadratic_is_associative(algebra):
     """The associativity certificate as first written, with x over every
     index rather than the nonempty rows."""
-    rows = _mult_rows(algebra)
+    rows = algebra.mult
     empty: dict = {}
     everything = range(algebra.dim)
     for a in _quadratic_generators(algebra):
@@ -408,13 +406,13 @@ def _random_table_algebra(seed):
     for i, j in product(range(n), repeat=2):
         if rng.random() < 0.3:
             ks = rng.sample(range(n), 2 if n > 1 and rng.random() < 0.02 else 1)
-            mult[(i, j)] = {k: rng.choice(coeffs) for k in ks}
+            mult.setdefault(i, {})[j] = {k: rng.choice(coeffs) for k in ks}
     return StarAlgebra(n, mult, {}, LinearMap.identity(n, scalar(1)), "random%d" % seed)
 
 
 def _truncated_polynomials(n):
     """e_i e_j = e_{i+j} below n: associative, monomial and mostly empty."""
-    mult = {(i, j): {i + j: scalar(1)} for i, j in product(range(n), repeat=2) if i + j < n}
+    mult = {i: {j: {i + j: scalar(1)} for j in range(n - i)} for i in range(n)}
     return StarAlgebra(n, mult, {0: scalar(1)}, LinearMap.identity(n, scalar(1)), "poly%d" % n)
 
 
@@ -511,6 +509,17 @@ def test_element_validation(fun_z2):
         Element(fun_z2, {5: scalar(1)})
 
 
+def test_elements_of_different_algebras_do_not_mix(fun_z2):
+    # fun(Z2) and grp(Z2) have the same dimension, and neither is the other
+    x = fun_z2.basis_element(1)
+    y = group_algebra(cyclic(2)).algebra.basis_element(1)
+    for op in (x.__mul__, x.__add__, x.__sub__):
+        with pytest.raises(InvalidDataError, match="different algebras"):
+            op(y)
+    assert x != y and not x == y
+    assert x == fun_z2.basis_element(1)
+
+
 def test_unit_index_outside_the_basis_is_refused(fun_z2):
     one = scalar(1)
     for unit in ({0: one, 5: one}, {-1: one}, {2: scalar(0)}):
@@ -581,7 +590,7 @@ def _reference_product(a, u, v):
     acc = {}
     for i, ci in u.items():
         for j, cj in v.items():
-            for k, ck in a.mult.get((i, j), {}).items():
+            for k, ck in a.mult.get(i, {}).get(j, {}).items():
                 t = ci * cj * ck
                 acc[k] = acc[k] + t if k in acc else t
     return acc
@@ -596,8 +605,8 @@ def _reference_tensor_product(a, b, u, v):
         x1, y1 = divmod(p, db)
         for q, cq in v.items():
             x2, y2 = divmod(q, db)
-            for k1, c1 in a.mult.get((x1, x2), {}).items():
-                for k2, c2 in b.mult.get((y1, y2), {}).items():
+            for k1, c1 in a.mult.get(x1, {}).get(x2, {}).items():
+                for k2, c2 in b.mult.get(y1, {}).get(y2, {}).items():
                     t = cp * cq * c1 * c2
                     k = k1 * db + k2
                     acc[k] = acc[k] + t if k in acc else t
@@ -699,7 +708,7 @@ def test_tensor_mult_matches_reference_loop(first, second, backend):
 
 
 def _diagonal_table(n):
-    return {(i, i): {i: scalar(1)} for i in range(n)}
+    return {i: {i: {i: scalar(1)}} for i in range(n)}
 
 
 def _table_algebra(mult, n=3):
@@ -709,20 +718,24 @@ def _table_algebra(mult, n=3):
 
 def test_diagonal_table_is_detected_only_when_exact():
     assert _table_algebra(_diagonal_table(3))._diag
-    assert not _table_algebra(_diagonal_table(3) | {(1, 1): {1: scalar(2)}})._diag
+    one = scalar(1)
+    assert not _table_algebra(_diagonal_table(3) | {1: {1: {1: scalar(2)}}})._diag
     missing = _diagonal_table(3)
-    del missing[(2, 2)]
+    del missing[2]
     assert not _table_algebra(missing)._diag
-    assert not _table_algebra(_diagonal_table(3) | {(0, 1): {0: scalar(1)}})._diag
-    assert not _table_algebra(_diagonal_table(3) | {(0, 0): {0: scalar(1), 1: scalar(1)}})._diag
-    # an explicit zero entry is dropped before the table is read
-    assert _table_algebra(_diagonal_table(3) | {(0, 1): {1: scalar(0)}})._diag
-    assert _table_algebra(_diagonal_table(3) | {(2, 2): {2: scalar(1), 0: scalar(0)}})._diag
+    assert not _table_algebra(_diagonal_table(3) | {0: {0: {0: one}, 1: {0: one}}})._diag
+    assert not _table_algebra(_diagonal_table(3) | {0: {0: {0: one, 1: one}}})._diag
+    # an explicit zero entry, an empty product and an empty row are dropped
+    # before the table is read
+    assert _table_algebra(_diagonal_table(3) | {0: {0: {0: one}, 1: {1: scalar(0)}}})._diag
+    assert _table_algebra(_diagonal_table(3) | {2: {2: {2: one, 0: scalar(0)}}})._diag
+    assert _table_algebra(_diagonal_table(3) | {0: {0: {0: one}, 1: {}}})._diag
+    assert not _table_algebra(_diagonal_table(3) | {2: {2: {2: scalar(0)}}})._diag
     with use_backend("float"):
         assert _table_algebra(_diagonal_table(3))._diag
         # equal to 1 within the tolerance, but not 1: the generic path
-        near = _diagonal_table(3) | {(1, 1): {1: scalar(1 + 1e-10)}}
-        assert vec_eq(near[(1, 1)], {1: scalar(1)})
+        near = _diagonal_table(3) | {1: {1: {1: scalar(1 + 1e-10)}}}
+        assert vec_eq(near[1][1], {1: scalar(1)})
         assert not _table_algebra(near)._diag
         assert function_algebra(named_group("S3")).algebra._diag
 
@@ -745,7 +758,7 @@ def _quadratic_pointwise(a):
     """The n² scan of every table cell that has_pointwise_basis once made."""
     for i in range(a.dim):
         for j in range(a.dim):
-            terms = a.mult.get((i, j), {})
+            terms = a.mult.get(i, {}).get(j, {})
             if i == j:
                 if len(terms) != 1 or i not in terms:
                     return False
@@ -787,13 +800,12 @@ def _pointwise_cases():
     def perturbed(mult=f.mult, unit=f.unit, star=f.star):
         return StarAlgebra(3, mult, unit, star, "perturbed fun(Z3)")
 
-    cases["diagonal 1 + 1e-12"] = perturbed(mult=f.mult | {(1, 1): {1: scalar(1 + 1e-12)}})
-    cases["off-diagonal entry"] = perturbed(mult=f.mult | {(0, 1): {1: one}})
+    cases["diagonal 1 + 1e-12"] = perturbed(mult=f.mult | {1: {1: {1: scalar(1 + 1e-12)}}})
+    cases["off-diagonal entry"] = perturbed(mult=f.mult | {0: f.mult[0] | {1: {1: one}}})
     cases["missing diagonal entry"] = perturbed(
-        mult={k: t for k, t in f.mult.items() if k != (2, 2)})
+        mult={i: row for i, row in f.mult.items() if i != 2})
     # as many products as basis vectors, one of them e_0 e_1 = e_0 in place of e_0 e_0
-    cases["off-diagonal for a diagonal"] = perturbed(
-        mult={k: t for k, t in f.mult.items() if k != (0, 0)} | {(0, 1): {0: one}})
+    cases["off-diagonal for a diagonal"] = perturbed(mult=f.mult | {0: {1: {0: one}}})
     cases["unit without index 2"] = perturbed(unit={0: one, 1: one})
     cases["star entry 2"] = perturbed(star=LinearMap(3, 3, [{0: one}, {1: scalar(2)}, {2: one}]))
     return cases
@@ -890,8 +902,7 @@ def _imaginary_z2():
     """C[Z2] on the basis {1, i·g}: e₁·e₁ = −e₀ and e₁* = −e₁, so its star
     matrix has an entry that is not 1."""
     one = scalar(1)
-    return StarAlgebra(2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
-                           (1, 1): {0: -one}},
+    return StarAlgebra(2, {0: {0: {0: one}, 1: {1: one}}, 1: {0: {1: one}, 1: {0: -one}}},
                        {0: one}, LinearMap(2, 2, [{0: one}, {1: -one}]), "C[Z2] on {1, ig}")
 
 
@@ -923,3 +934,28 @@ def test_star_law_into_a_tensor_multiplies_by_the_star_matrices(backend):
         assert hom_check("star", a, a, bad, ("star",), b).witness == (1,)
         check = check_family(QuantumFamily(grp, b, bad)).check("unital_star_hom")
         assert not check.passed and check.witness == ("multiplicative", 1, 1)
+
+
+# -- tables are shared, so no kernel may change one ------------------------------
+
+
+def test_no_kernel_changes_a_table():
+    """Algebras keep the rows and terms of their tables as given, and
+    basis_product hands out the table's own dicts: a kernel that wrote into
+    one would change every algebra sharing it.  S3 is built afresh, so every
+    verdict below is computed, not read from a memo."""
+    group = symmetric(3)
+    fun, grp = function_algebra(group), group_algebra(group)
+    blocks = BlockAlgebra([1, 2])
+    both = tensor_algebra(fun.algebra, grp.algebra)
+    algebras = [fun.algebra, grp.algebra, both, blocks, dual_algebra(fun),
+                convolution_algebra(fun)]
+    snapshots = [{i: {j: dict(terms) for j, terms in row.items()} for i, row in a.mult.items()}
+                 for a in algebras]
+    verdicts = []
+    for g in (fun, grp):
+        verdicts += [verify_quantum_group(g), verify_fourier_identities(dual_pair(g))]
+        verdicts += [check_family(identity_family(g, target)) for target in (None, blocks, both)]
+    assert [a.mult for a in algebras] == snapshots
+    assert fqg.algebra._EMPTY == {}
+    assert all(report.passed for report in verdicts)

@@ -70,8 +70,8 @@ def test_convolution_associative_on_basis():
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                left = conv.multiply_vec(ct.get((i, j), {}), {k: scalar(1)})
-                right = conv.multiply_vec({i: scalar(1)}, ct.get((j, k), {}))
+                left = conv.multiply_vec(ct.get(i, {}).get(j, {}), {k: scalar(1)})
+                right = conv.multiply_vec({i: scalar(1)}, ct.get(j, {}).get(k, {}))
                 assert vec_eq(left, right)
 
 
@@ -81,7 +81,7 @@ def test_conv_adjoint_antimultiplicative_for_convolution():
     ct = conv.mult
     for i in range(6):
         for j in range(6):
-            lhs = conv.star_vec(ct.get((i, j), {}))
+            lhs = conv.star_vec(ct.get(i, {}).get(j, {}))
             rhs = conv.multiply_vec(conv.star_vec({j: scalar(1)}),
                                     conv.star_vec({i: scalar(1)}))
             assert vec_eq(lhs, rhs)
@@ -99,7 +99,7 @@ def test_group_ring_fourier_lands_on_inverse_deltas():
     pair = dual_pair(g)
     for x in range(g.dim):
         inv = next(i for i in range(g.dim)
-                   if g.algebra.mult[(x, i)].get(0) is not None)
+                   if g.algebra.mult[x][i].get(0) is not None)
         assert vec_eq(pair.fourier.cols[x], {inv: scalar(1)})
 
 
@@ -187,8 +187,7 @@ def test_the_dual_is_built_on_the_one_dual_algebra():
 
 def _dense_conv_table(g):
     """The convolution table as it was built before :func:`pair_haar` was
-    indexed by its first index: every (i, j) visits every term of
-    (S⊗id)Δ(e_j)."""
+    read by rows: every (i, j) visits every term of (S⊗id)Δ(e_j)."""
     n = g.dim
     anti = g.antipode
     ph = pair_haar(g)
@@ -202,7 +201,7 @@ def _dense_conv_table(g):
         for i in range(n):
             acc = {}
             for b, a2, cs in terms:
-                hval = ph.get((a2, i))
+                hval = ph.get(a2, {}).get(i)
                 if hval is None:
                     continue
                 cur = acc.get(b)
@@ -212,23 +211,27 @@ def _dense_conv_table(g):
                 else:
                     acc[b] = t
             if acc:
-                table[(i, j)] = acc
+                table.setdefault(i, {})[j] = acc
     return table
 
 
 def _same_table(got, want, exact):
-    """Same keys in the same order, each entry with the same terms in the
-    same order and equal values (bit for bit on the float backend)."""
+    """Same rows in the same order, each with the same products in the same
+    order, each product with the same terms in the same order and equal
+    values (bit for bit on the float backend)."""
     if list(got) != list(want):
         return False
-    for key, terms in got.items():
-        ref = want[key]
-        if list(terms) != list(ref):
+    for i, row in got.items():
+        if list(row) != list(want[i]):
             return False
-        for k, c in terms.items():
-            d = ref[k]
-            if not (c == d if exact else (c.re, c.im) == (d.re, d.im)):
+        for j, terms in row.items():
+            ref = want[i][j]
+            if list(terms) != list(ref):
                 return False
+            for k, c in terms.items():
+                d = ref[k]
+                if not (c == d if exact else (c.re, c.im) == (d.re, d.im)):
+                    return False
     return True
 
 

@@ -160,7 +160,7 @@ def test_haar_element_solver_messages():
     assert _refusal(solve_haar_element, null_product, zero_counit) == \
         "haar element is not unique (solution space has dimension 2)"
     # the dual numbers C[x]/x² with ε(x) = 0: the only candidate is x, and ε(x) = 0
-    dual_numbers = StarAlgebra(2, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+    dual_numbers = StarAlgebra(2, {0: {0: {0: one}, 1: {1: one}}, 1: {0: {1: one}}},
                                {0: one}, star)
     counit = LinearMap(2, 1, [{0: one}, {}])
     assert _refusal(solve_haar_element, dual_numbers, counit) == \
@@ -216,13 +216,13 @@ def _full_multiplicativity_sweep(mult, cols, n):
     """Reference: the first (i, j) with Δ(e_i e_j) != Δ(e_i)Δ(e_j)."""
     for i, j in product(range(n), repeat=2):
         lhs, rhs = {}, {}
-        for k, c in mult.get((i, j), {}).items():
+        for k, c in mult.get(i, {}).get(j, {}).items():
             for r, d in cols.get(k, {}).items():
                 _add(lhs, r, c * d)
         for (r1, c1), (r2, c2) in product(cols.get(i, {}).items(), cols.get(j, {}).items()):
             (p, q), (s, t) = divmod(r1, n), divmod(r2, n)
-            for (k1, d1), (k2, d2) in product(mult.get((p, s), {}).items(),
-                                              mult.get((q, t), {}).items()):
+            for (k1, d1), (k2, d2) in product(mult.get(p, {}).get(s, {}).items(),
+                                              mult.get(q, {}).get(t, {}).items()):
                 _add(rhs, k1 * n + k2, c1 * c2 * d1 * d2)
         if _nonzero(lhs) != _nonzero(rhs):
             return False, (i, j)
@@ -237,7 +237,12 @@ def test_coalgebra_certificates_agree_with_full_sweeps(group, kind, part, data):
     n = g.dim
     mult, cols = g.algebra.mult, dict(enumerate(g.coproduct.cols))
     if part == "product":
-        mult = _perturbed(mult, list(product(range(n), repeat=2)), n, data)
+        # the pairs (i, j) as keys, so one draw serves both tables
+        pairs = _perturbed({(i, j): terms for i, row in mult.items() for j, terms in row.items()},
+                           list(product(range(n), repeat=2)), n, data)
+        mult = {}
+        for (i, j), terms in pairs.items():
+            mult.setdefault(i, {})[j] = terms
     else:
         cols = _perturbed(cols, list(range(n)), n * n, data)
     algebra = StarAlgebra(n, mult, g.algebra.unit, g.algebra.star, "perturbed")

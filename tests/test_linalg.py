@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fqg.linalg import (LinearMap, _eliminate, flip_map, leg_apply, nullspace_basis,
-                        rank_of_vectors, vec_add_into, vec_eq)
+from fqg.linalg import (InvalidDataError, LinearMap, _eliminate, flip_map, leg_apply,
+                        nullspace_basis, rank_of_vectors, vec_add_into, vec_eq)
 from fqg.scalar import QQi, scalar, tolerance, use_backend, CFloat
 
 ONE = QQi(1)
@@ -115,6 +115,14 @@ def test_flip_is_an_involution():
     f_ba = flip_map(3, 2, ONE)
     assert f_ba.compose(f_ab) == LinearMap.identity(6, ONE)
     assert vec_eq(f_ab.apply({0 * 3 + 1: ONE}), {1 * 2 + 0: ONE})
+
+
+def test_a_row_outside_the_target_is_refused():
+    # a wrong row offset would otherwise read as a smaller map
+    for cols in ([{5: 1}, {-1: 1}], [{0: ONE}, {2: ONE}], [{}, {-1: ONE}]):
+        with pytest.raises(InvalidDataError, match="states a row outside 0..1"):
+            LinearMap(2, 2, cols)
+    assert LinearMap(2, 2, [{1: ONE}, {}]).cols == ({1: ONE}, {})
 
 
 def test_compose_tensor_transpose():

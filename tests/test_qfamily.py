@@ -436,8 +436,8 @@ def _reference_sweeps(qf):
         acc = {}
         for (p, cp), (q, cq) in product(u.items(), v.items()):
             (x1, b1), (x2, b2) = divmod(p, m), divmod(q, m)
-            for (k1, c1), (k2, c2) in product(first.get((x1, x2), {}).items(),
-                                              b.mult.get((b1, b2), {}).items()):
+            for (k1, c1), (k2, c2) in product(first.get(x1, {}).get(x2, {}).items(),
+                                              b.mult.get(b1, {}).get(b2, {}).items()):
                 _add(acc, k1 * m + k2, cp * cq * c1 * c2)
         return _nonzero(acc)
 
@@ -455,7 +455,7 @@ def _reference_sweeps(qf):
         if apply(a.unit) != unit:
             return False, ("unit",)
         for i, j in product(range(n), repeat=2):
-            if apply(a.mult.get((i, j), {})) != tensor_times(a.mult, alpha[i], alpha[j]):
+            if apply(a.mult.get(i, {}).get(j, {})) != tensor_times(a.mult, alpha[i], alpha[j]):
                 return False, ("multiplicative", i, j)
         for i in range(n):
             if apply(a.star.cols[i]) != tensor_star(alpha[i]):
@@ -465,7 +465,7 @@ def _reference_sweeps(qf):
     def conv_product():
         ct = convolution_algebra(g).mult
         for i, j in product(range(n), repeat=2):
-            if apply(ct.get((i, j), {})) != tensor_times(ct, alpha[i], alpha[j]):
+            if apply(ct.get(i, {}).get(j, {})) != tensor_times(ct, alpha[i], alpha[j]):
                 return False, (i, j)
         return True, ()
 
@@ -514,8 +514,8 @@ def _doubled_z6():
     """grp(Z6)'s algebra with e_2·e_1 = 2e_3: no longer associative, and
     still monomial with the one generator e_1."""
     a = _z6()[1].algebra
-    mult = {k: dict(terms) for k, terms in a.mult.items()}
-    mult[(2, 1)] = {3: scalar(2)}
+    mult = {i: dict(row) for i, row in a.mult.items()}
+    mult[2][1] = {3: scalar(2)}
     return StarAlgebra(6, mult, a.unit, a.star, "doubled")
 
 

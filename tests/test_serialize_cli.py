@@ -123,7 +123,7 @@ def _plain_algebra(d):
         for i, j, k, re, im in d["mult"]:
             s = _plain_cell([re, im])
             if not s.is_zero():
-                mult.setdefault((i, j), {})[k] = s
+                mult.setdefault(i, {}).setdefault(j, {})[k] = s
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("malformed algebra: %s" % exc)
     return StarAlgebra(d["dim"], mult, _plain_vector(d["unit"]), _plain_matrix(d["star"]))

@@ -69,11 +69,11 @@ def _changed_vec(v: dict, rng) -> dict:
 def _changed_algebra(a: StarAlgebra, rng, part) -> StarAlgebra:
     mult, unit, star = dict(a.mult), a.unit, a.star
     if part == "mult-moved":
-        key = rng.choice(sorted(mult))
-        terms = dict(mult[key])
+        i, j = rng.choice(sorted((i, j) for i, row in mult.items() for j in row))
+        terms = dict(mult[i][j])
         k = rng.choice(sorted(terms))
         terms[(k + 1) % a.dim] = terms.pop(k)
-        mult[key] = terms
+        mult[i] = mult[i] | {j: terms}
     elif part == "unit":
         unit = _changed_vec(unit, rng)
     else:
