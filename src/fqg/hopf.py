@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import (InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
-                      hom_check, hom_on_generators, scalar_algebra, tensor_mult,
-                      tensor_vec, verify_star_algebra)
+                      hom_check, hom_on_generators, law_on_generators, scalar_algebra,
+                      tensor_mult, tensor_vec, verify_star_algebra)
 from .linalg import (LinearMap, _subtract_row, entry_eq, leg_apply, leg_compose,
                      nullspace_basis, vec_add_into, vec_eq, vec_scale, vec_sub)
 from .report import Check, Report, first_failure, sweep
@@ -195,13 +195,24 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     """Full Hopf/Haar axiom battery; an empty failure list means pass.
 
     Each check sweeps its basis indices in lexicographic order and names the
-    first failing one.  On the exact backend three sweeps first try a
-    certificate on generators (the nucleus lemma), and take only a pass from
-    it, so every failure and its witness still come from the full sweep:
-    ``associativity`` (see :func:`verify_star_algebra`); ``coassociativity``,
-    as associativity of :func:`dual_algebra`; and ``coproduct_multiplicative``,
-    through :func:`hom_on_generators` for Δ on the generators of the algebra
-    or for the dual coproduct on those of the dual, whichever are fewer.
+    first failing one.  On the exact backend the sweeps of the laws on basis
+    pairs first try a certificate on generators (the nucleus lemma), and
+    take only a pass from it, so every failure and its witness still come
+    from the full sweep:
+
+    - ``associativity`` and ``star_antimultiplicative``: see
+      :func:`verify_star_algebra`;
+    - ``coassociativity``, as associativity of :func:`dual_algebra`;
+    - ``coproduct_multiplicative``, through :func:`hom_on_generators` for Δ
+      on the generators of the algebra or for the dual coproduct on those of
+      the dual, whichever are fewer;
+    - ``counit_multiplicative``, through :func:`hom_on_generators` for ε
+      into ℂ: on the generators, or on a diagonal table the n pairs (i, i)
+      and at most one basis element off the kernel of ε;
+    - ``haar_tracial``, whose good left factors {a : h(ax) = h(xa) for all
+      x} form a subalgebra, through :func:`law_on_generators`; a diagonal
+      table is commutative, so it passes without a walk.
+
     The float backend always runs the full sweeps.  The unit, product and
     star laws are :func:`hom_check`'s: for Δ: A → A⊗A, for ε: A → ℂ and,
     the star law only, for S: A → A."""
@@ -235,6 +246,10 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
             return hom_on_generators(a, a, delta, ("multiplicative",), a)
         return hom_on_generators(dual, dual, dual_coproduct(g), ("multiplicative",), dual)
 
+    def tracial(ij):
+        i, j = ij
+        return entry_eq(g.haar_of(a.basis_product(i, j)), g.haar_of(a.basis_product(j, i)))
+
     scalars = scalar_algebra()
     h_eta = g.haar_of_eta()
     h_eta_ok = (h_eta - scalar(Fraction(1, n))).is_zero()
@@ -255,9 +270,8 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         sweep("haar_invariance", range(n),
               lambda j: on_both_legs(h, delta.cols[j], vec_scale(unit, h.cols[j].get(0)))),
         Check("haar_antipode_invariant", h.compose(anti) == h, ()),
-        sweep("haar_tracial", ((i, j) for i in range(n) for j in range(i, n)),
-              lambda ij: entry_eq(h.apply(a.basis_product(*ij)).get(0),
-                                  h.apply(a.basis_product(ij[1], ij[0])).get(0))),
+        sweep("haar_tracial", ((i, j) for i in range(n) for j in range(i, n)), tracial,
+              certificate=lambda: a._diag or law_on_generators(a, tracial)),
         _gram_positivity_check(g),
         Check("haar_element_counit", entry_eq(eps.apply(eta).get(0), one), ()),
         sweep("haar_element_absorbing", range(n),

@@ -527,6 +527,19 @@ def test_unit_index_outside_the_basis_is_refused(fun_z2):
             StarAlgebra(2, fun_z2.mult, unit, fun_z2.star)
 
 
+@pytest.mark.parametrize("table", [
+    {(0, 0): {0: 1}},               # keyed by pairs, the layout before rows
+    {"0": {0: {0: scalar(1)}}},     # a row index that is not an int
+    {0: {0: 1}},                    # a product that is not a terms dict
+    {0: {0: [1]}},
+    [[{0: scalar(1)}]],             # a list of rows
+    {0: {0: {0: 1}}},               # a coefficient that is not a scalar
+], ids=["pair-keys", "string-row", "int-terms", "list-terms", "list-table", "int-coefficient"])
+def test_a_table_that_is_not_rows_of_dicts_names_the_layout(fun_z2, table):
+    with pytest.raises(InvalidDataError, match=r"rows \{i: \{j: \{k: c\}\}\}"):
+        StarAlgebra(2, table, fun_z2.unit, fun_z2.star)
+
+
 # -- the row-indexed tensor kernel against the materialized tensor algebra ----
 
 _KERNEL_ALGEBRAS = {

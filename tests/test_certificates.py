@@ -1,0 +1,221 @@
+"""The one-sided certificates of the pairwise laws against their full sweeps.
+
+Every battery below runs twice on fresh objects: as it is, and with each
+module's ``sweep`` replaced by one that always sweeps in full and also asks
+the certificate, which must never pass a law the sweep fails.  Both runs
+must give the same verdicts and witnesses."""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fqg.algebra
+import fqg.fourier
+import fqg.hopf
+from fqg.algebra import (InvalidDataError, StarAlgebra, tensor_algebra, tensor_vec,
+                         verify_star_algebra)
+from fqg.constructors import function_algebra, group_algebra
+from fqg.fourier import build_dual, verify_fourier_identities
+from fqg.groups import named_group
+from fqg.hopf import QuantumGroup, check_hopf_morphism, verify_quantum_group
+from fqg.linalg import LinearMap
+from fqg.qfamily import _tensor_coproduct
+from fqg.report import Check, first_failure
+from fqg.scalar import scalar
+
+SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
+
+
+def _tensor_quantum_group(g1, g2):
+    """G1⊗G2: every structure map is the tensor of the two, the coproduct
+    with its middle legs swapped."""
+    return QuantumGroup(tensor_algebra(g1.algebra, g2.algebra),
+                        _tensor_coproduct(g1.coproduct, g2.coproduct),
+                        g1.counit.tensor(g2.counit), g1.antipode.tensor(g2.antipode),
+                        g1.haar_state.tensor(g2.haar_state),
+                        tensor_vec(g1.haar_element, g2.haar_element, g2.dim),
+                        "%s (x) %s" % (g1.label, g2.label))
+
+
+@lru_cache(maxsize=None)
+def _case(name):
+    if name == "fun(Z2) (x) grp(Z3)":
+        return _tensor_quantum_group(function_algebra(named_group("Z2")),
+                                     group_algebra(named_group("Z3")))
+    kind, group = name[:3], name[4:-1]
+    return (function_algebra if kind == "fun" else group_algebra)(named_group(group))
+
+
+CASES = ("fun(Z3)", "grp(S3)", "fun(Z2) (x) grp(Z3)")
+
+
+def _rebuilt(g, mult=None, star=None, **maps):
+    """A copy of ``g`` on a fresh algebra, so no verdict is memoised, with
+    the table, the star matrix or the maps given replaced."""
+    a = g.algebra
+    algebra = StarAlgebra(a.dim, a.mult if mult is None else mult, a.unit,
+                          a.star if star is None else star, a.label)
+    parts = {"coproduct": g.coproduct, "counit": g.counit, "antipode": g.antipode,
+             "haar_state": g.haar_state}
+    parts.update(maps)
+    return QuantumGroup(algebra, parts["coproduct"], parts["counit"], parts["antipode"],
+                        parts["haar_state"], g.haar_element, g.label)
+
+
+def _batteries(g):
+    """The reports of every battery with a certificate on a pairwise law:
+    the star algebra, the quantum group, the antipode as a Hopf morphism,
+    and the Fourier identities when the Fourier matrix is invertible."""
+    reports = [verify_star_algebra(g.algebra), verify_quantum_group(g),
+               check_hopf_morphism(g, g, g.antipode)]
+    try:
+        pair = build_dual(g, verify=False)
+    except InvalidDataError:  # a singular Fourier matrix
+        return reports
+    return reports + [verify_fourier_identities(pair)]
+
+
+def _verdicts(reports):
+    return [(r.subject, [(c.name, c.passed, tuple(c.witness)) for c in r.checks])
+            for r in reports]
+
+
+def _audited(run):
+    """The verdicts of the reports ``run()`` makes with every check swept in
+    full, and {check: certificate verdict} of each certificate asked on the
+    way; a certificate that passes a failing sweep fails the test."""
+    certified = {}
+
+    def audited(name, indices, pred, certificate=None):
+        witness = first_failure(indices, pred)
+        if certificate is not None:
+            certified[name] = bool(certificate())
+            assert witness is None or not certified[name], (name, witness)
+        return Check(name, witness is None, witness or ())
+
+    with pytest.MonkeyPatch.context() as m:
+        for module in (fqg.algebra, fqg.hopf, fqg.fourier):
+            m.setattr(module, "sweep", audited)
+        verdicts = _verdicts(run())
+    return verdicts, certified
+
+
+def _assert_certificates_agree(g):
+    """The batteries on fresh copies of ``g`` give the same verdicts with
+    their certificates as swept in full; returns the certificate verdicts."""
+    verdicts, certified = _audited(lambda: _batteries(_rebuilt(g)))
+    assert _verdicts(_batteries(_rebuilt(g))) == verdicts
+    return certified
+
+
+def _perturbed(table, keys, dim, data):
+    """A copy of ``{key: {index: c}}`` with one drawn entry scaled by 2, -1
+    or i, zeroed, or moved to a drawn key and index below ``dim``, where it
+    adds to what is there."""
+    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
+    change = data.draw(st.sampled_from(sorted(SCALINGS) + ["zero", "move"]))
+    out = {key2: dict(terms) for key2, terms in table.items()}
+    c = out[key].pop(k)
+    if change in SCALINGS:
+        out[key][k] = c * SCALINGS[change]
+    elif change == "move":
+        terms = out.setdefault(data.draw(st.sampled_from(keys)), {})
+        k2 = data.draw(st.integers(0, dim - 1))
+        terms[k2] = terms[k2] + c if k2 in terms else c
+    return out
+
+
+def _mutant(g, part, data):
+    """``g`` with one entry of one part changed (see :func:`_perturbed`)."""
+    n = g.dim
+    if part == "product":
+        pairs = {(i, j): terms for i, row in g.algebra.mult.items() for j, terms in row.items()}
+        mult = {}
+        for (i, j), terms in _perturbed(pairs, [(i, j) for i in range(n) for j in range(n)],
+                                        n, data).items():
+            mult.setdefault(i, {})[j] = terms
+        return _rebuilt(g, mult=mult)
+    if part == "star":
+        cols = _perturbed(dict(enumerate(g.algebra.star.cols)), list(range(n)), n, data)
+        return _rebuilt(g, star=LinearMap(n, n, [cols.get(j, {}) for j in range(n)]))
+    matrix = getattr(g, part)
+    cols = _perturbed(dict(enumerate(matrix.cols)), list(range(n)), matrix.target_dim, data)
+    return _rebuilt(g, **{part: LinearMap(n, matrix.target_dim,
+                                          [cols.get(j, {}) for j in range(n)])})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CASES),
+       st.sampled_from(("product", "star", "coproduct", "counit", "antipode", "haar_state")),
+       st.data())
+def test_certificates_agree_with_full_sweeps_on_mutants(case, part, data):
+    _assert_certificates_agree(_mutant(_case(case), part, data))
+
+
+# the certificates that pass on the unmutated cases: ⋆ is diagonal only on
+# grp(Γ) and ⋆̂ only on fun(Γ); S is anti-multiplicative, so on grp(S3) it
+# is no algebra morphism
+_CERTIFIED = {"associativity", "star_antimultiplicative", "coassociativity",
+              "coproduct_multiplicative", "counit_multiplicative", "haar_tracial",
+              "multiplicative", "counit_of_convolution"}
+PASSING = {
+    "fun(Z3)": _CERTIFIED | {"fourier_dual_convolution"},
+    "grp(S3)": _CERTIFIED - {"multiplicative"} | {"fourier_convolution"},
+    "fun(Z2) (x) grp(Z3)": _CERTIFIED,
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_certificates_pass_the_unmutated_cases(case):
+    certified = _assert_certificates_agree(_case(case))
+    assert {name for name, ok in certified.items() if ok} == PASSING[case]
+
+
+def _named_check(g, name):
+    return next(c for r in _batteries(_rebuilt(g)) for c in r.checks if c.name == name)
+
+
+def test_a_diagonal_table_with_overlapping_star_columns():
+    """(e_0 e_1)* = 0, but e_1* e_0* = e_1 (e_0 + e_1) = e_1: the star
+    columns of e_0 and e_1 overlap, so the certificate refuses and the sweep
+    names (0, 1)."""
+    one = scalar(1)
+    star = LinearMap(3, 3, [{0: one, 1: one}, {1: one}, {2: one}])
+    algebra = StarAlgebra(3, {i: {i: {i: one}} for i in range(3)},
+                          {i: one for i in range(3)}, star, "overlapping stars")
+    assert algebra._diag
+
+    def run():
+        return [verify_star_algebra(StarAlgebra(3, algebra.mult, algebra.unit, star))]
+
+    verdicts, certified = _audited(run)
+    assert _verdicts(run()) == verdicts
+    assert certified["star_antimultiplicative"] is False
+    check = run()[0].check("star_antimultiplicative")
+    assert (check.passed, tuple(check.witness)) == (False, (0, 1))
+
+
+def test_a_counit_with_two_nonzero_entries_on_fun_s3():
+    """ε(e_0) = ε(e_1) = 1 on the diagonal fun(S3): the images of e_0 and
+    e_1 in ℂ overlap, so ε(e_0 e_1) = 0 but ε(e_0)ε(e_1) = 1."""
+    g = function_algebra(named_group("S3"))
+    cols = [dict(c) for c in g.counit.cols]
+    cols[1] = {0: scalar(1)}
+    bad = _rebuilt(g, counit=LinearMap(g.dim, 1, cols))
+    assert _assert_certificates_agree(bad)["counit_multiplicative"] is False
+    check = _named_check(bad, "counit_multiplicative")
+    assert (check.passed, tuple(check.witness)) == (False, (0, 1))
+
+
+def test_a_non_tracial_haar_state_on_grp_s3():
+    """h(λ_1) = 1 as well as h(λ_e) = 1 on grp(S3): λ_2 λ_3 = λ_1 while
+    λ_3 λ_2 is not, so h is no trace and the generators show it."""
+    g = group_algebra(named_group("S3"))
+    cols = [dict(c) for c in g.haar_state.cols]
+    cols[1] = {0: scalar(1)}
+    bad = _rebuilt(g, haar_state=LinearMap(g.dim, 1, cols))
+    assert _assert_certificates_agree(bad)["haar_tracial"] is False
+    check = _named_check(bad, "haar_tracial")
+    assert (check.passed, tuple(check.witness)) == (False, (2, 3))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqg.algebra
+import fqg.fourier
 import fqg.hopf
 from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra, scalar_algebra
 from fqg.classical import enumerate_automorphisms, universal_classical_family
@@ -605,10 +606,13 @@ def _fresh(qf):
     return QuantumFamily(qf.source, qf.target_algebra, qf.alpha, qf.hopf_on_target, qf.label)
 
 
-def test_only_maps_into_a_tensor_product_consult_the_generator_certificate(monkeypatch):
-    """A family, its convolution laws and the coproduct (maps into C⊗B) try
-    ``hom_on_generators`` first; the counit, antipode, Fourier and
-    Hopf-morphism checks (maps into one algebra) never consult it."""
+def test_every_multiplicative_law_consults_the_generator_certificate(monkeypatch):
+    """Every *-homomorphism law with the product identity tries
+    ``hom_on_generators`` first, whatever its target: the coproduct (through
+    the dual coproduct), the counit into ℂ, a Hopf morphism, a family and its
+    convolution law.  ``fourier_convolution`` consults it only for a
+    diagonal ⋆ (that of grp(Γ)): deciding the associativity of any other ⋆
+    costs about as much as its sweep, or more."""
     original = fqg.algebra.hom_on_generators
     consulted = []
 
@@ -616,7 +620,7 @@ def test_only_maps_into_a_tensor_product_consult_the_generator_certificate(monke
         consulted.append((alpha, b))
         return original(a, c, alpha, identities, b)
 
-    for module in (fqg.algebra, fqg.hopf):
+    for module in (fqg.algebra, fqg.hopf, fqg.fourier):
         monkeypatch.setattr(module, "hom_on_generators", recorded)
 
     def consults(run):
@@ -631,13 +635,20 @@ def test_only_maps_into_a_tensor_product_consult_the_generator_certificate(monke
     dual = dual_algebra(g)
     # fun(S3) has 6 generators and its dual algebra grp(S3) 2: Δ is certified
     # through the dual coproduct
-    assert consults(lambda: verify_quantum_group(g)) == [(dual_coproduct(g), dual)]
+    assert consults(lambda: verify_quantum_group(g)) == [(dual_coproduct(g), dual),
+                                                         (g.counit, None)]
     pair = dual_pair(g)
     assert consults(lambda: verify_fourier_identities(pair)) == []
-    assert consults(lambda: check_hopf_morphism(g, g, LinearMap.identity(g.dim, scalar(1)))) == []
+    ident = LinearMap.identity(g.dim, scalar(1))
+    assert consults(lambda: check_hopf_morphism(g, g, ident)) == [(ident, None)]
     target = (qf.alpha, qf.target_algebra)
     assert consults(lambda: check_family(_fresh(qf))) == [target]
     assert consults(lambda: check_convolution_preservation(_fresh(qf))) == [target]
+    grp = group_algebra(named_group("S3"))
+    pair = dual_pair(QuantumGroup(grp.algebra, grp.coproduct, grp.counit, grp.antipode,
+                                  grp.haar_state, grp.haar_element, grp.label))
+    assert not convolution_algebra(g)._diag and convolution_algebra(pair.primal)._diag
+    assert consults(lambda: verify_fourier_identities(pair)) == [(pair.fourier, None)]
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
