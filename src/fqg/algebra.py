@@ -345,18 +345,41 @@ def tensor_mult(a: StarAlgebra, b: StarAlgebra, u: dict, v: dict) -> dict:
 
 
 @object_cache
+def _monomial(algebra: StarAlgebra) -> tuple:
+    """(monomial, uniform) for the table of ``algebra``: whether each stated
+    product is a multiple c·e_k of one basis element, and whether, if so,
+    every such c is one and the same scalar (1 in a group, dual or block
+    table, 1/n for the convolution on the functions on a group of order n).
+    One scan of the table, read by :func:`_basis_generators` and
+    :func:`_is_associative` alike."""
+    first = None
+    uniform = True
+    for row in algebra.mult.values():
+        for terms in row.values():
+            if len(terms) != 1:
+                return False, False
+            if uniform:
+                (c,) = terms.values()
+                if first is None:
+                    first = c
+                elif c is not first and c != first:
+                    uniform = False
+    return True, uniform
+
+
+@object_cache
 def _basis_generators(algebra: StarAlgebra) -> tuple:
     """Basis indices that generate ``algebra``: every basis element is a
     multiple of a product of them, so a subspace closed under the product
     that holds them is everything.
 
-    A *monomial* table (each basis product is 0 or a multiple of one basis
-    element) gets them greedily, as groups._generators does: the first index
-    outside the closure of the ones before it, trying the idempotent indices
-    (g·g a multiple of g) last, so the unit of a group-like table is reached
-    as a product rather than picked.  The closure starts empty, not at the
-    unit, whose law is a check of its own.  Any other table gets every
-    index.
+    A monomial table (:func:`_monomial`: each basis product is 0 or a
+    multiple of one basis element) gets them greedily, as groups._generators
+    does: the first index outside the closure of the ones before it, trying
+    the idempotent indices (g·g a multiple of g) last, so the unit of a
+    group-like table is reached as a product rather than picked.  The
+    closure starts empty, not at the unit, whose law is a check of its own.
+    Any other table gets every index.
 
     Each closure is walked through the products the table states: when an
     index a is taken up, its row (a·b) and its column (b·a) are read for
@@ -364,12 +387,12 @@ def _basis_generators(algebra: StarAlgebra) -> tuple:
     the walk is linear in the table, not quadratic in the dimension."""
     n = algebra.dim
     rows = algebra.mult
-    if any(len(terms) != 1 for row in rows.values() for terms in row.values()):
+    if not _monomial(algebra)[0]:
         return tuple(range(n))
-    cols: dict = {}  # b -> {a: a·b}
+    cols: dict = {}  # b -> [a with a·b stated]; a dict per column would add MBs at order 192
     for a, row in rows.items():
-        for b, terms in row.items():
-            cols.setdefault(b, {})[a] = terms
+        for b in row:
+            cols.setdefault(b, []).append(a)
     idempotent = [g in algebra.basis_product(g, g) for g in range(n)]
     gens = []
     reached = [False] * n
@@ -381,13 +404,16 @@ def _basis_generators(algebra: StarAlgebra) -> tuple:
         todo = [g]
         while todo:
             a = todo.pop()
-            for line in (rows.get(a, _EMPTY), cols.get(a, _EMPTY)):
-                for b, terms in line.items():
-                    if reached[b]:
-                        for k in terms:
-                            if not reached[k]:
-                                reached[k] = True
-                                todo.append(k)
+            for b, (k,) in rows.get(a, _EMPTY).items():  # a·b = c·e_k
+                if reached[b] and not reached[k]:
+                    reached[k] = True
+                    todo.append(k)
+            for b in cols.get(a, ()):
+                if reached[b]:
+                    (k,) = rows[b][a]  # b·a = c·e_k
+                    if not reached[k]:
+                        reached[k] = True
+                        todo.append(k)
     return tuple(gens)
 
 
@@ -398,14 +424,20 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     certificate that needs it.
 
     For any bilinear product the a with (xa)y = x(ay) for all basis x, y form
-    a subspace closed under the product, so it is enough to check them for
-    the generators a of :func:`_basis_generators`.  A triple with x·a = 0 and
+    a subspace closed under the product (Light's test), so it is enough to
+    check them for the generators a of :func:`_basis_generators`.  A
+    diagonal table (e_i e_j = [i = j] e_i) is associative without a walk.  A
+    monomial table (:func:`_monomial`), as every table the engine builds is,
+    is compared a whole row x at a time (:func:`_monomial_rows_associative`).
+    Any other table is walked product by product: a triple with x·a = 0 and
     a·y = 0 has 0 on both sides and is skipped, and so is an x with no
-    products at all.  A diagonal table (e_i e_j = [i = j] e_i) is
-    associative without a walk."""
+    products at all."""
     if algebra._diag:
         return True
     rows = algebra.mult
+    monomial, uniform = _monomial(algebra)
+    if monomial:
+        return _monomial_rows_associative(rows, _basis_generators(algebra), uniform)
     everything = range(algebra.dim)
     for a in _basis_generators(algebra):
         right = rows.get(a, _EMPTY)  # y -> a·y
@@ -426,6 +458,41 @@ def _is_associative(algebra: StarAlgebra) -> bool:
                         if terms is not None:
                             vec_add_into(rhs, terms, c)
                 if not vec_eq(lhs, rhs):
+                    return False
+    return True
+
+
+def _monomial_rows_associative(rows: dict, gens, uniform: bool) -> bool:
+    """Light's test on a monomial table ``rows``, one row x at a time, as
+    groups._associative does for a group table.  With x·a = c1·e_k1 and
+    a·y = c3·e_k, (x·a)·y over all y is c1 times row k1 of the table, and
+    x·(a·y) is c3 times {y: row_x[k]}; the two sides agree at y when their
+    basis elements agree and c1·c2 = c3·c4 for the c2 and c4 of those rows.
+    On a ``uniform`` table every c is one scalar, so the comparison of row
+    k1 with {y: row_x[k]} as dicts is the whole test.  No product of two
+    nonzero scalars is 0, so x·a = 0 needs x·(a·y) = 0 for every y."""
+    for a in gens:
+        right = [(y, k, c) for y, terms in rows.get(a, _EMPTY).items()
+                 for k, c in terms.items()]  # a·y = c·e_k
+        for row_x in rows.values():
+            xa = row_x.get(a)
+            if xa is None:
+                if any(k in row_x for _, k, _ in right):
+                    return False
+                continue
+            ((k1, c1),) = xa.items()
+            left = rows.get(k1, _EMPTY)  # y -> e_k1·y
+            if uniform:
+                if left != {y: row_x[k] for y, k, _ in right if k in row_x}:
+                    return False
+                continue
+            rhs = {y: (c3, row_x[k]) for y, k, c3 in right if k in row_x}
+            if left.keys() != rhs.keys():
+                return False
+            for y, (c3, terms) in rhs.items():
+                ((k2, c2),) = left[y].items()
+                ((k4, c4),) = terms.items()
+                if k2 != k4 or c1 * c2 != c3 * c4:
                     return False
     return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import (InvalidDataError, Element, StarAlgebra, hom_check, hom_on_generators,
+from .algebra import (InvalidDataError, Element, StarAlgebra, _associative, hom_check,
                       law_on_generators)
 from .hopf import QuantumGroup, dual_algebra, dual_coproduct, verify_quantum_group
 from .linalg import LinearMap, entry_eq, vec_eq, vec_scale
@@ -211,18 +211,19 @@ def verify_fourier_identities(pair: DualPair) -> Report:
     only a pass from it, so every failure and its witness still come from
     the full sweep:
 
-    - ``fourier_convolution``, through :func:`hom_on_generators` when ⋆ is
-      diagonal (grp(Γ)): the n pairs (i, i) and disjoint supports of the
-      F(e_i);
+    - ``fourier_convolution``, through :func:`hom_on_generators`: the n
+      pairs (i, i) and disjoint supports of the F(e_i) when ⋆ is diagonal
+      (grp(Γ)), else the generators of ⋆ once ⋆ and Â are decided
+      associative;
     - ``fourier_dual_convolution``, h(η)F(xy) = F(y)⋆̂F(x), whose good left
-      factors form a subalgebra when h(η) ≠ 0, through
-      :func:`law_on_generators` when ⋆̂ is diagonal (fun(Γ));
+      factors form a subalgebra when h(η) ≠ 0 and ⋆̂ is associative, through
+      :func:`law_on_generators` (with the F(e_i) as its images only when ⋆̂
+      is diagonal, as on fun(Γ));
     - ``counit_of_convolution``, comparing the two bilinear forms on their
       stated entries (:func:`_counit_of_convolution_forms`).
 
-    Any other ⋆ or ⋆̂ keeps its full sweep: the nucleus lemma would need it
-    decided associative, which on fun(Γ) costs about as much as the sweep
-    with one generator, and more with several."""
+    Deciding a convolution algebra associative is cheap: its table is
+    monomial, so ``algebra._is_associative`` compares it a row at a time."""
     g, d = pair.primal, pair.dual
     n = g.dim
     fr = pair.fourier
@@ -237,15 +238,13 @@ def verify_fourier_identities(pair: DualPair) -> Report:
                       conv_dual.multiply_vec(fr.cols[j], fr.cols[i]))
 
     checks = [
-        hom_check("fourier_convolution", conv, d.algebra, fr, ("multiplicative",),
-                  certificate=lambda: conv._diag and hom_on_generators(
-                      conv, d.algebra, fr, ("multiplicative",))),
+        hom_check("fourier_convolution", conv, d.algebra, fr, ("multiplicative",)),
         hom_check("fourier_star", conv, d.algebra, fr, ("star",)),
         Check("fourier_antipode", d.antipode.compose(fr) == fr.compose(g.antipode), ()),
         sweep("fourier_dual_convolution", product(range(n), repeat=2), dual_convolution,
-              certificate=lambda: (not h_eta.is_zero() and conv_dual._diag
+              certificate=lambda: (not h_eta.is_zero() and _associative(conv_dual)
                                    and law_on_generators(g.algebra, dual_convolution,
-                                                         fr.cols))),
+                                                         fr.cols if conv_dual._diag else None))),
         sweep("counit_of_convolution", product(range(n), repeat=2),
               lambda ij: entry_eq(g.counit_of(conv.basis_product(*ij)), g.haar_of(
                   g.algebra.multiply_vec(g.antipode.cols[ij[1]], {ij[0]: one}))),

@@ -423,18 +423,68 @@ def _catalog_algebra(*factors):
         for kind, name in factors])
 
 
+def _quaternions():
+    """The quaternions on 1, i, j, k: monomial and associative, with the
+    signs ±1 as coefficients."""
+    one, minus = scalar(1), scalar(-1)
+    mult = {0: {x: {x: one} for x in range(4)}}
+    for x in (1, 2, 3):
+        mult[x] = {0: {x: one}, x: {0: minus}}
+    for x, y, z in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        mult[x][y] = {z: one}
+        mult[y][x] = {z: minus}
+    return StarAlgebra(4, mult, {0: one}, LinearMap.identity(4, one), "H")
+
+
+def _zero_left_factor():
+    """e1·e1 = e2 and e0·e2 = e2, no other product: (e0·e1)·e1 = 0 but
+    e0·(e1·e1) = e2, which only the row x = 0 of a = 1, where x·a = 0,
+    shows."""
+    one = scalar(1)
+    return StarAlgebra(3, {0: {2: {2: one}}, 1: {1: {2: one}}}, {},
+                       LinearMap.identity(3, one), "zero left factor")
+
+
+def _changed(build, x, y, change):
+    """``build()`` with e_x e_y = c·e_k negated ("flip"), moved to
+    c·e_{k+1 mod n} ("move") or made 0 ("drop")."""
+    base = build()
+    mult = {i: dict(row) for i, row in base.mult.items()}
+    ((k, c),) = mult[x].pop(y).items()
+    if change != "drop":
+        mult[x][y] = {k: -c} if change == "flip" else {(k + 1) % base.dim: c}
+    return StarAlgebra(base.dim, mult, base.unit, base.star, "%s %s" % (base.label, change))
+
+
+def _catalog_convolution(kind, name):
+    """The convolution algebra of fun or grp of a catalog group."""
+    return convolution_algebra((function_algebra if kind == "fun" else group_algebra)(
+        named_group(name)))
+
+
 def _walk_cases():
     """Label -> a function that builds each algebra the walk is compared on."""
     cases = {}
     for name in CATALOG:
         for kind in ("fun", "grp"):
             cases["%s(%s)" % (kind, name)] = partial(_catalog_algebra, (kind, name))
+            cases["conv(%s(%s))" % (kind, name)] = partial(_catalog_convolution, kind, name)
         cases["fun(%s)(x)grp(S3)" % name] = partial(_catalog_algebra, ("fun", name), ("grp", "S3"))
         cases["grp(%s)(x)grp(Z2)" % name] = partial(_catalog_algebra, ("grp", name), ("grp", "Z2"))
     for n in (1, 5, 17):
         cases["poly%d" % n] = partial(_truncated_polynomials, n)
     for seed in range(40):
         cases["random%d" % seed] = partial(_random_table_algebra, seed)
+    cases["zero left factor"] = _zero_left_factor
+    # monomial tables whose coefficients are not all one scalar, and each
+    # with one product negated, moved or dropped
+    for label, build in (("H", _quaternions), ("C[u]/(u^2-i)", _root_of_i)):
+        cases[label] = build
+        for x, row in build().mult.items():
+            for y in row:
+                for change in ("flip", "move", "drop"):
+                    cases["%s %s e%d.e%d" % (label, change, x, y)] = partial(
+                        _changed, build, x, y, change)
     return cases
 
 

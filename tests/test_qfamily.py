@@ -609,10 +609,9 @@ def _fresh(qf):
 def test_every_multiplicative_law_consults_the_generator_certificate(monkeypatch):
     """Every *-homomorphism law with the product identity tries
     ``hom_on_generators`` first, whatever its target: the coproduct (through
-    the dual coproduct), the counit into ℂ, a Hopf morphism, a family and its
-    convolution law.  ``fourier_convolution`` consults it only for a
-    diagonal ⋆ (that of grp(Γ)): deciding the associativity of any other ⋆
-    costs about as much as its sweep, or more."""
+    the dual coproduct), the counit into ℂ, a Hopf morphism, a family, its
+    convolution law and ``fourier_convolution``, whether ⋆ is diagonal (that
+    of grp(Γ)) or not (that of fun(Γ))."""
     original = fqg.algebra.hom_on_generators
     consulted = []
 
@@ -620,7 +619,7 @@ def test_every_multiplicative_law_consults_the_generator_certificate(monkeypatch
         consulted.append((alpha, b))
         return original(a, c, alpha, identities, b)
 
-    for module in (fqg.algebra, fqg.hopf, fqg.fourier):
+    for module in (fqg.algebra, fqg.hopf):
         monkeypatch.setattr(module, "hom_on_generators", recorded)
 
     def consults(run):
@@ -638,7 +637,7 @@ def test_every_multiplicative_law_consults_the_generator_certificate(monkeypatch
     assert consults(lambda: verify_quantum_group(g)) == [(dual_coproduct(g), dual),
                                                          (g.counit, None)]
     pair = dual_pair(g)
-    assert consults(lambda: verify_fourier_identities(pair)) == []
+    assert consults(lambda: verify_fourier_identities(pair)) == [(pair.fourier, None)]
     ident = LinearMap.identity(g.dim, scalar(1))
     assert consults(lambda: check_hopf_morphism(g, g, ident)) == [(ident, None)]
     target = (qf.alpha, qf.target_algebra)
