@@ -427,17 +427,16 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     a subspace closed under the product (Light's test), so it is enough to
     check them for the generators a of :func:`_basis_generators`.  A
     diagonal table (e_i e_j = [i = j] e_i) is associative without a walk.  A
-    monomial table (:func:`_monomial`), as every table the engine builds is,
-    is compared a whole row x at a time (:func:`_monomial_rows_associative`).
-    Any other table is walked product by product: a triple with x·a = 0 and
-    a·y = 0 has 0 on both sides and is skipped, and so is an x with no
-    products at all."""
+    monomial table whose coefficients are all one scalar (:func:`_monomial`),
+    as every table the engine builds is, is compared a whole row x at a time
+    (:func:`_monomial_rows_associative`).  Any other table is walked product
+    by product: a triple with x·a = 0 and a·y = 0 has 0 on both sides and is
+    skipped, and so is an x with no products at all."""
     if algebra._diag:
         return True
     rows = algebra.mult
-    monomial, uniform = _monomial(algebra)
-    if monomial:
-        return _monomial_rows_associative(rows, _basis_generators(algebra), uniform)
+    if all(_monomial(algebra)):
+        return _monomial_rows_associative(rows, _basis_generators(algebra))
     everything = range(algebra.dim)
     for a in _basis_generators(algebra):
         right = rows.get(a, _EMPTY)  # y -> a·y
@@ -462,38 +461,25 @@ def _is_associative(algebra: StarAlgebra) -> bool:
     return True
 
 
-def _monomial_rows_associative(rows: dict, gens, uniform: bool) -> bool:
-    """Light's test on a monomial table ``rows``, one row x at a time, as
-    groups._associative does for a group table.  With x·a = c1·e_k1 and
-    a·y = c3·e_k, (x·a)·y over all y is c1 times row k1 of the table, and
-    x·(a·y) is c3 times {y: row_x[k]}; the two sides agree at y when their
-    basis elements agree and c1·c2 = c3·c4 for the c2 and c4 of those rows.
-    On a ``uniform`` table every c is one scalar, so the comparison of row
-    k1 with {y: row_x[k]} as dicts is the whole test.  No product of two
+def _monomial_rows_associative(rows: dict, gens) -> bool:
+    """Light's test on a monomial table ``rows`` whose coefficients are all
+    one scalar c, one row x at a time, as groups._associative does for a
+    group table.  With x·a = c·e_k1, (x·a)·y over all y is c times row k1 of
+    the table, and x·(a·y) is c times {y: row_x[k] for a·y = c·e_k}, so one
+    comparison of those two dicts is the whole test at x.  No product of two
     nonzero scalars is 0, so x·a = 0 needs x·(a·y) = 0 for every y."""
     for a in gens:
-        right = [(y, k, c) for y, terms in rows.get(a, _EMPTY).items()
-                 for k, c in terms.items()]  # a·y = c·e_k
+        right = [(y, k) for y, terms in rows.get(a, _EMPTY).items()
+                 for k in terms]  # a·y = c·e_k
         for row_x in rows.values():
             xa = row_x.get(a)
             if xa is None:
-                if any(k in row_x for _, k, _ in right):
+                if any(k in row_x for _, k in right):
                     return False
                 continue
-            ((k1, c1),) = xa.items()
-            left = rows.get(k1, _EMPTY)  # y -> e_k1·y
-            if uniform:
-                if left != {y: row_x[k] for y, k, _ in right if k in row_x}:
-                    return False
-                continue
-            rhs = {y: (c3, row_x[k]) for y, k, c3 in right if k in row_x}
-            if left.keys() != rhs.keys():
+            (k1,) = xa
+            if rows.get(k1, _EMPTY) != {y: row_x[k] for y, k in right if k in row_x}:
                 return False
-            for y, (c3, terms) in rhs.items():
-                ((k2, c2),) = left[y].items()
-                ((k4, c4),) = terms.items()
-                if k2 != k4 or c1 * c2 != c3 * c4:
-                    return False
     return True
 
 

@@ -476,13 +476,22 @@ def _walk_cases():
     for seed in range(40):
         cases["random%d" % seed] = partial(_random_table_algebra, seed)
     cases["zero left factor"] = _zero_left_factor
-    # monomial tables whose coefficients are not all one scalar, and each
-    # with one product negated, moved or dropped
+    # monomial tables whose coefficients are not all one scalar, which take
+    # the product walk, and each with one product negated, moved or dropped
     for label, build in (("H", _quaternions), ("C[u]/(u^2-i)", _root_of_i)):
         cases[label] = build
         for x, row in build().mult.items():
             for y in row:
                 for change in ("flip", "move", "drop"):
+                    cases["%s %s e%d.e%d" % (label, change, x, y)] = partial(
+                        _changed, build, x, y, change)
+    # tables of one scalar, which take the row comparison, each with one
+    # product moved or dropped
+    for label in ("grp(S3)", "conv(fun(Z3))", "poly5"):
+        build = cases[label]
+        for x, row in build().mult.items():
+            for y in row:
+                for change in ("move", "drop"):
                     cases["%s %s e%d.e%d" % (label, change, x, y)] = partial(
                         _changed, build, x, y, change)
     return cases
