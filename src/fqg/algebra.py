@@ -689,6 +689,22 @@ def scalar_algebra(label="C") -> BlockAlgebra:
 # -- axiom verification ------------------------------------------------------
 
 
+def _unit_law_check(algebra: StarAlgebra) -> Check:
+    """The check ``unit_law``: 1·e_i = e_i = e_i·1 for every i, the left
+    law before the right one at each i."""
+    one = scalar(1)
+    unit = algebra.unit
+
+    def unit_law(side_i):
+        side, i = side_i
+        e = {i: one}
+        prod = algebra.multiply_vec(unit, e) if side == "left" else algebra.multiply_vec(e, unit)
+        return vec_eq(prod, e)
+
+    return sweep("unit_law", ((side, i) for i in range(algebra.dim) for side in ("left", "right")),
+                 unit_law)
+
+
 @object_cache
 def verify_star_algebra(algebra: StarAlgebra) -> Report:
     """Check associativity, unit laws and involution axioms; report violations.
@@ -708,12 +724,6 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
     unit = algebra.unit
     star_cols = algebra.star.cols
 
-    def unit_law(side_i):
-        side, i = side_i
-        e = {i: one}
-        prod = algebra.multiply_vec(unit, e) if side == "left" else algebra.multiply_vec(e, unit)
-        return vec_eq(prod, e)
-
     def associative(ijk):
         i, j, k = ijk
         return vec_eq(algebra.multiply_vec(algebra.basis_product(i, j), {k: one}),
@@ -725,8 +735,7 @@ def verify_star_algebra(algebra: StarAlgebra) -> Report:
                       algebra.multiply_vec(star_cols[j], star_cols[i]))
 
     checks = [
-        sweep("unit_law", ((side, i) for i in range(n) for side in ("left", "right")),
-              unit_law),
+        _unit_law_check(algebra),
         sweep("associativity", product(range(n), repeat=3), associative,
               certificate=lambda: _is_associative(algebra)),
         sweep("star_involutive", range(n),

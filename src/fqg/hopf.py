@@ -10,11 +10,12 @@ exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from .algebra import (InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
-                      hom_check, hom_on_generators, law_on_generators, scalar_algebra,
-                      tensor_mult, tensor_vec, verify_star_algebra)
+from .algebra import (_EMPTY, InvalidDataError, StarAlgebra, _basis_generators,
+                      _is_associative, _unit_law_check, hom_check, hom_on_generators,
+                      law_on_generators, scalar_algebra, verify_star_algebra)
 from .linalg import (LinearMap, _subtract_row, entry_eq, leg_apply, leg_compose,
                      nullspace_basis, vec_add_into, vec_eq, vec_scale, vec_sub)
 from .report import Check, Report, first_failure, sweep
@@ -144,6 +145,20 @@ def _normalised_solution(rows, n, weights, what, killed) -> dict:
 # -- verification -------------------------------------------------------------
 
 
+@object_cache
+def pair_haar(g: QuantumGroup) -> dict:
+    """Sparse rows {i: {j: h(e_i e_j)}}, one h per stated product: the one
+    reading of h(e_i e_j) for the Haar checks here and the Fourier matrix,
+    the convolution table and its counit law in ``fourier``."""
+    table = {}
+    for i, row in g.algebra.mult.items():
+        for j, terms in row.items():
+            v = g.haar_of(terms)
+            if v is not None and not v.is_zero():
+                table.setdefault(i, {})[j] = v
+    return table
+
+
 def _mult_map_apply(algebra: StarAlgebra, v: dict) -> dict:
     """Multiplication A⊗A → A applied to a sparse vector."""
     n = algebra.dim
@@ -196,9 +211,10 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
 
     Each check sweeps its basis indices in lexicographic order and names the
     first failing one.  On the exact backend the sweeps of the laws on basis
-    pairs first try a certificate on generators (the nucleus lemma), and
-    take only a pass from it, so every failure and its witness still come
-    from the full sweep:
+    pairs first try a certificate on generators (the nucleus lemma), and the
+    counit and antipode laws one on the dual table; each takes only a pass
+    from it, so every failure and its witness still come from the full
+    sweep:
 
     - ``associativity`` and ``star_antimultiplicative``: see
       :func:`verify_star_algebra`;
@@ -211,7 +227,13 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
       and at most one basis element off the kernel of ε;
     - ``haar_tracial``, whose good left factors {a : h(ax) = h(xa) for all
       x} form a subalgebra, through :func:`law_on_generators`; a diagonal
-      table is commutative, so it passes without a walk.
+      table is commutative, so it passes without a walk; h(e_i e_j) is read
+      off :func:`pair_haar`;
+    - ``counit_law`` and ``antipode_law``, when the table states fewer
+      entries than Δ (fun(Γ)), as the unit laws and the antipode law of the
+      dual table (:func:`dual_algebra` with :func:`dual_coproduct`, antipode
+      Sᵀ, unit ε and counit 1), which are the same scalar equations, swept
+      per dual basis element.
 
     The float backend always runs the full sweeps.  The unit, product and
     star laws are :func:`hom_check`'s: for Δ: A → A⊗A, for ε: A → ℂ and,
@@ -227,10 +249,18 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     def on_both_legs(f, v, target):
         return all(vec_eq(leg_apply(f, v, n, leg), target) for leg in (0, 1))
 
-    def antipode_law(j):
-        target = vec_scale(unit, eps.cols[j].get(0))
-        return all(vec_eq(_mult_map_apply(a, leg_apply(anti, delta.cols[j], n, leg)), target)
-                   for leg in (0, 1))
+    # The counit and antipode laws at e_j, read at e_k, are the unit laws and
+    # the antipode law of the dual table at e_k*, read at e_j: (ε⊗id)Δ(e_j) at
+    # k is (ε·e_k*)(e_j), and m(S⊗id)Δ(e_j) at k is m̂(Ŝ⊗id)Δ̂(e_k*)(e_j) with
+    # Ŝ = Sᵀ.  Sweeping the dual side per e_k* is cheaper when the table
+    # states fewer entries than Δ, as on fun(Γ).
+    dual_side = (sum(len(terms) for row in a.mult.values() for terms in row.values())
+                 < sum(len(col) for col in delta.cols))
+
+    def dual_antipode_law():
+        dual, dual_delta, dual_anti = dual_algebra(g), dual_coproduct(g), anti.transpose()
+        return all(_antipode_holds(dual, dual_delta, dual_anti, k, unit.get(k))
+                   for k in range(n))
 
     coassociativity = sweep(
         "coassociativity", range(n),
@@ -246,16 +276,20 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
             return hom_on_generators(a, a, delta, ("multiplicative",), a)
         return hom_on_generators(dual, dual, dual_coproduct(g), ("multiplicative",), dual)
 
+    pairing = pair_haar(g)
+
     def tracial(ij):
         i, j = ij
-        return entry_eq(g.haar_of(a.basis_product(i, j)), g.haar_of(a.basis_product(j, i)))
+        return entry_eq(pairing.get(i, _EMPTY).get(j), pairing.get(j, _EMPTY).get(i))
 
     scalars = scalar_algebra()
     h_eta = g.haar_of_eta()
     h_eta_ok = (h_eta - scalar(Fraction(1, n))).is_zero()
     checks = list(star_report.checks) + [
         coassociativity,
-        sweep("counit_law", range(n), lambda j: on_both_legs(eps, delta.cols[j], {j: one})),
+        sweep("counit_law", range(n), lambda j: on_both_legs(eps, delta.cols[j], {j: one}),
+              certificate=(lambda: _unit_law_check(dual_algebra(g)).passed)
+              if dual_side else None),
         hom_check("coproduct_unital", a, a, delta, ("unit",), a),
         hom_check("coproduct_multiplicative", a, a, delta, ("multiplicative",), a,
                   certificate=multiplicative_on_generators),
@@ -263,7 +297,9 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         hom_check("counit_unital", a, scalars, eps, ("unit",)),
         hom_check("counit_multiplicative", a, scalars, eps, ("multiplicative",)),
         hom_check("counit_star", a, scalars, eps, ("star",)),
-        sweep("antipode_law", range(n), antipode_law),
+        sweep("antipode_law", range(n),
+              lambda j: _antipode_holds(a, delta, anti, j, eps.cols[j].get(0)),
+              certificate=dual_antipode_law if dual_side else None),
         Check("antipode_involutive", anti.compose(anti) == LinearMap.identity(n, one), ()),
         hom_check("antipode_star", a, a, anti, ("star",)),
         Check("haar_unital", entry_eq(h.apply(unit).get(0), one), ()),
@@ -283,35 +319,40 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
     return Report(g.label or "quantum-group", checks)
 
 
+def _antipode_holds(a: StarAlgebra, delta: LinearMap, anti: LinearMap, j: int, eps_j) -> bool:
+    """m(S⊗id)Δ(e_j) = ε(e_j)1 = m(id⊗S)Δ(e_j), with ε(e_j) = ``eps_j``
+    (None for 0)."""
+    target = vec_scale(a.unit, eps_j)
+    return all(vec_eq(_mult_map_apply(a, leg_apply(anti, delta.cols[j], a.dim, leg)), target)
+               for leg in (0, 1))
+
+
 def _gram_positivity_check(g: QuantumGroup) -> Check:
     """h(e_j* e_i) must be Hermitian positive definite (Sylvester pivots).
 
-    gram[i][j] is formed only for the i that a basis element e_k in the
-    support of e_j* has a stated product e_k e_i with, read off row k of the
-    table; every other entry is 0.  The Hermitian scan visits the pairs i <= j with an entry
-    in either order, lexicographically, and the elimination runs on sparse
-    rows, so the witness is the one a dense scan and elimination give."""
+    Column j of the Gram matrix is Σ_k St_kj h(e_k e_i) over i: the rows k of
+    :func:`pair_haar` for the e_k in the support of e_j*, scaled and summed;
+    every other entry is 0.  The Hermitian scan visits the pairs i <= j with
+    an entry in either order, lexicographically, and the elimination runs on
+    sparse rows, so the witness is the one a dense scan and elimination give."""
     a = g.algebra
     n = a.dim
-    one = scalar(1)
-    zero = zero_like(one)
+    zero = zero_like(scalar(1))
+    pairing = pair_haar(g)
     gram = [dict() for _ in range(n)]
     for j in range(n):
-        ej_star = a.star.cols[j]
-        reached = set()
-        for k in ej_star:
-            reached.update(a.mult.get(k, ()))
-        for i in sorted(reached):
-            v = g.haar_of(a.multiply_vec(ej_star, {i: one}))
-            if v is not None:
-                gram[i][j] = v
+        col: dict = {}  # {i: h(e_j* e_i)}
+        for k, s in a.star.cols[j].items():
+            vec_add_into(col, pairing.get(k, _EMPTY), s)
+        for i, v in col.items():
+            gram[i][j] = v
     # (i, j) fails exactly when (j, i) does, so the first failing pair has i <= j
     stated = sorted({(min(i, j), max(i, j)) for i, row in enumerate(gram) for j in row})
     asymmetric = first_failure(stated, lambda w: (
         gram[w[0]].get(w[1], zero) - gram[w[1]].get(w[0], zero).conj()).is_zero())
     if asymmetric is not None:
         return Check("haar_positive", False, ("not-hermitian",) + asymmetric)
-    exact = type(one) is QQi
+    exact = type(zero) is QQi
     tol = tolerance()
     for k in range(n):
         piv = gram[k].get(k, zero)
@@ -334,19 +375,45 @@ def _gram_positivity_check(g: QuantumGroup) -> Check:
 
 @object_cache
 def check_haar_antipode_identity(g: QuantumGroup) -> Report:
-    """S((id⊗h)(Δ(b)(1⊗c))) = (id⊗h)((1⊗b)Δ(c)) on all basis pairs."""
+    """S((id⊗h)(Δ(b)(1⊗c))) = (id⊗h)((1⊗b)Δ(c)) on all basis pairs.
+
+    Both sides are contractions of Δ with :func:`pair_haar`: the left side
+    is S((Σ Δ(e_b)_{x,y} h(e_y e_c) e_x)·1) and the right side
+    1·(Σ Δ(e_c)_{x,y} h(e_b e_y) e_x).  Each column of Δ is grouped by its
+    second leg y once, and the left side contracts the column of b against
+    the rows of the table once for every c."""
     a = g.algebra
     n = a.dim
-    one = scalar(1)
-    h, delta, anti = g.haar_state, g.coproduct, g.antipode
-    unit = a.unit
+    unit, anti, pairing = a.unit, g.antipode, pair_haar(g)
+    by_leg: dict = {}
+
+    def second_legs(j):  # {y: {x: Δ(e_j) at (x, y)}}
+        legs = by_leg.get(j)
+        if legs is None:
+            legs = by_leg[j] = {}
+            for r, c in g.coproduct.cols[j].items():
+                x, y = divmod(r, n)
+                legs.setdefault(y, {})[x] = c
+        return legs
+
+    @lru_cache(maxsize=1)
+    def contracted(b):  # {c: Σ Δ(e_b)_{x,y} h(e_y e_c) e_x}
+        acc: dict = {}
+        for y, xs in second_legs(b).items():
+            for c, hv in pairing.get(y, _EMPTY).items():
+                vec_add_into(acc.setdefault(c, {}), xs, hv)
+        return acc
 
     def identity(bc):
         b, c = bc
-        unit_c = tensor_vec(unit, {c: one}, n)
-        lhs = anti.apply(leg_apply(h, tensor_mult(a, a, delta.cols[b], unit_c), n, 1))
-        b_unit = tensor_vec(unit, {b: one}, n)
-        return vec_eq(lhs, leg_apply(h, tensor_mult(a, a, b_unit, delta.cols[c]), n, 1))
+        lhs = anti.apply(a.multiply_vec(contracted(b).get(c, _EMPTY), unit))
+        legs = second_legs(c)
+        rhs: dict = {}
+        for y, hv in pairing.get(b, _EMPTY).items():
+            xs = legs.get(y)
+            if xs is not None:
+                vec_add_into(rhs, xs, hv)
+        return vec_eq(lhs, a.multiply_vec(unit, rhs))
 
     return Report(g.label or "quantum-group",
                   [sweep("haar_antipode_identity", product(range(n), repeat=2), identity)])

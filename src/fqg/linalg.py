@@ -7,10 +7,12 @@ One Gauss-Jordan routine, ``_eliminate``, serves ``nullspace_basis``,
 ``LinearMap.inverse`` and float rank.  It works on sparse rows
 ``{column: scalar}`` and touches only the entries a pivot row states; it
 pivots on the first nonzero entry on the exact backend and on the largest
-magnitude above the global tolerance on the float backend.  Exact rank clears each row's denominators
-and runs fraction-free (Bareiss) elimination on Gaussian integers held as
-(re, im) pairs of Python ints, so no rational arithmetic happens inside
-that elimination.
+magnitude above the global tolerance on the float backend.  Exact rank of
+vectors that each have one nonzero entry is the number of distinct indices
+they sit at, with no elimination.  Any other family has each row's
+denominators cleared and goes through fraction-free (Bareiss) elimination
+on Gaussian integers held as (re, im) pairs of Python ints, so no rational
+arithmetic happens inside that elimination.
 """
 
 from __future__ import annotations
@@ -326,16 +328,20 @@ def flip_map(dim_a: int, dim_b: int, one) -> LinearMap:
 def rank_of_vectors(vectors, dim: int) -> int:
     """Rank of a family of sparse vectors inside a dim-dimensional space.
 
-    Exact backend: fraction-free (Bareiss) elimination on Gaussian-integer
-    rows, one per distinct vector, since a repeated row cannot change the
-    rank.  Float backend: ``_eliminate`` on every row, with the global
-    tolerance deciding what counts as zero.
+    Exact backend: when every nonzero vector has one entry, as every slice
+    of a classical family does, the rank is the number of distinct indices
+    they sit at.  Otherwise fraction-free (Bareiss) elimination on
+    Gaussian-integer rows, one per distinct vector, since a repeated row
+    cannot change the rank.  Float backend: ``_eliminate`` on every row,
+    with the global tolerance deciding what counts as zero.
     """
     rows = [v for v in vectors if not vec_is_zero(v)]
     if not rows:
         return 0
     sample = next(iter(rows[0].values()))
     if type(sample) is QQi:
+        if all(len(v) == 1 for v in rows):
+            return len({k for v in rows for k in v})
         distinct = {frozenset(v.items()): v for v in rows}
         return _rank_bareiss([_gaussian_integer_row(v, dim) for v in distinct.values()], dim)
     return len(_eliminate([dict(v) for v in rows], dim))

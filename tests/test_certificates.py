@@ -155,13 +155,17 @@ def test_certificates_agree_with_full_sweeps_on_mutants(case, part, data):
 
 
 # the certificates that pass on the unmutated cases: every law but one, as
-# S is anti-multiplicative, so on grp(S3) it is no algebra morphism
+# S is anti-multiplicative, so on grp(S3) it is no algebra morphism; the
+# counit and antipode laws take the dual table only where the product table
+# states fewer entries than Δ: fun(Z3) (3 against 9), not grp(S3) (36
+# against 6) nor fun(Z2) (x) grp(Z3) (18 against 12)
 _CERTIFIED = {"associativity", "star_antimultiplicative", "coassociativity",
               "coproduct_multiplicative", "counit_multiplicative", "haar_tracial",
               "multiplicative", "counit_of_convolution", "fourier_convolution",
               "fourier_dual_convolution"}
+_DUAL_TABLE = {"counit_law", "antipode_law"}
 PASSING = {
-    "fun(Z3)": _CERTIFIED,
+    "fun(Z3)": _CERTIFIED | _DUAL_TABLE,
     "grp(S3)": _CERTIFIED - {"multiplicative"},
     "fun(Z2) (x) grp(Z3)": _CERTIFIED,
 }
@@ -219,3 +223,65 @@ def test_a_non_tracial_haar_state_on_grp_s3():
     assert _assert_certificates_agree(bad)["haar_tracial"] is False
     check = _named_check(bad, "haar_tracial")
     assert (check.passed, tuple(check.witness)) == (False, (2, 3))
+
+
+def test_a_doubled_antipode_entry_on_fun_s3():
+    """S(e_3) = 2e_4 on fun(S3), whose table states fewer entries than Δ:
+    the antipode law of the dual table fails, so its certificate refuses and
+    the sweep on fun(S3) names e_0, whose coproduct reaches every column of
+    S.  The counit law does not read S, and its certificate passes."""
+    g = function_algebra(named_group("S3"))
+    cols = [dict(c) for c in g.antipode.cols]
+    cols[3] = {4: scalar(2)}
+    bad = _rebuilt(g, antipode=LinearMap(g.dim, g.dim, cols))
+    certified = _assert_certificates_agree(bad)
+    assert (certified["antipode_law"], certified["counit_law"]) == (False, True)
+    check = _named_check(bad, "antipode_law")
+    assert (check.passed, tuple(check.witness)) == (False, (0,))
+
+
+def test_a_coproduct_term_that_breaks_only_the_right_counit_law():
+    """Δ(e_1) on fun(S3) gains e_2⊗e_0, with e_0 the identity: (ε⊗id)Δ
+    reads only the terms e_0⊗y and still gives e_1, but (id⊗ε)Δ(e_1) =
+    e_1 + e_2.  The left unit law of the dual table holds and the right one
+    fails, so the certificate refuses and the sweep names e_1."""
+    g = function_algebra(named_group("S3"))
+    n = g.dim
+    cols = [dict(c) for c in g.coproduct.cols]
+    cols[1][2 * n + 0] = scalar(1)
+    bad = _rebuilt(g, coproduct=LinearMap(n, n * n, cols))
+    assert _assert_certificates_agree(bad)["counit_law"] is False
+    check = _named_check(bad, "counit_law")
+    assert (check.passed, tuple(check.witness)) == (False, (1,))
+
+
+def _rebased(g, t, t_inv):
+    """``g`` on the basis e'_i = T e_i, where T and its inverse are given:
+    every structure map is conjugated by T, so the result is again a
+    quantum group."""
+    a, n = g.algebra, g.dim
+    mult = {}
+    for i in range(n):
+        for j in range(n):
+            terms = t_inv.apply(a.multiply_vec(t.cols[i], t.cols[j]))
+            if terms:
+                mult.setdefault(i, {})[j] = terms
+    star = LinearMap(n, n, [t_inv.apply(a.star_vec(col)) for col in t.cols])
+    algebra = StarAlgebra(n, mult, t_inv.apply(a.unit), star, "rebased " + a.label)
+    return QuantumGroup(algebra, t_inv.tensor(t_inv).compose(g.coproduct.compose(t)),
+                        g.counit.compose(t), t_inv.compose(g.antipode.compose(t)),
+                        g.haar_state.compose(t), t_inv.apply(g.haar_element), algebra.label)
+
+
+def test_an_antipode_that_is_not_symmetric_takes_the_dual_table():
+    """fun(Z3) on the basis e_0, e_0 + e_1, e_2: S is no longer a symmetric
+    matrix, so the antipode law of the dual table, which reads Sᵀ, tells S
+    from Sᵀ, and the table still states fewer entries than Δ."""
+    one = scalar(1)
+    t = LinearMap(3, 3, [{0: one}, {0: one, 1: one}, {2: one}])
+    t_inv = LinearMap(3, 3, [{0: one}, {0: -one, 1: one}, {2: one}])
+    g = _rebased(function_algebra(named_group("Z3")), t, t_inv)
+    assert g.antipode != g.antipode.transpose()
+    certified = _assert_certificates_agree(g)
+    assert all(r.passed for r in _batteries(_rebuilt(g)))
+    assert certified["counit_law"] is certified["antipode_law"] is True

@@ -436,7 +436,10 @@ def test_float_backend_sweeps_the_translation_relations(monkeypatch):
 
 
 def test_podles_rank_eliminates_distinct_slices_only(monkeypatch):
-    # hat(universal(S4)) has 576 nonzero slices, 24 of them distinct
+    # hat(universal(S4)) has 576 nonzero slices, 24 of them distinct.  Each
+    # states one entry, so the Podles rank counts the indices they sit at and
+    # no elimination runs; spread over two entries each, the same slices are
+    # eliminated once per distinct one, at the rank of all 576
     from fqg import linalg
     from fqg.qfamily import check_family
 
@@ -452,4 +455,17 @@ def test_podles_rank_eliminates_distinct_slices_only(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rank_bareiss", counted)
     assert check_family(fresh).check("podles").passed
-    assert rows and max(rows) <= 24
+    assert rows == []
+
+    n, m = fam.source.dim, fam.target_algebra.dim
+    slices = [{} for _ in range(n * m)]
+    for j, col in enumerate(fam.alpha.cols):
+        for r, c in col.items():
+            x, q = divmod(r, m)
+            slices[j * m + q][x] = c
+    slices = [v for v in slices if v]
+    assert len(slices) == 576 and all(len(v) == 1 for v in slices)
+    spread = [{k: c, (k + 1) % n: c} for v in slices for k, c in v.items()]
+    rank = linalg.rank_of_vectors(spread, n)
+    assert rows == [24]
+    assert rank == rank_bareiss([linalg._gaussian_integer_row(v, n) for v in spread], n)

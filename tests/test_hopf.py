@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 
 import fqg.algebra
 import fqg.hopf
-from fqg.algebra import InvalidDataError, StarAlgebra
+from fqg.algebra import InvalidDataError, StarAlgebra, tensor_mult, tensor_vec
 from fqg.constructors import function_algebra, group_algebra
-from fqg.groups import cyclic, named_group
+from fqg.groups import CATALOG, cyclic, named_group
 from fqg.classical import enumerate_automorphisms
 from fqg.hopf import (QuantumGroup, _gram_positivity_check, check_haar_antipode_identity,
                       check_hopf_morphism, solve_haar_element, solve_haar_state,
                       verify_quantum_group)
-from fqg.linalg import LinearMap, vec_eq
+from fqg.linalg import LinearMap, leg_apply, vec_eq
 from fqg.scalar import QQi, scalar, use_backend
 
 
@@ -270,8 +271,7 @@ def test_multiplicativity_certificate_takes_few_tensor_products(build, monkeypat
         calls.append(None)
         return kernel(*args)
 
-    for module in (fqg.algebra, fqg.hopf):
-        monkeypatch.setattr(module, "tensor_mult", counted)
+    monkeypatch.setattr(fqg.algebra, "tensor_mult", counted)
     assert verify_quantum_group(g).passed
     assert len(calls) <= 4 * g.dim
 
@@ -436,3 +436,66 @@ def test_haar_gram_check_agrees_with_the_dense_scan(backend, name):
                 changed = QuantumGroup(g.algebra, g.coproduct, g.counit, g.antipode, h,
                                        g.haar_element)
                 assert _gram_positivity_check(changed).witness == _dense_gram_witness(changed)
+
+
+# -- the Haar/antipode exchange identity: oracle against tensor_mult ----------
+
+
+def _tensor_mult_identity_witness(g):
+    """haar_antipode_identity's witness from its definition, each basis pair
+    formed on A⊗A with tensor_mult and then h on the second leg, as the check
+    did before it contracted Δ with the pairing table; () when it holds."""
+    a, n = g.algebra, g.dim
+    one = scalar(1)
+    h, delta, anti, unit = g.haar_state, g.coproduct, g.antipode, a.unit
+    for b, c in product(range(n), repeat=2):
+        lhs = anti.apply(leg_apply(
+            h, tensor_mult(a, a, delta.cols[b], tensor_vec(unit, {c: one}, n)), n, 1))
+        rhs = leg_apply(h, tensor_mult(a, a, tensor_vec(unit, {b: one}, n), delta.cols[c]), n, 1)
+        if not vec_eq(lhs, rhs):
+            return (b, c)
+    return ()
+
+
+def _identity_mutant(g, rng):
+    """``g`` with one entry of h, S, Δ or the unit scaled by 2, -1 or i, or
+    zeroed."""
+    part = rng.choice(("haar_state", "antipode", "coproduct", "unit"))
+    factor = scalar(*rng.choice(((2, 0), (-1, 0), (0, 1), (0, 0))))
+    a = g.algebra
+    parts = {"coproduct": g.coproduct, "counit": g.counit, "antipode": g.antipode,
+             "haar_state": g.haar_state}
+    unit = dict(a.unit)
+    if part == "unit":
+        k = rng.choice(sorted(unit))
+        unit[k] = unit[k] * factor
+    else:
+        m = parts[part]
+        cols = [dict(col) for col in m.cols]
+        j = rng.choice([j for j, col in enumerate(cols) if col])
+        k = rng.choice(sorted(cols[j]))
+        cols[j][k] = cols[j][k] * factor
+        parts[part] = LinearMap(m.source_dim, m.target_dim, cols)
+    return QuantumGroup(StarAlgebra(a.dim, a.mult, unit, a.star, a.label), parts["coproduct"],
+                        parts["counit"], parts["antipode"], parts["haar_state"],
+                        g.haar_element, "%s, %s changed" % (g.label, part))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_haar_antipode_identity_matches_the_tensor_mult_definition(backend):
+    rng = random.Random(24)
+    failing = 0
+    with use_backend(backend):
+        catalog = [build(named_group(name)) for name in CATALOG
+                   for build in (function_algebra, group_algebra)]
+        for g in catalog:
+            assert _tensor_mult_identity_witness(g) == ()
+            assert check_haar_antipode_identity(g).passed
+        small = [g for g in catalog if g.dim <= 8]
+        for _ in range(320):
+            bad = _identity_mutant(rng.choice(small), rng)
+            witness = _tensor_mult_identity_witness(bad)
+            check = check_haar_antipode_identity(bad).check("haar_antipode_identity")
+            assert (check.passed, tuple(check.witness)) == (not witness, witness), bad.label
+            failing += bool(witness)
+    assert failing >= 150

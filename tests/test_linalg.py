@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fqg import linalg
 from fqg.linalg import (InvalidDataError, LinearMap, _eliminate, flip_map, leg_apply,
                         nullspace_basis, rank_of_vectors, vec_add_into, vec_eq)
 from fqg.scalar import QQi, scalar, tolerance, use_backend, CFloat
@@ -94,6 +95,40 @@ def test_rank_with_repeated_and_zero_rows_is_the_rank_of_the_distinct_ones(rows,
     rng.shuffle(vecs)
     nonzero = [v for v in drawn if v]
     assert rank_of_vectors(vecs, 4) == naive_rank(nonzero, 4) == rank_of_vectors(nonzero, 4)
+
+
+def _bareiss_rank(vecs, ncols):
+    """The rank through _rank_bareiss on every nonzero vector, as exact rank
+    was taken before single-entry families were counted."""
+    rows = [v for v in vecs if any(not x.is_zero() for x in v.values())]
+    return linalg._rank_bareiss([linalg._gaussian_integer_row(v, ncols) for v in rows], ncols)
+
+
+@given(st.lists(st.one_of(st.sampled_from([{}, {0: QQi(0)}, {3: QQi(0, 0)}]),
+                          st.builds(lambda k, c: {k: c}, st.integers(0, 5), gaussian_entries)),
+                max_size=12))
+def test_rank_of_single_entry_vectors_counts_their_indices(vecs):
+    # zero vectors, repeats and parallel duplicates such as {k: 1}, {k: 2}:
+    # the rank is the Bareiss rank, and no elimination runs
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "_rank_bareiss", None)
+        rank = rank_of_vectors(vecs, 6)
+    assert rank == _bareiss_rank(vecs, 6) == naive_rank(vecs, 6)
+
+
+def test_rank_of_single_entry_examples():
+    two = QQi(2)
+    assert rank_of_vectors([{1: ONE}, {1: two}, {}, {0: QQi(0)}], 3) == 1
+    assert rank_of_vectors([{1: ONE}, {2: two}, {1: QQi(0, 1)}], 3) == 2
+    assert rank_of_vectors([], 3) == _bareiss_rank([], 3) == 0
+    # one vector with two entries sends the family to the elimination
+    family = [{0: ONE}, {0: two}, {0: ONE, 1: ONE}, {0: ONE, 1: ONE}]
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "_rank_bareiss", lambda rows, ncols: calls.append(len(rows)) or 2)
+        assert rank_of_vectors(family, 2) == 2
+    assert calls == [3]
+    assert _bareiss_rank(family, 2) == 2
 
 
 def test_rank_examples():
