@@ -35,6 +35,15 @@ def exact_int(x, what: str) -> int:
 _EMPTY: dict = {}
 
 
+def _refuse_index(i):
+    """Raise for a table index ``i`` that is not an int in range: a float or
+    a bool (whose range test would hold) as a table that is not rows of int
+    indices, any other int as out of range."""
+    if type(i) is not int:
+        raise TypeError("index %.40r is not an int" % (i,))
+    raise InvalidDataError("structure constant index out of range")
+
+
 class StarAlgebra:
     """A *-algebra on the basis e_0, ..., e_{dim-1}; see the module docstring.
 
@@ -56,19 +65,20 @@ class StarAlgebra:
             raise InvalidDataError("dimension must be positive")
         clean = {}
         diag = True
+        _type, _int = type, int  # local names: the test runs once per stated term
         try:  # a table that is not rows of dicts fails here, at no cost to one that is
             for i, row in mult.items():
-                if not 0 <= i < dim:
-                    raise InvalidDataError("structure constant index out of range")
+                if _type(i) is not _int or not 0 <= i < dim:
+                    _refuse_index(i)
                 dirty = False
                 for j, terms in row.items():
-                    if not 0 <= j < dim:
-                        raise InvalidDataError("structure constant index out of range")
+                    if _type(j) is not _int or not 0 <= j < dim:
+                        _refuse_index(j)
                     if not terms:
                         dirty = True
                     for k, c in terms.items():
-                        if not 0 <= k < dim:
-                            raise InvalidDataError("structure constant index out of range")
+                        if _type(k) is not _int or not 0 <= k < dim:
+                            _refuse_index(k)
                         if c.is_zero():
                             dirty = True
                 if dirty:
@@ -84,7 +94,7 @@ class StarAlgebra:
             raise InvalidDataError("a product table is rows {i: {j: {k: c}}} of int indices "
                                    "and scalars c (%s)" % exc) from None
         unit = dict(unit)
-        if not all(0 <= i < dim for i in unit):
+        if not all(0 <= exact_int(i, "unit index") < dim for i in unit):
             raise InvalidDataError("unit index out of range")
         if star.source_dim != dim or star.target_dim != dim:
             raise InvalidDataError("involution matrix must be %d x %d" % (dim, dim))

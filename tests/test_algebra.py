@@ -586,14 +586,28 @@ def test_unit_index_outside_the_basis_is_refused(fun_z2):
             StarAlgebra(2, fun_z2.mult, unit, fun_z2.star)
 
 
+@pytest.mark.parametrize("unit", [{0.5: scalar(1)}, {0.0: scalar(1)}, {True: scalar(1)}],
+                         ids=["half", "float-zero", "bool"])
+def test_a_unit_index_that_is_not_an_int_is_refused(fun_z2, unit):
+    # 0.0 and True pass the range test, and would be read as e_0 and e_1
+    with pytest.raises(InvalidDataError, match="unit index .* is not an integer"):
+        StarAlgebra(2, fun_z2.mult, unit, fun_z2.star)
+
+
 @pytest.mark.parametrize("table", [
     {(0, 0): {0: 1}},               # keyed by pairs, the layout before rows
     {"0": {0: {0: scalar(1)}}},     # a row index that is not an int
+    {0.0: {0: {0: scalar(1)}}},     # indices that pass the range test but are no
+    {0: {0.0: {0: scalar(1)}}},     # ints; a diagonal table once, whose star
+    {0: {0: {0.0: scalar(1)}}},     # law then raised TypeError
+    {0: {0: {False: scalar(1)}}},
+    {True: {1: {1: scalar(1)}}},
     {0: {0: 1}},                    # a product that is not a terms dict
     {0: {0: [1]}},
     [[{0: scalar(1)}]],             # a list of rows
     {0: {0: {0: 1}}},               # a coefficient that is not a scalar
-], ids=["pair-keys", "string-row", "int-terms", "list-terms", "list-table", "int-coefficient"])
+], ids=["pair-keys", "string-row", "float-row", "float-column", "float-term", "bool-term",
+        "bool-row", "int-terms", "list-terms", "list-table", "int-coefficient"])
 def test_a_table_that_is_not_rows_of_dicts_names_the_layout(fun_z2, table):
     with pytest.raises(InvalidDataError, match=r"rows \{i: \{j: \{k: c\}\}\}"):
         StarAlgebra(2, table, fun_z2.unit, fun_z2.star)

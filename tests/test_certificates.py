@@ -5,6 +5,7 @@ module's ``sweep`` replaced by one that always sweeps in full and also asks
 the certificate, which must never pass a law the sweep fails.  Both runs
 must give the same verdicts and witnesses."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -14,12 +15,12 @@ from hypothesis import strategies as st
 import fqg.algebra
 import fqg.fourier
 import fqg.hopf
-from fqg.algebra import (InvalidDataError, StarAlgebra, tensor_algebra, tensor_vec,
-                         verify_star_algebra)
+from fqg.algebra import (InvalidDataError, StarAlgebra, _basis_generators, tensor_algebra,
+                         tensor_vec, verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
 from fqg.fourier import build_dual, verify_fourier_identities
 from fqg.groups import named_group
-from fqg.hopf import QuantumGroup, check_hopf_morphism, verify_quantum_group
+from fqg.hopf import QuantumGroup, check_hopf_morphism, dual_algebra, verify_quantum_group
 from fqg.linalg import LinearMap
 from fqg.qfamily import _tensor_coproduct
 from fqg.report import Check, first_failure
@@ -51,17 +52,17 @@ def _case(name):
 CASES = ("fun(Z3)", "grp(S3)", "fun(Z2) (x) grp(Z3)")
 
 
-def _rebuilt(g, mult=None, star=None, **maps):
+def _rebuilt(g, mult=None, star=None, unit=None, **maps):
     """A copy of ``g`` on a fresh algebra, so no verdict is memoised, with
-    the table, the star matrix or the maps given replaced."""
+    the table, the star matrix, the unit or the maps given replaced."""
     a = g.algebra
-    algebra = StarAlgebra(a.dim, a.mult if mult is None else mult, a.unit,
+    algebra = StarAlgebra(a.dim, a.mult if mult is None else mult,
+                          a.unit if unit is None else unit,
                           a.star if star is None else star, a.label)
     parts = {"coproduct": g.coproduct, "counit": g.counit, "antipode": g.antipode,
-             "haar_state": g.haar_state}
+             "haar_state": g.haar_state, "haar_element": g.haar_element}
     parts.update(maps)
-    return QuantumGroup(algebra, parts["coproduct"], parts["counit"], parts["antipode"],
-                        parts["haar_state"], g.haar_element, g.label)
+    return QuantumGroup(algebra, label=g.label, **parts)
 
 
 def _batteries(g):
@@ -140,6 +141,9 @@ def _mutant(g, part, data):
     if part == "star":
         cols = _perturbed(dict(enumerate(g.algebra.star.cols)), list(range(n)), n, data)
         return _rebuilt(g, star=LinearMap(n, n, [cols.get(j, {}) for j in range(n)]))
+    if part in ("unit", "haar_element"):
+        vec = g.algebra.unit if part == "unit" else g.haar_element
+        return _rebuilt(g, **{part: _perturbed({0: vec}, [0], n, data)[0]})
     matrix = getattr(g, part)
     cols = _perturbed(dict(enumerate(matrix.cols)), list(range(n)), matrix.target_dim, data)
     return _rebuilt(g, **{part: LinearMap(n, matrix.target_dim,
@@ -148,7 +152,8 @@ def _mutant(g, part, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(CASES),
-       st.sampled_from(("product", "star", "coproduct", "counit", "antipode", "haar_state")),
+       st.sampled_from(("product", "star", "unit", "coproduct", "counit", "antipode",
+                        "haar_state", "haar_element")),
        st.data())
 def test_certificates_agree_with_full_sweeps_on_mutants(case, part, data):
     _assert_certificates_agree(_mutant(_case(case), part, data))
@@ -160,7 +165,8 @@ def test_certificates_agree_with_full_sweeps_on_mutants(case, part, data):
 # states fewer entries than Δ: fun(Z3) (3 against 9), not grp(S3) (36
 # against 6) nor fun(Z2) (x) grp(Z3) (18 against 12)
 _CERTIFIED = {"associativity", "star_antimultiplicative", "coassociativity",
-              "coproduct_multiplicative", "counit_multiplicative", "haar_tracial",
+              "coproduct_multiplicative", "coproduct_star", "counit_multiplicative",
+              "haar_invariance", "haar_tracial", "haar_element_absorbing",
               "multiplicative", "counit_of_convolution", "fourier_convolution",
               "fourier_dual_convolution"}
 _DUAL_TABLE = {"counit_law", "antipode_law"}
@@ -253,6 +259,72 @@ def test_a_coproduct_term_that_breaks_only_the_right_counit_law():
     assert _assert_certificates_agree(bad)["counit_law"] is False
     check = _named_check(bad, "counit_law")
     assert (check.passed, tuple(check.witness)) == (False, (1,))
+
+
+def test_a_moved_haar_state_on_fun_s3():
+    """h(e_1) = 1/3 and h(e_2) = 0 on fun(S3): h·e_k* = e_k*(1)h fails on
+    the generators of the dual grp(S3), so the invariance certificate
+    refuses and the sweep names e_0, whose coproduct reads h at every
+    point."""
+    g = function_algebra(named_group("S3"))
+    cols = [dict(c) for c in g.haar_state.cols]
+    cols[1], cols[2] = {0: scalar(Fraction(1, 3))}, {}
+    bad = _rebuilt(g, haar_state=LinearMap(g.dim, 1, cols))
+    assert _assert_certificates_agree(bad)["haar_invariance"] is False
+    check = _named_check(bad, "haar_invariance")
+    assert (check.passed, tuple(check.witness)) == (False, (0,))
+
+
+def test_a_moved_haar_element_on_grp_s3():
+    """η(e_0) = 0 and η(e_1) = 1/3 on grp(S3): λ_1η is no longer η, so
+    the absorbing certificate refuses on the generators of grp(S3) and the
+    sweep names e_1 (e_0 is the unit)."""
+    g = group_algebra(named_group("S3"))
+    eta = dict(g.haar_element)
+    del eta[0]
+    eta[1] = scalar(Fraction(1, 3))
+    bad = _rebuilt(g, haar_element=eta)
+    assert _assert_certificates_agree(bad)["haar_element_absorbing"] is False
+    check = _named_check(bad, "haar_element_absorbing")
+    assert (check.passed, tuple(check.witness)) == (False, (1,))
+
+
+def test_a_coproduct_entry_rotated_by_i_on_grp_s3():
+    """Δ(λ_1) = iλ_1⊗λ_1 on grp(S3): Δ stays coassociative, so the dual
+    is still associative, but Δ(λ_1*) = iλ_1⊗λ_1 while Δ(λ_1)* =
+    -iλ_1⊗λ_1; the law of the dual fails on its generators, the certificate
+    refuses and the sweep names e_1."""
+    g = group_algebra(named_group("S3"))
+    n = g.dim
+    cols = [dict(c) for c in g.coproduct.cols]
+    cols[1] = {r: c * scalar(0, 1) for r, c in cols[1].items()}
+    bad = _rebuilt(g, coproduct=LinearMap(n, n * n, cols))
+    certified = _assert_certificates_agree(bad)
+    assert (certified["coassociativity"], certified["coproduct_star"]) == (True, False)
+    check = _named_check(bad, "coproduct_star")
+    assert (check.passed, tuple(check.witness)) == (False, (1,))
+
+
+def test_a_coproduct_that_is_not_unital_refuses_the_invariance_certificate():
+    """fun(Z2) with the unit 2e_0 + e_1: Δ(1) is no longer 1⊗1, so
+    ε̂(φ) = φ(1) is not multiplicative on the dual grp(Z2).  The law
+    h·e_k* = e_k*(1)h still holds on its one generator e_1*, yet fails at
+    e_0*, so only the coproduct_unital verdict can refuse the certificate,
+    and the sweep names e_0."""
+    g = function_algebra(named_group("Z2"))
+
+    def bad():
+        return _rebuilt(g, unit={0: scalar(2), 1: scalar(1)})
+
+    dual, h = dual_algebra(bad()), {j: col[0] for j, col in enumerate(g.haar_state.cols)}
+    assert _basis_generators(dual) == (1,)
+    assert dual.multiply_vec(h, {1: scalar(1)}) == dual.multiply_vec({1: scalar(1)}, h) == h
+    verdicts, certified = _audited(lambda: [verify_quantum_group(bad())])
+    assert _verdicts([verify_quantum_group(bad())]) == verdicts
+    assert certified["haar_invariance"] is False
+    checks = {name: (ok, witness) for name, ok, witness in verdicts[0][1]}
+    assert checks["coproduct_unital"] == (False, ())
+    assert checks["haar_invariance"] == (False, (0,))
 
 
 def _rebased(g, t, t_inv):

@@ -352,6 +352,15 @@ def test_hopf_morphism_checks_match_kronecker_reference(case, change, data):
     assert [c.passed for c in rep.checks] == _reference_hopf_morphism(g, h, t)
 
 
+def test_hopf_morphism_of_the_wrong_shape_raises():
+    fun3, fun2 = function_algebra(cyclic(3)), function_algebra(cyclic(2))
+    ones = [{0: scalar(1)}] * 3
+    for g, h, t in ((fun3, fun2, LinearMap(3, 3, ones)), (fun3, fun3, LinearMap(2, 3, ones[:2])),
+                    (fun3, fun3, LinearMap(3, 2, ones))):
+        with pytest.raises(ValueError, match="composition shape mismatch"):
+            check_hopf_morphism(g, h, t)
+
+
 def test_hopf_morphism_verdicts_on_named_maps():
     verdicts = {case: check_hopf_morphism(*args).failed_names()
                 for case, args in _morphism_cases().items()}
