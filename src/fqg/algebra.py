@@ -554,12 +554,6 @@ def hom_check(name: str, a: StarAlgebra, c: StarAlgebra, alpha: LinearMap,
     return check
 
 
-def _associative(algebra: StarAlgebra) -> bool:
-    """:func:`_is_associative`, with a diagonal table taken as associative
-    without deciding it."""
-    return algebra._diag or _is_associative(algebra)
-
-
 def _disjoint_supports(vectors) -> bool:
     """Whether no index is in the support of two of ``vectors``."""
     seen: set = set()
@@ -586,8 +580,8 @@ def law_on_generators(a: StarAlgebra, law, images=None) -> bool:
     n = a.dim
     if images is not None and a._diag:
         return _disjoint_supports(images) and all(law((i, i)) for i in range(n))
-    return _associative(a) and first_failure(product(_basis_generators(a), range(n)),
-                                             law) is None
+    return _is_associative(a) and first_failure(product(_basis_generators(a), range(n)),
+                                                law) is None
 
 
 def hom_on_generators(a: StarAlgebra, c: StarAlgebra, alpha: LinearMap, identities,
@@ -601,7 +595,7 @@ def hom_on_generators(a: StarAlgebra, c: StarAlgebra, alpha: LinearMap, identiti
     The other identities are checked in full."""
     holds = hom_predicate(a, c, alpha, b)
     diagonal = c._diag and (b is None or b._diag)
-    return ((diagonal or (_associative(c) and (b is None or _associative(b))))
+    return ((diagonal or (_is_associative(c) and (b is None or _is_associative(b))))
             and law_on_generators(a, lambda ij: holds(("multiplicative",) + ij),
                                   alpha.cols if diagonal else None)
             and first_failure(hom_indices(a.dim, [identity for identity in identities

@@ -17,7 +17,7 @@ from operator import itemgetter
 from .algebra import Element, InvalidDataError, StarAlgebra, hom_check, tensor_vec
 from .constructors import function_algebra
 from .groups import FiniteGroup, _perm_group, group_from_table
-from .hopf import QuantumGroup
+from .hopf import QuantumGroup, dual_algebra
 from .linalg import LinearMap, entry_eq, leg_apply, vec_add_into, vec_eq, vec_is_zero
 from .qfamily import HopfOnTarget, QuantumFamily, check_action, is_automorphism_family
 from .report import Check, Report, sweep
@@ -29,28 +29,31 @@ from .scalar import object_cache, scalar
 
 @object_cache
 def group_of_function_algebra(g: QuantumGroup) -> FiniteGroup:
-    """Reconstruct Γ from fun(Γ): diagonal idempotent basis, group law in Δ."""
-    a = g.algebra
-    if not a.has_pointwise_basis():
+    """Reconstruct Γ from fun(Γ): diagonal idempotent basis, and a group law
+    in the dual table, Δ transposed (δ_x* δ_y* = δ_xy*)."""
+    if not g.algebra.has_pointwise_basis():
         raise InvalidDataError("source is not the function algebra of a finite group")
-    n = a.dim
-    table = [[None] * n for _ in range(n)]
-    for k in range(n):
-        for r, c in g.coproduct.cols[k].items():
-            i, j = divmod(r, n)
-            one = scalar(1)
-            if not (c - one).is_zero() or table[i][j] is not None:
-                raise InvalidDataError("coproduct is not a group-law coproduct")
-            table[i][j] = k
-    if any(x is None for row in table for x in row):
-        raise InvalidDataError("coproduct is not a group-law coproduct")
-    return group_from_table(table, g.label)
+    refusal = "coproduct is not a group-law coproduct"
+    return group_from_table(_group_table(dual_algebra(g), refusal, refusal), g.label)
 
 
 @object_cache
 def group_of_group_algebra(g: QuantumGroup) -> FiniteGroup:
     """Reconstruct Γ from the group ring: monomial products, grouplike Δ."""
-    a = g.algebra
+    n = g.dim
+    table = _group_table(g.algebra, "source is not a group ring (non-monomial product)",
+                         "source is not a group ring (scaled product)")
+    for k in range(n):
+        if not vec_eq(g.coproduct.cols[k], {k * n + k: scalar(1)}):
+            raise InvalidDataError("source coproduct is not grouplike")
+    return group_from_table(table, g.label)
+
+
+def _group_table(a: StarAlgebra, not_monomial, scaled) -> list:
+    """The table [i][j] = k of the product of ``a`` when every basis product
+    e_i e_j is one basis element e_k with coefficient 1.  A product that is
+    0 or has more than one term raises ``not_monomial``, one with another
+    coefficient ``scaled``."""
     n = a.dim
     one = scalar(1)
     table = [[None] * n for _ in range(n)]
@@ -59,15 +62,12 @@ def group_of_group_algebra(g: QuantumGroup) -> FiniteGroup:
         for j in range(n):
             terms = row.get(j, {})
             if len(terms) != 1:
-                raise InvalidDataError("source is not a group ring (non-monomial product)")
+                raise InvalidDataError(not_monomial)
             (k, c), = terms.items()
             if not (c - one).is_zero():
-                raise InvalidDataError("source is not a group ring (scaled product)")
+                raise InvalidDataError(scaled)
             table[i][j] = k
-    for k in range(n):
-        if not vec_eq(g.coproduct.cols[k], {k * n + k: one}):
-            raise InvalidDataError("source coproduct is not grouplike")
-    return group_from_table(table, g.label)
+    return table
 
 
 # -- the matrix of a family ------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import (InvalidDataError, Element, StarAlgebra, _associative, hom_check,
+from .algebra import (InvalidDataError, Element, StarAlgebra, _is_associative, hom_check,
                       law_on_generators)
 from .hopf import (QuantumGroup, dual_algebra, dual_coproduct, pair_haar,
                    verify_quantum_group)
@@ -232,7 +232,7 @@ def verify_fourier_identities(pair: DualPair) -> Report:
         hom_check("fourier_star", conv, d.algebra, fr, ("star",)),
         Check("fourier_antipode", d.antipode.compose(fr) == fr.compose(g.antipode), ()),
         sweep("fourier_dual_convolution", product(range(n), repeat=2), dual_convolution,
-              certificate=lambda: (not h_eta.is_zero() and _associative(conv_dual)
+              certificate=lambda: (not h_eta.is_zero() and _is_associative(conv_dual)
                                    and law_on_generators(g.algebra, dual_convolution,
                                                          fr.cols if conv_dual._diag else None))),
         sweep("counit_of_convolution", product(range(n), repeat=2),

@@ -4,7 +4,7 @@ A quantum group packages a StarAlgebra A with a coproduct A → A⊗A, a counit
 and a Haar state (both stored as 1 x n functionals), an antipode, and the
 Haar element.  The verification battery checks the full axiom list; the two
 solvers reconstruct the Haar state and Haar element from the other data by
-exact linear algebra.
+exact linear algebra, as one system: h is the Haar element of the dual.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import (_EMPTY, InvalidDataError, StarAlgebra, _associative, _basis_generators,
-                      _unit_law_check, hom_check, hom_on_generators, law_on_generators,
+from .algebra import (_EMPTY, InvalidDataError, StarAlgebra, _basis_generators, _is_associative,
+                      _unit_law_check, exact_int, hom_check, hom_on_generators, law_on_generators,
                       scalar_algebra, verify_star_algebra)
 from .linalg import (LinearMap, _subtract_row, entry_eq, leg_apply, nullspace_basis,
-                     vec_add_into, vec_eq, vec_scale, vec_sub)
+                     vec_add_into, vec_eq, vec_scale)
 from .report import Check, Report, first_failure, sweep
 from .scalar import QQi, object_cache, scalar, tolerance, zero_like
 
@@ -40,12 +40,15 @@ class QuantumGroup:
             raise InvalidDataError("antipode must be %d x %d" % (n, n))
         if haar_state.source_dim != n or haar_state.target_dim != 1:
             raise InvalidDataError("haar state must be 1 x %d" % n)
+        haar_element = dict(haar_element)
+        if not all(0 <= exact_int(i, "haar element index") < n for i in haar_element):
+            raise InvalidDataError("haar element index out of range")
         self.algebra = algebra
         self.coproduct = coproduct
         self.counit = counit
         self.antipode = antipode
         self.haar_state = haar_state
-        self.haar_element = {i: c for i, c in dict(haar_element).items() if not c.is_zero()}
+        self.haar_element = {i: c for i, c in haar_element.items() if not c.is_zero()}
         self.label = label or algebra.label
         self._cache = {}
 
@@ -74,69 +77,51 @@ class QuantumGroup:
 
 
 def solve_haar_state(algebra: StarAlgebra, coproduct: LinearMap) -> LinearMap:
-    """The unique functional with h(1)=1 and (id⊗h)Δ(a) = h(a)·1.
-
-    Solves the invariance system exactly; anything but a one-dimensional
-    solution space means the data is not a quantum group.
-    """
+    """The unique functional with h(1)=1 and (id⊗h)Δ(a) = h(a)·1: at e_i
+    that is e_i*·h = e_i*(1)h in the dual algebra, so h is the dual's Haar
+    element, with counit the unit of A.  Δ's columns are read directly as
+    the dual's products, (e_i* e_k*)(e_j) = Δ(e_j) at (i, k)."""
     n = algebra.dim
-    unit = algebra.unit
-    rows = []
-    for j in range(n):
-        col = coproduct.cols[j]
-        per_i: dict = {}
-        for r, c in col.items():
-            i, k = divmod(r, n)
-            per_i.setdefault(i, {})[k] = c
-        touched = set(per_i) | set(unit)
-        for i in touched:
-            ui = unit.get(i)
-            row = vec_sub(per_i.get(i, {}), {} if ui is None else {j: ui})
-            if row:
-                rows.append(row)
-    h = _normalised_solution(rows, n, unit, "haar state",
-                             "invariant functional kills the unit; no haar state")
+    products = ((*divmod(r, n), j, c) for j, col in enumerate(coproduct.cols)
+                for r, c in col.items())
+    h = _absorbing_solution(n, products, algebra.unit, "haar state",
+                            "invariant functional kills the unit; no haar state")
     return LinearMap(n, 1, [{0: h[i]} if i in h else {} for i in range(n)])
 
 
 def solve_haar_element(algebra: StarAlgebra, counit: LinearMap) -> dict:
     """The unique η with aη = ε(a)η for all a and ε(η) = 1."""
-    n = algebra.dim
-    eps = counit.cols  # eps[i] = {0: ε(e_i)} when nonzero
-    rows = []
-    for i in range(n):
-        eps_i = eps[i].get(0)
-        per_k: dict = {}
-        for j, terms in algebra.mult.get(i, {}).items():
-            for k, c in terms.items():
-                per_k.setdefault(k, {})[j] = c
-        touched = set(per_k) | (set(range(n)) if eps_i is not None else set())
-        for k in touched:
-            row = vec_sub(per_k.get(k, {}), {} if eps_i is None else {k: eps_i})
-            if row:
-                rows.append(row)
-    weights = {i: col[0] for i, col in enumerate(eps) if col}
-    return _normalised_solution(rows, n, weights, "haar element",
-                                "counit kills every candidate haar element")
+    products = ((i, j, k, c) for i, row in algebra.mult.items() for j, terms in row.items()
+                for k, c in terms.items())
+    return _absorbing_solution(algebra.dim, products, counit.transpose().cols[0],
+                               "haar element", "counit kills every candidate haar element")
 
 
-def _normalised_solution(rows, n, weights, what, killed) -> dict:
-    """The one solution x of the sparse system ``rows`` scaled to Σ wᵢxᵢ = 1.
-
-    ``weights`` maps indices to wᵢ (absent means 0).  Raises for a solution
-    space of any dimension but 1, naming ``what``, and with the message
-    ``killed`` when Σ wᵢxᵢ = 0.
-    """
-    basis = nullspace_basis(rows, n)
+def _absorbing_solution(n, products, eps, what, killed) -> dict:
+    """The one x with e_i·x = ε_i·x for every e_i and ε(x) = 1, for the
+    product given by its terms (i, j, k, c), e_i e_j = Σ_k c·e_k, and ε by
+    {i: ε_i}; any other solution space raises, naming ``what``, or with
+    ``killed`` when ε(x) = 0.  At e_k the law is Σ_j c·x_j = ε_i·x_k, one
+    row per (k, i), eliminated in that order: in the order of its terms
+    grp(Z2xZ64) took about seven times as long, in (i, k) order grp(D48)
+    three times."""
+    rows: dict = {}  # k·n + i -> {j: c}
+    for i, j, k, c in products:
+        rows.setdefault(k * n + i, {})[j] = c
+    for i, e in eps.items():
+        minus_e = -e
+        for k in range(n):
+            vec_add_into(rows.setdefault(k * n + i, {}), {k: minus_e})
+    basis = nullspace_basis([rows[ki] for ki in sorted(rows)], n)
     if len(basis) != 1:
         raise InvalidDataError(
             "%s is not unique (solution space has dimension %d)" % (what, len(basis)))
     x = basis[0]
     norm = None
     for i, xi in x.items():
-        w = weights.get(i)
-        if w is not None:
-            norm = w * xi if norm is None else norm + w * xi
+        e = eps.get(i)
+        if e is not None:
+            norm = e * xi if norm is None else norm + e * xi
     if norm is None or norm.is_zero():
         raise InvalidDataError(killed)
     return vec_scale(x, norm.inv())
@@ -234,18 +219,18 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
       dual table (:func:`dual_algebra` with :func:`dual_coproduct`, antipode
       Sᵀ, unit ε and counit 1), which are the same scalar equations, swept
       per dual basis element;
-    - ``haar_invariance``, read at e_k, as h·e_k* = e_k*(1)h = e_k*·h in
-      :func:`dual_algebra`, on its generators.  It reads the
-      ``coproduct_unital`` verdict, since ε̂(φ) = φ(1) is multiplicative
-      exactly when Δ(1) = 1⊗1, and the dual's associativity, which
-      ``coassociativity`` decides;
+    - ``haar_invariance`` and ``haar_element_absorbing``, through
+      :func:`_absorbing_on_generators`: read at e_k, the first is
+      h·e_k* = e_k*(1)h = e_k*·h, h absorbing :func:`dual_algebra` on both
+      sides after the ``coproduct_unital`` verdict, since ε̂(φ) = φ(1) is
+      multiplicative exactly when Δ(1) = 1⊗1; the second is xη = ε(x)η, η
+      absorbing the algebra on the left after the ``counit_multiplicative``
+      verdict.  Each reads the associativity that ``coassociativity`` or
+      ``associativity`` decides;
     - ``coproduct_star``, as bar(φψ) = bar(φ)bar(ψ) on the dual, with
       bar(φ)(x) = conj φ(x*), through :func:`law_on_generators` on the dual
       (a diagonal dual: disjoint supports of the bar(e_k*)); it reads the
-      dual's associativity;
-    - ``haar_element_absorbing``, as xη = ε(x)η for x among the generators
-      of the algebra.  It reads the ``counit_multiplicative`` verdict and the
-      algebra's associativity, which ``associativity`` decides.
+      dual's associativity.
 
     The float backend always runs the full sweeps.  The unit, product and
     star laws are :func:`hom_check`'s: for Δ: A → A⊗A, for ε: A → ℂ and,
@@ -278,7 +263,7 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         "coassociativity", range(n),
         lambda j: vec_eq(leg_apply(delta, delta.cols[j], n, 0),
                          leg_apply(delta, delta.cols[j], n, 1)),
-        certificate=lambda: _associative(dual_algebra(g)))
+        certificate=lambda: _is_associative(dual_algebra(g)))
 
     def multiplicative_on_generators():
         # Δ(ab) = Δ(a)Δ(b) and the dual law Δ̂(φψ) = Δ̂(φ)Δ̂(ψ) are the same
@@ -287,20 +272,6 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         if len(_basis_generators(a)) <= len(_basis_generators(dual)):
             return hom_on_generators(a, a, delta, ("multiplicative",), a)
         return hom_on_generators(dual, dual, dual_coproduct(g), ("multiplicative",), dual)
-
-    def invariant_on_generators():
-        # (h⊗id)Δ(e_j) = h(e_j)1 read at e_k is h·e_k* = e_k*(1)h in the dual,
-        # and (id⊗h)Δ(e_j) = h(e_j)1 is e_k*·h = e_k*(1)h.  The φ meeting
-        # either law form a subalgebra once the dual is associative and
-        # ε̂(φ) = φ(1) is multiplicative, which is Δ(1) = 1⊗1
-        dual, h_vec = dual_algebra(g), h.transpose().cols[0]
-
-        def invariant(k):
-            e, target = {k: one}, vec_scale(h_vec, unit.get(k))
-            return (vec_eq(dual.multiply_vec(h_vec, e), target)
-                    and vec_eq(dual.multiply_vec(e, h_vec), target))
-        return (unital.passed and _associative(dual)
-                and first_failure(_basis_generators(dual), invariant) is None)
 
     def star_on_generators():
         # Δ(a*) = Δ(a)* for every a is bar(φψ) = bar(φ)bar(ψ) on the dual, with
@@ -318,14 +289,7 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
             return vec_eq(lhs, dual.multiply_vec(bars[k], bars[l]))
         return law_on_generators(dual, bar_multiplicative, bars)
 
-    def absorbing(i):
-        return vec_eq(a.multiply_vec({i: one}, eta), vec_scale(eta, eps.cols[i].get(0)))
-
-    def absorbing_on_generators():
-        # {x : xη = ε(x)η} is a subalgebra once A is associative and ε is
-        # multiplicative
-        return (counit_multiplicative.passed and _associative(a)
-                and first_failure(_basis_generators(a), absorbing) is None)
+    eps_vec = eps.transpose().cols[0]
 
     pairing = pair_haar(g)
 
@@ -357,18 +321,45 @@ def verify_quantum_group(g: QuantumGroup) -> Report:
         Check("haar_unital", entry_eq(h.apply(unit).get(0), one), ()),
         sweep("haar_invariance", range(n),
               lambda j: on_both_legs(h, delta.cols[j], vec_scale(unit, h.cols[j].get(0))),
-              certificate=invariant_on_generators),
+              certificate=lambda: _absorbing_on_generators(
+                  dual_algebra(g), h.transpose().cols[0], unit, unital, two_sided=True)),
         Check("haar_antipode_invariant", h.compose(anti) == h, ()),
         sweep("haar_tracial", ((i, j) for i in range(n) for j in range(i, n)), tracial,
               certificate=lambda: a._diag or law_on_generators(a, tracial)),
         _gram_positivity_check(g),
         Check("haar_element_counit", entry_eq(eps.apply(eta).get(0), one), ()),
-        sweep("haar_element_absorbing", range(n), absorbing,
-              certificate=absorbing_on_generators),
+        sweep("haar_element_absorbing", range(n), _absorbs(a, eta, eps_vec),
+              certificate=lambda: _absorbing_on_generators(a, eta, eps_vec,
+                                                           counit_multiplicative)),
         Check("haar_element_value", h_eta_ok, () if h_eta_ok else (str(h_eta),)),
     ]
 
     return Report(g.label or "quantum-group", checks)
+
+
+def _absorbs(algebra: StarAlgebra, x: dict, eps: dict, two_sided=False):
+    """i ↦ whether e_i·x = ε_i·x, and also x·e_i = ε_i·x when ``two_sided``,
+    for ε given as {i: ε_i}: η absorbs A on the left, and h absorbs the dual
+    on both sides."""
+    one = scalar(1)
+
+    def absorbs(i):
+        e, target = {i: one}, vec_scale(x, eps.get(i))
+        return (vec_eq(algebra.multiply_vec(e, x), target)
+                and (not two_sided or vec_eq(algebra.multiply_vec(x, e), target)))
+    return absorbs
+
+
+def _absorbing_on_generators(algebra: StarAlgebra, x: dict, eps: dict,
+                             eps_multiplicative: Check, two_sided=False) -> bool:
+    """A one-sided certificate that x absorbs ``algebra`` as in
+    :func:`_absorbs`: True only if it does.  The a with a·x = ε(a)x (or
+    x·a = ε(a)x) form a subalgebra once the algebra is associative and ε is
+    multiplicative, which ``eps_multiplicative`` decides, so the law is
+    checked on the generators."""
+    return (eps_multiplicative.passed and _is_associative(algebra)
+            and first_failure(_basis_generators(algebra),
+                              _absorbs(algebra, x, eps, two_sided)) is None)
 
 
 def _antipode_holds(a: StarAlgebra, delta: LinearMap, anti: LinearMap, j: int, eps_j) -> bool:

@@ -87,6 +87,16 @@ def functional_predicate(qf: QuantumFamily, f: LinearMap):
                             vec_scale(b.unit, f.cols[i].get(0)))
 
 
+def _pointwise(alpha: LinearMap, m: int) -> list:
+    """Per column j of α: A → A⊗B, dim B = m, {q: {x: c}} for α(e_j) =
+    Σ c·e_x⊗e_q: the image of e_j under (id⊗e_q*)α at each q it reaches."""
+    split = [{} for _ in alpha.cols]
+    for per_q, col in zip(split, alpha.cols):
+        for r, c in col.items():
+            per_q.setdefault(r % m, {})[r // m] = c
+    return split
+
+
 @object_cache
 def check_family(qf: QuantumFamily) -> Report:
     """Unital *-homomorphism property and the Podles spanning condition.
@@ -97,14 +107,7 @@ def check_family(qf: QuantumFamily) -> Report:
     alpha = qf.alpha
     checks = [hom_check("unital_star_hom", a, a, alpha, b=qf.target_algebra)]
 
-    slices = []
-    for j in range(n):
-        per_q: dict = {}
-        for r, c in alpha.cols[j].items():
-            x, q = divmod(r, m)
-            per_q.setdefault(q, {})[x] = c
-        slices.extend(per_q.values())
-    rank = rank_of_vectors(slices, n)
+    rank = rank_of_vectors([v for per_q in _pointwise(alpha, m) for v in per_q.values()], n)
     checks.append(Check("podles", rank == n, () if rank == n else (rank,)))
 
     return Report(qf.label, checks)
@@ -294,10 +297,9 @@ def slice_commutative(qf: QuantumFamily):
     g = qf.source
     n, m = g.dim, b.dim
     cols = [[{} for _ in range(n)] for _ in range(m)]  # per point, the columns of its slice
-    for j, col in enumerate(qf.alpha.cols):
-        for r, c in col.items():
-            x, q = divmod(r, m)
-            cols[q][j][x] = c
+    for j, per_q in enumerate(_pointwise(qf.alpha, m)):
+        for q, v in per_q.items():
+            cols[q][j] = v
     maps = [LinearMap(n, n, point_cols) for point_cols in cols]
     for point, psi in enumerate(maps):
         _verify_hopf_automorphism(g, psi, point)

@@ -1,10 +1,8 @@
-import ast
 import random
 import time
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +20,8 @@ from fqg.hopf import dual_algebra, verify_quantum_group
 from fqg.linalg import LinearMap, flip_map, vec_add_into, vec_eq
 from fqg.qfamily import QuantumFamily, check_family, identity_family
 from fqg.scalar import QQi, one_like, scalar, use_backend
+
+from support import SCALINGS, benchmark_ladder_groups, count_multiply_vec
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 coeff_lists = st.lists(st.builds(QQi, fractions, fractions), min_size=3, max_size=3)
@@ -194,7 +194,6 @@ def test_verify_star_algebra_detects_broken_associativity():
 
 ORACLE_ALGEBRAS = ("fun-S3", "grp-S3", "fun-Z6", "grp-Z6", "fun-D4", "grp-D4",
                    "fun-Q8", "grp-Q8", "blocks-1-2", "two-term")
-SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
 
 
 def _two_term_algebra():
@@ -266,23 +265,11 @@ def test_associativity_certificate_agrees_with_full_sweep(name, data):
     assert (check.passed, tuple(check.witness)) == _full_associativity_sweep(table, base.dim)
 
 
-def _count_multiply_vec(monkeypatch):
-    calls = []
-    multiply_vec = StarAlgebra.multiply_vec
-
-    def counted(self, u, v):
-        calls.append(None)
-        return multiply_vec(self, u, v)
-
-    monkeypatch.setattr(StarAlgebra, "multiply_vec", counted)
-    return calls
-
-
 def test_associativity_certificate_skips_the_cubic_sweep(monkeypatch):
     base = group_algebra(cyclic(64)).algebra
     n = base.dim
     fresh = StarAlgebra(n, base.mult, base.unit, base.star, base.label)
-    calls = _count_multiply_vec(monkeypatch)
+    calls = count_multiply_vec(monkeypatch)
     assert verify_star_algebra(fresh).passed
     assert len(calls) < n ** 3 / 4
 
@@ -304,19 +291,9 @@ def test_float_backend_sweeps_every_associativity_triple(monkeypatch):
         base = group_algebra(cyclic(6)).algebra
         n = base.dim
         fresh = StarAlgebra(n, base.mult, base.unit, base.star, base.label)
-        calls = _count_multiply_vec(monkeypatch)
+        calls = count_multiply_vec(monkeypatch)
         assert verify_star_algebra(fresh).passed
     assert len(calls) >= 2 * n ** 3
-
-
-def _benchmark_ladder_groups():
-    """The group names of the ``hopf-ladder`` benchmark, read from its source
-    without importing the harness."""
-    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LADDER"]:
-            return [name for names in ast.literal_eval(node.value).values() for name in names]
-    raise AssertionError("no LADDER in perfbench/workloads.py")
 
 
 def _closure(rows, gens):
@@ -330,7 +307,7 @@ def _closure(rows, gens):
         reached |= new
 
 
-@pytest.mark.parametrize("name", sorted(set(CATALOG) | set(_benchmark_ladder_groups())))
+@pytest.mark.parametrize("name", sorted(set(CATALOG) | set(benchmark_ladder_groups())))
 def test_group_like_generators_skip_the_identity_and_reach_everything(name):
     group = named_group(name)
     fun = function_algebra(group)

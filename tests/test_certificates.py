@@ -26,7 +26,8 @@ from fqg.qfamily import _tensor_coproduct
 from fqg.report import Check, first_failure
 from fqg.scalar import scalar
 
-SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
+from support import perturbed
+
 
 
 def _tensor_quantum_group(g1, g2):
@@ -111,41 +112,24 @@ def _assert_certificates_agree(g):
     return certified
 
 
-def _perturbed(table, keys, dim, data):
-    """A copy of ``{key: {index: c}}`` with one drawn entry scaled by 2, -1
-    or i, zeroed, or moved to a drawn key and index below ``dim``, where it
-    adds to what is there."""
-    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
-    change = data.draw(st.sampled_from(sorted(SCALINGS) + ["zero", "move"]))
-    out = {key2: dict(terms) for key2, terms in table.items()}
-    c = out[key].pop(k)
-    if change in SCALINGS:
-        out[key][k] = c * SCALINGS[change]
-    elif change == "move":
-        terms = out.setdefault(data.draw(st.sampled_from(keys)), {})
-        k2 = data.draw(st.integers(0, dim - 1))
-        terms[k2] = terms[k2] + c if k2 in terms else c
-    return out
-
-
 def _mutant(g, part, data):
     """``g`` with one entry of one part changed (see :func:`_perturbed`)."""
     n = g.dim
     if part == "product":
         pairs = {(i, j): terms for i, row in g.algebra.mult.items() for j, terms in row.items()}
         mult = {}
-        for (i, j), terms in _perturbed(pairs, [(i, j) for i in range(n) for j in range(n)],
+        for (i, j), terms in perturbed(pairs, [(i, j) for i in range(n) for j in range(n)],
                                         n, data).items():
             mult.setdefault(i, {})[j] = terms
         return _rebuilt(g, mult=mult)
     if part == "star":
-        cols = _perturbed(dict(enumerate(g.algebra.star.cols)), list(range(n)), n, data)
+        cols = perturbed(dict(enumerate(g.algebra.star.cols)), list(range(n)), n, data)
         return _rebuilt(g, star=LinearMap(n, n, [cols.get(j, {}) for j in range(n)]))
     if part in ("unit", "haar_element"):
         vec = g.algebra.unit if part == "unit" else g.haar_element
-        return _rebuilt(g, **{part: _perturbed({0: vec}, [0], n, data)[0]})
+        return _rebuilt(g, **{part: perturbed({0: vec}, [0], n, data)[0]})
     matrix = getattr(g, part)
-    cols = _perturbed(dict(enumerate(matrix.cols)), list(range(n)), matrix.target_dim, data)
+    cols = perturbed(dict(enumerate(matrix.cols)), list(range(n)), matrix.target_dim, data)
     return _rebuilt(g, **{part: LinearMap(n, matrix.target_dim,
                                           [cols.get(j, {}) for j in range(n)])})
 
@@ -325,6 +309,25 @@ def test_a_coproduct_that_is_not_unital_refuses_the_invariance_certificate():
     checks = {name: (ok, witness) for name, ok, witness in verdicts[0][1]}
     assert checks["coproduct_unital"] == (False, ())
     assert checks["haar_invariance"] == (False, (0,))
+
+
+def test_a_counit_that_is_not_multiplicative_refuses_the_absorbing_certificate():
+    """grp(Z2) with ε(λ_0) = 2: ε is no longer multiplicative, as
+    ε(λ_0 λ_0) = 2.  The law λη = ε(λ)η still holds on the one generator
+    λ_1, yet fails at λ_0, so only the counit_multiplicative verdict can
+    refuse the certificate, and the sweep names e_0."""
+    g = group_algebra(named_group("Z2"))
+
+    def bad():
+        return _rebuilt(g, counit=LinearMap(2, 1, [{0: scalar(2)}, {0: scalar(1)}]))
+
+    assert _basis_generators(bad().algebra) == (1,)
+    verdicts, certified = _audited(lambda: [verify_quantum_group(bad())])
+    assert _verdicts([verify_quantum_group(bad())]) == verdicts
+    assert certified["haar_element_absorbing"] is False
+    checks = {name: (ok, witness) for name, ok, witness in verdicts[0][1]}
+    assert checks["counit_multiplicative"] == (False, (0, 0))
+    assert checks["haar_element_absorbing"] == (False, (0,))
 
 
 def _rebased(g, t, t_inv):

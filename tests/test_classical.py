@@ -16,10 +16,14 @@ from fqg.classical import (MagicMatrix, automorphism_group,
 from fqg.constructors import function_algebra, group_algebra
 from fqg.fixtures import (counit_degenerate_family, sign_twisted_dual_family,
                           translation_family, trivial_hopf_target)
+from fqg.fourier import dual_pair
 from fqg.groups import CATALOG, cyclic, klein4, named_group
-from fqg.linalg import vec_eq
+from fqg.hopf import QuantumGroup
+from fqg.linalg import LinearMap, vec_eq
 from fqg.qfamily import QuantumFamily, hat, identity_family
 from fqg.scalar import scalar, use_backend
+
+from support import SCALINGS, count_multiply_vec
 
 AUT_ORDERS = {"Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4,
               "K4": 6, "S3": 6, "D4": 8, "Q8": 24, "S4": 24}
@@ -100,6 +104,50 @@ def test_group_recovery():
     assert group_of_group_algebra(grp).table == named_group("S3").table
     with pytest.raises(InvalidDataError):
         group_of_group_algebra(fun)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_a_function_algebra_and_its_dual_group_ring_give_one_group(name):
+    """Γ is read off the dual table of fun(Γ), Δ transposed, by the reader
+    that reads it off the product of the group ring, here of the dual."""
+    fun = function_algebra(named_group(name))
+    assert (group_of_function_algebra(fun).table
+            == group_of_group_algebra(dual_pair(fun).dual).table == named_group(name).table)
+
+
+def test_the_group_readers_name_what_is_not_a_group():
+    one, n = scalar(1), 3
+    fun, grp = function_algebra(cyclic(n)), group_algebra(cyclic(n))
+
+    def refusal(g, read, **parts):
+        maps = {"coproduct": g.coproduct, "counit": g.counit, "antipode": g.antipode,
+                "haar_state": g.haar_state, "haar_element": g.haar_element} | parts
+        with pytest.raises(InvalidDataError) as exc:
+            read(QuantumGroup(maps.pop("algebra", g.algebra), **maps))
+        return str(exc.value)
+
+    def coproduct(g, j, r, c):
+        cols = [dict(col) for col in g.coproduct.cols]
+        cols[j][r] = c
+        return LinearMap(n, n * n, [{r: c for r, c in col.items() if c is not None}
+                                    for col in cols])
+
+    def table(i, j, terms):
+        a = grp.algebra
+        mult = {i2: dict(row) for i2, row in a.mult.items()}
+        mult[i][j] = terms
+        return StarAlgebra(n, mult, a.unit, a.star)
+
+    law = "coproduct is not a group-law coproduct"
+    assert refusal(fun, group_of_function_algebra, coproduct=coproduct(fun, 1, 1, scalar(2))) == law
+    assert refusal(fun, group_of_function_algebra, coproduct=coproduct(fun, 1, 1, None)) == law
+    assert refusal(fun, group_of_function_algebra, coproduct=coproduct(fun, 2, 3, one)) == law
+    assert (refusal(grp, group_of_group_algebra, algebra=table(1, 1, {2: scalar(2)}))
+            == "source is not a group ring (scaled product)")
+    assert (refusal(grp, group_of_group_algebra, algebra=table(1, 1, {2: one, 0: one}))
+            == "source is not a group ring (non-monomial product)")
+    assert (refusal(grp, group_of_group_algebra, coproduct=coproduct(grp, 1, 1, one))
+            == "source coproduct is not grouplike")
 
 
 def test_pointwise_relations_positive():
@@ -245,7 +293,6 @@ def test_dual_group_theorem_negative_control_fails_at_idempotency():
 # -- the translation certificate against full sweeps ------------------------------
 
 CERTIFIED = ("shift_relation", "localized_relation", "inductive_relation", "power_domination")
-SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
 
 
 def _full_sweeps(m):
@@ -380,18 +427,6 @@ def test_swapping_target_witnesses():
             assert got[check] == (False, witness), (name, check)
 
 
-def _count_multiply_vec(monkeypatch):
-    calls = []
-    multiply_vec = StarAlgebra.multiply_vec
-
-    def counted(self, u, v):
-        calls.append(None)
-        return multiply_vec(self, u, v)
-
-    monkeypatch.setattr(StarAlgebra, "multiply_vec", counted)
-    return calls
-
-
 def _fresh_universal_matrix(name):
     m = extract_matrix(universal_classical_family(named_group(name)))
     return MagicMatrix(m.group, m.target, m.entries)
@@ -405,7 +440,7 @@ def test_translation_certificate_forms_each_product_once(monkeypatch):
     n = m.group.order
     live = sum(1 for row in m.entries for e in row if e)
     assert (live, n) == (146, 24)
-    calls = _count_multiply_vec(monkeypatch)
+    calls = count_multiply_vec(monkeypatch)
     assert check_dualact_consequences(m).passed
     assert check_order_properties(m).passed
     assert len(calls) <= 1.25 * live * n ** 2
@@ -418,7 +453,7 @@ def test_translation_certificate_skips_empty_entries(monkeypatch):
 
     m = _fresh_universal_matrix("S4")
     live = sum(1 for row in m.entries for e in row if e)
-    calls = _count_multiply_vec(monkeypatch)
+    calls = count_multiply_vec(monkeypatch)
     assert _translation_invariant(m)
     assert 0 < len(calls) <= live ** 2 == 21316
 
@@ -428,7 +463,7 @@ def test_float_backend_sweeps_the_translation_relations(monkeypatch):
         m = _fresh_universal_matrix("S3")
         n = m.group.order
         live = sum(1 for row in m.entries for e in row if e)
-        calls = _count_multiply_vec(monkeypatch)
+        calls = count_multiply_vec(monkeypatch)
         assert check_dualact_consequences(m).passed
         assert check_order_properties(m).passed
     # shift_relation and localized_relation alone: 2 products per equation

@@ -13,10 +13,12 @@ from fqg.constructors import function_algebra, group_algebra
 from fqg.groups import CATALOG, cyclic, named_group
 from fqg.classical import enumerate_automorphisms
 from fqg.hopf import (QuantumGroup, _gram_positivity_check, check_haar_antipode_identity,
-                      check_hopf_morphism, solve_haar_element, solve_haar_state,
+                      check_hopf_morphism, dual_algebra, solve_haar_element, solve_haar_state,
                       verify_quantum_group)
 from fqg.linalg import LinearMap, leg_apply, vec_eq
 from fqg.scalar import QQi, scalar, use_backend
+
+from support import accumulate, benchmark_ladder_groups, nonzero, perturbed
 
 
 def test_catalog_groups_verify():
@@ -85,6 +87,32 @@ def test_haar_element_solver():
     eta = solve_haar_element(grp4.algebra, grp4.counit)
     q = scalar(Fraction(1, 4))
     assert vec_eq(eta, {g: q for g in range(4)})
+
+
+@pytest.mark.parametrize("kind", ["fun", "grp"])
+@pytest.mark.parametrize("name", sorted(set(CATALOG) | set(benchmark_ladder_groups())))
+def test_h_is_the_haar_element_of_the_dual(name, kind):
+    """h solved on G is η solved on the dual algebra, whose counit is the
+    unit of A, and both solvers return the stored data on the benchmark's
+    ladder groups too."""
+    g = (function_algebra if kind == "fun" else group_algebra)(named_group(name))
+    h = solve_haar_state(g.algebra, g.coproduct)
+    assert h == g.haar_state
+    assert vec_eq(solve_haar_element(g.algebra, g.counit), g.haar_element)
+    unit_as_counit = LinearMap(g.dim, 1, [{0: g.algebra.unit[i]} if i in g.algebra.unit else {}
+                                          for i in range(g.dim)])
+    assert vec_eq(solve_haar_element(dual_algebra(g), unit_as_counit), h.transpose().cols[0])
+
+
+@pytest.mark.parametrize("index", [-1, 4, 0.0])
+def test_a_haar_element_index_outside_the_basis_is_refused(index):
+    """η's indices are ints in 0..n-1, as the unit's are: -1 is not read as
+    the last basis element, and n and 0.0 are refused here instead of
+    raising IndexError or TypeError in verify_quantum_group."""
+    g = group_algebra(cyclic(4))
+    with pytest.raises(InvalidDataError):
+        QuantumGroup(g.algebra, g.coproduct, g.counit, g.antipode, g.haar_state,
+                     {index: scalar(1)})
 
 
 def test_haar_element_value_is_inverse_dimension():
@@ -170,34 +198,6 @@ def test_haar_element_solver_messages():
 
 # -- generator certificates: oracle against full sweeps -----------------------
 
-SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
-
-
-def _perturbed(table, keys, dim, data):
-    """A copy of ``{key: {index: c}}`` with one drawn entry scaled by 2, -1
-    or i, zeroed, or moved to a drawn key and index below ``dim``, where it
-    adds to what is there (so a product can become two-term)."""
-    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
-    change = data.draw(st.sampled_from(sorted(SCALINGS) + ["zero", "move"]))
-    out = {key2: dict(terms) for key2, terms in table.items()}
-    c = out[key].pop(k)
-    if change in SCALINGS:
-        out[key][k] = c * SCALINGS[change]
-    elif change == "move":
-        terms = out.setdefault(data.draw(st.sampled_from(keys)), {})
-        k2 = data.draw(st.integers(0, dim - 1))
-        terms[k2] = terms[k2] + c if k2 in terms else c
-    return out
-
-
-def _add(acc, key, c):
-    acc[key] = acc.get(key, scalar(0)) + c
-
-
-def _nonzero(acc):
-    return {k: c for k, c in acc.items() if not c.is_zero()}
-
-
 def _full_coassociativity_sweep(cols, n):
     """Reference: the first j with (Δ⊗id)Δ(e_j) != (id⊗Δ)Δ(e_j)."""
     for j in range(n):
@@ -205,10 +205,10 @@ def _full_coassociativity_sweep(cols, n):
         for r, c in cols.get(j, {}).items():
             a, b = divmod(r, n)
             for r2, c2 in cols.get(a, {}).items():
-                _add(left, divmod(r2, n) + (b,), c * c2)
+                accumulate(left, divmod(r2, n) + (b,), c * c2)
             for r2, c2 in cols.get(b, {}).items():
-                _add(right, (a,) + divmod(r2, n), c * c2)
-        if _nonzero(left) != _nonzero(right):
+                accumulate(right, (a,) + divmod(r2, n), c * c2)
+        if nonzero(left) != nonzero(right):
             return False, (j,)
     return True, ()
 
@@ -219,13 +219,13 @@ def _full_multiplicativity_sweep(mult, cols, n):
         lhs, rhs = {}, {}
         for k, c in mult.get(i, {}).get(j, {}).items():
             for r, d in cols.get(k, {}).items():
-                _add(lhs, r, c * d)
+                accumulate(lhs, r, c * d)
         for (r1, c1), (r2, c2) in product(cols.get(i, {}).items(), cols.get(j, {}).items()):
             (p, q), (s, t) = divmod(r1, n), divmod(r2, n)
             for (k1, d1), (k2, d2) in product(mult.get(p, {}).get(s, {}).items(),
                                               mult.get(q, {}).get(t, {}).items()):
-                _add(rhs, k1 * n + k2, c1 * c2 * d1 * d2)
-        if _nonzero(lhs) != _nonzero(rhs):
+                accumulate(rhs, k1 * n + k2, c1 * c2 * d1 * d2)
+        if nonzero(lhs) != nonzero(rhs):
             return False, (i, j)
     return True, ()
 
@@ -239,13 +239,13 @@ def test_coalgebra_certificates_agree_with_full_sweeps(group, kind, part, data):
     mult, cols = g.algebra.mult, dict(enumerate(g.coproduct.cols))
     if part == "product":
         # the pairs (i, j) as keys, so one draw serves both tables
-        pairs = _perturbed({(i, j): terms for i, row in mult.items() for j, terms in row.items()},
+        pairs = perturbed({(i, j): terms for i, row in mult.items() for j, terms in row.items()},
                            list(product(range(n), repeat=2)), n, data)
         mult = {}
         for (i, j), terms in pairs.items():
             mult.setdefault(i, {})[j] = terms
     else:
-        cols = _perturbed(cols, list(range(n)), n * n, data)
+        cols = perturbed(cols, list(range(n)), n * n, data)
     algebra = StarAlgebra(n, mult, g.algebra.unit, g.algebra.star, "perturbed")
     delta = LinearMap(n, n * n, [cols.get(k, {}) for k in range(n)])
     rep = verify_quantum_group(QuantumGroup(algebra, delta, g.counit, g.antipode,

@@ -25,6 +25,8 @@ from fqg.qfamily import (QuantumFamily, check_action, check_family,
                          verify_dual_equivalences)
 from fqg.scalar import QQi, scalar, use_backend
 
+from support import accumulate, nonzero, perturbed
+
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 entries = st.builds(QQi, fractions, fractions)
 
@@ -390,34 +392,6 @@ def test_translation_family_is_star_hom_with_podles_but_not_conv():
 
 # -- generator certificates for the family laws: oracle against full sweeps ----
 
-SCALINGS = {"double": scalar(2), "negate": scalar(-1), "rotate": scalar(0, 1)}
-
-
-def _perturbed(table, keys, dim, data):
-    """A copy of ``{key: {index: c}}`` with one drawn entry scaled by 2, -1
-    or i, zeroed, or moved to a drawn key and index below ``dim``, where it
-    adds to what is there."""
-    key, k = data.draw(st.sampled_from(sorted((key, k) for key in table for k in table[key])))
-    change = data.draw(st.sampled_from(sorted(SCALINGS) + ["zero", "move"]))
-    out = {key2: dict(terms) for key2, terms in table.items()}
-    c = out[key].pop(k)
-    if change in SCALINGS:
-        out[key][k] = c * SCALINGS[change]
-    elif change == "move":
-        terms = out.setdefault(data.draw(st.sampled_from(keys)), {})
-        k2 = data.draw(st.integers(0, dim - 1))
-        terms[k2] = terms[k2] + c if k2 in terms else c
-    return out
-
-
-def _add(acc, key, c):
-    acc[key] = acc.get(key, scalar(0)) + c
-
-
-def _nonzero(acc):
-    return {k: c for k, c in acc.items() if not c.is_zero()}
-
-
 def _reference_sweeps(qf):
     """Reference: ``(passed, witness)`` of unital_star_hom and of
     conv_product, by full lexicographic sweeps straight from the tables."""
@@ -429,8 +403,8 @@ def _reference_sweeps(qf):
         acc = {}
         for j, c in v.items():
             for r, d in alpha[j].items():
-                _add(acc, r, c * d)
-        return _nonzero(acc)
+                accumulate(acc, r, c * d)
+        return nonzero(acc)
 
     def tensor_times(first, u, v):
         """u·v on A⊗B, the first leg multiplied by the table ``first``."""
@@ -439,19 +413,19 @@ def _reference_sweeps(qf):
             (x1, b1), (x2, b2) = divmod(p, m), divmod(q, m)
             for (k1, c1), (k2, c2) in product(first.get(x1, {}).get(x2, {}).items(),
                                               b.mult.get(b1, {}).get(b2, {}).items()):
-                _add(acc, k1 * m + k2, cp * cq * c1 * c2)
-        return _nonzero(acc)
+                accumulate(acc, k1 * m + k2, cp * cq * c1 * c2)
+        return nonzero(acc)
 
     def tensor_star(v):
         acc = {}
         for p, c in v.items():
             x, q = divmod(p, m)
             for (k1, c1), (k2, c2) in product(a.star.cols[x].items(), b.star.cols[q].items()):
-                _add(acc, k1 * m + k2, c.conj() * c1 * c2)
-        return _nonzero(acc)
+                accumulate(acc, k1 * m + k2, c.conj() * c1 * c2)
+        return nonzero(acc)
 
     def star_hom():
-        unit = _nonzero({x * m + q: cx * cq for x, cx in a.unit.items()
+        unit = nonzero({x * m + q: cx * cq for x, cx in a.unit.items()
                          for q, cq in b.unit.items()})
         if apply(a.unit) != unit:
             return False, ("unit",)
@@ -597,7 +571,7 @@ def test_family_certificates_agree_with_full_sweeps(name, part, data):
     n, m = base.source.dim, base.target_algebra.dim
     cols = dict(enumerate(base.alpha.cols))
     if part == "alpha":
-        cols = _perturbed(cols, list(range(n)), n * m, data)
+        cols = perturbed(cols, list(range(n)), n * m, data)
     _assert_certificates_agree(_family(base.source, base.target_algebra,
                                        [cols.get(j, {}) for j in range(n)], "perturbed"))
 

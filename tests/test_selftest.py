@@ -21,10 +21,11 @@ GOLDEN = Path(__file__).parent / "data" / "selftest.json"
 def test_solvers_agree_with_stored_data_across_catalog():
     for name in CATALOG:
         for kind in ("fun", "grp"):
-            qg = catalog_quantum_group(name, kind)
-            assert solve_haar_state(qg.algebra, qg.coproduct) == qg.haar_state, (name, kind)
-            eta = solve_haar_element(qg.algebra, qg.counit)
-            assert vec_eq(eta, qg.haar_element), (name, kind)
+            for qg in (catalog_quantum_group(name, kind),
+                       dual_pair(catalog_quantum_group(name, kind)).dual):
+                assert solve_haar_state(qg.algebra, qg.coproduct) == qg.haar_state, (name, kind)
+                eta = solve_haar_element(qg.algebra, qg.counit)
+                assert vec_eq(eta, qg.haar_element), (name, kind)
 
 
 def test_double_dual_across_catalog():
