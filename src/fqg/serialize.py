@@ -12,8 +12,13 @@ use compact separators so identical inputs serialize byte-identically.
 Loading parses each distinct [re, im] string pair once per matrix, vector or
 structure-constant table: a dumped coproduct or family map is mostly "0"
 cells, and the parsed scalars are immutable, so equal cells share one.  A
-sparse matrix is built from its entries and the dimensions its algebras
-declare, never from its ``shape``, which only has to agree with them.
+dense matrix or vector is read in one walk over its cells: a ["0", "0"]
+cell, the zero as the writers spell it, is passed over unparsed, and any
+other cell is parsed, its value dropped if it is zero ("0/1", "-0", "0.0"
+and the like).  The writers format each distinct scalar once per matrix or
+vector, and give every dense cell a list of its own.  A sparse matrix is
+built from its entries and the dimensions its algebras declare, never from
+its ``shape``, which only has to agree with them.
 Every input is bounded: exponents by ``scalar.MAX_EXPONENT``, group orders
 and block-algebra dimensions by ``groups.MAX_GROUP_ORDER``, the entries of a
 matrix written, or read in the sparse form, by :data:`MAX_ENTRIES`; a file
@@ -25,6 +30,7 @@ raises :class:`InvalidDataError`.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from operator import itemgetter
 
 from .algebra import BlockAlgebra, InvalidDataError, StarAlgebra, exact_int
@@ -35,7 +41,8 @@ from .linalg import LinearMap
 from .qfamily import HopfOnTarget, QuantumFamily
 from .scalar import QQi, format_scalar, parse_scalar
 
-_ZERO_PAIR = ("0", "0")
+# The zero cell as the writers write it; it is copied, never handed out.
+_ZERO_CELL = ["0", "0"]
 
 # Writers write a matrix of at most this many cells dense, a larger one sparse.
 DENSE_UP_TO = 1 << 16
@@ -65,8 +72,33 @@ def _cell_parser():
     return parse
 
 
-def _pair(s) -> list:
-    return list(format_scalar(s))
+def _nonzero_cells(cells, parse):
+    """(index, scalar) of each cell of a dense row or vector whose value is
+    not zero.  A ["0", "0"] cell is passed over by one list comparison, and
+    every other cell goes through ``parse``."""
+    zero = _ZERO_CELL
+    for i, cell in enumerate(cells):
+        if cell != zero:
+            s = parse(cell)
+            if not s.is_zero():
+                yield i, s
+
+
+def _scalar_texts():
+    """A function giving the (re, im) texts of a scalar that formats each
+    distinct scalar once; the memo lives as long as the returned function.
+    A float is keyed by its text, as 0.0 and -0.0 are equal but print apart;
+    :func:`matrix_to_sparse` keys its inlined memo the same way."""
+    memo = {}
+
+    def text(s):
+        key = (s.re, s.im) if type(s) is QQi else format_scalar(s)
+        t = memo.get(key)
+        if t is None:
+            t = memo[key] = format_scalar(s)
+        return t
+
+    return text
 
 
 def check_entries(rows: int, cols: int, entries: int) -> None:
@@ -78,20 +110,18 @@ def check_entries(rows: int, cols: int, entries: int) -> None:
 
 def matrix_to_dense(m: LinearMap):
     check_entries(m.target_dim, m.source_dim, m.target_dim * m.source_dim)
-    rows = []
-    for r in range(m.target_dim):
-        row = []
-        for c in range(m.source_dim):
-            s = m.cols[c].get(r)
-            row.append(list(_ZERO_PAIR) if s is None else _pair(s))
-        rows.append(row)
+    text = _scalar_texts()
+    rows = [list(map(list, repeat(_ZERO_CELL, m.source_dim))) for _ in range(m.target_dim)]
+    for c, col in enumerate(m.cols):
+        for r, s in col.items():
+            rows[r][c] = list(text(s))
     return rows
 
 
 def matrix_to_sparse(m: LinearMap) -> dict:
     check_entries(m.target_dim, m.source_dim, sum(map(len, m.cols)))
-    # each distinct scalar is formatted once; a float is keyed by its text,
-    # as 0.0 and -0.0 are equal but print apart
+    # each distinct scalar is formatted once, keyed as _scalar_texts keys it
+    # (a call per entry would cost this loop a sixth of its time)
     text = {}
     entries = []
     for c, col in enumerate(m.cols):
@@ -111,16 +141,25 @@ def matrix_to_json(m: LinearMap):
 
 
 def matrix_from_dense(rows, source_dim: int, target_dim: int) -> LinearMap:
+    """The ``target_dim`` x ``source_dim`` matrix of dense rows.  Every cell
+    is read before the shape is checked, so a bad cell is named first, then
+    a wrong row count, then a row of the wrong length."""
     parse = _cell_parser()
+    cols = [{} for _ in range(source_dim)]
+    widths = []
     try:
-        parsed = [[parse(cell) for cell in row] for row in rows]
+        for r, row in enumerate(rows):
+            for c, s in _nonzero_cells(row, parse):
+                if c < source_dim:  # a longer row is refused below
+                    cols[c][r] = s
+            widths.append(len(row))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad matrix entry: %s" % exc)
-    if len(parsed) != target_dim:
-        raise InvalidDataError("matrix has %d rows, expected %d" % (len(parsed), target_dim))
-    if any(len(r) != source_dim for r in parsed):
+    if len(widths) != target_dim:
+        raise InvalidDataError("matrix has %d rows, expected %d" % (len(widths), target_dim))
+    if any(w != source_dim for w in widths):
         raise InvalidDataError("matrix row length mismatch")
-    return LinearMap.from_rows(parsed)
+    return LinearMap(source_dim, target_dim, cols)
 
 
 def matrix_from_sparse(d: dict, source_dim: int, target_dim: int) -> LinearMap:
@@ -169,18 +208,22 @@ def matrix_from_json(obj, source_dim: int, target_dim: int) -> LinearMap:
 
 
 def vector_to_list(v: dict, dim: int):
-    return [_pair(v[i]) if i in v else list(_ZERO_PAIR) for i in range(dim)]
+    text = _scalar_texts()
+    cells = list(map(list, repeat(_ZERO_CELL, dim)))
+    for i, s in v.items():
+        cells[i] = list(text(s))
+    return cells
 
 
 def vector_from_list(lst, dim: int) -> dict:
-    parse = _cell_parser()
     try:
-        parsed = [parse(cell) for cell in lst]
+        v = dict(_nonzero_cells(lst, _cell_parser()))
+        length = len(lst)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad vector entry: %s" % exc)
-    if len(parsed) != dim:
-        raise InvalidDataError("vector has %d entries, expected %d" % (len(parsed), dim))
-    return {i: s for i, s in enumerate(parsed) if not s.is_zero()}
+    if length != dim:
+        raise InvalidDataError("vector has %d entries, expected %d" % (length, dim))
+    return v
 
 
 def algebra_to_dict(a: StarAlgebra) -> dict:

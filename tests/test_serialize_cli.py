@@ -1,4 +1,5 @@
 import json
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -21,8 +22,9 @@ from fqg.scalar import CFloat, format_scalar, parse_scalar, scalar, set_backend,
 from fqg.serialize import (algebra_from_dict, canonical_json, family_from_dict,
                            family_to_dict, group_from_dict, group_to_dict,
                            matrix_from_dense, matrix_from_json, matrix_from_sparse,
-                           matrix_to_json, matrix_to_sparse, quantum_group_from_dict,
-                           quantum_group_to_dict, vector_from_list)
+                           matrix_to_dense, matrix_to_json, matrix_to_sparse,
+                           quantum_group_from_dict, quantum_group_to_dict, vector_from_list,
+                           vector_to_list)
 
 
 def test_quantum_group_roundtrip():
@@ -101,19 +103,27 @@ def _plain_cell(cell):
     return parse_scalar(*cell)
 
 
-def _plain_matrix(rows):
+def _plain_matrix(rows, source_dim, target_dim):
+    """The dense loader by the definition: every cell parsed on its own, then
+    the row count and the row lengths checked, then the zeros dropped."""
     try:
         parsed = [[_plain_cell(cell) for cell in row] for row in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad matrix entry: %s" % exc)
+    if len(parsed) != target_dim:
+        raise InvalidDataError("matrix has %d rows, expected %d" % (len(parsed), target_dim))
+    if any(len(r) != source_dim for r in parsed):
+        raise InvalidDataError("matrix row length mismatch")
     return LinearMap.from_rows(parsed)
 
 
-def _plain_vector(cells):
+def _plain_vector(cells, dim):
     try:
         parsed = [_plain_cell(cell) for cell in cells]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("bad vector entry: %s" % exc)
+    if len(parsed) != dim:
+        raise InvalidDataError("vector has %d entries, expected %d" % (len(parsed), dim))
     return {i: s for i, s in enumerate(parsed) if not s.is_zero()}
 
 
@@ -126,7 +136,8 @@ def _plain_algebra(d):
                 mult.setdefault(i, {}).setdefault(j, {})[k] = s
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDataError("malformed algebra: %s" % exc)
-    return StarAlgebra(d["dim"], mult, _plain_vector(d["unit"]), _plain_matrix(d["star"]))
+    n = d["dim"]
+    return StarAlgebra(n, mult, _plain_vector(d["unit"], n), _plain_matrix(d["star"], n, n))
 
 
 def _outcome(fn, *args):
@@ -136,35 +147,66 @@ def _outcome(fn, *args):
         return None, str(exc)
 
 
+# Zero as the writers spell it, which the loader passes over unparsed, and
+# spelled otherwise, which it parses and drops.
+_ZERO_CELLS = (["0", "0"], ["0/1", "0"], ["-0", "0"], ["0.0", "0"], ["0", "-0"])
+# How a drawn grid may be cut out of its declared (rows, cols) shape.
+_RESHAPES = ("none", "short row", "long row", "missing row", "extra row")
+
+
 @st.composite
 def _cell_grids(draw, shape=None):
-    """A grid of [re, im] string cells, with up to two replaced by odd ones."""
+    """A grid of [re, im] string cells, about a third of them zeros in some
+    spelling, with up to two replaced by odd ones; and the (rows, cols) it
+    declares.  A grid drawn without a given shape may have one row cut
+    short or made longer, a row missing or one too many."""
     rows, cols = shape or (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
-    grid = [[draw(st.lists(st.sampled_from(_NUMBERS), min_size=2, max_size=2))
-             for _ in range(cols)] for _ in range(rows)]
+    cell = st.one_of(st.sampled_from(_ZERO_CELLS),
+                     st.lists(st.sampled_from(_NUMBERS), min_size=2, max_size=2))
+    grid = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
     for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
         grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = \
             draw(st.sampled_from(_MALFORMED_CELLS))
-    return grid
+    reshape = "none" if shape else draw(st.sampled_from(_RESHAPES))
+    at = draw(st.integers(0, rows - 1))
+    if reshape == "short row":
+        del grid[at][-1]
+    elif reshape == "long row":
+        grid[at].append(draw(cell))
+    elif reshape == "missing row":
+        del grid[at]
+    elif reshape == "extra row":
+        grid.insert(at, [draw(cell) for _ in range(cols)])
+    return grid, (rows, cols)
 
 
-def _assert_same_loads(grid, star, backend):
+def _texts(m):
+    """Each column of ``m`` as its (row, texts) pairs, in stored order, so
+    that float entries compare exactly and no stored zero goes unseen."""
+    return [[(r, format_scalar(s)) for r, s in col.items()] for col in m.cols]
+
+
+def _assert_same_loads(grid, star, backend, shape=None):
     set_backend(backend, 1e-9)
-    matrix, matrix_err = _outcome(matrix_from_dense, grid, len(grid[0]), len(grid))
-    ref, ref_err = _outcome(_plain_matrix, grid)
+    rows, cols = shape or (len(grid), len(grid[0]))
+    matrix, matrix_err = _outcome(matrix_from_dense, grid, cols, rows)
+    ref, ref_err = _outcome(_plain_matrix, grid, cols, rows)
     assert matrix_err == ref_err
     assert matrix == ref
+    if ref is not None:
+        assert _texts(matrix) == _texts(ref)
     for row in grid:
-        vec, vec_err = _outcome(vector_from_list, row, len(row))
-        ref, ref_err = _outcome(_plain_vector, row)
+        vec, vec_err = _outcome(vector_from_list, row, cols)
+        ref, ref_err = _outcome(_plain_vector, row, cols)
         assert (vec, vec_err) == (ref, ref_err)
-        assert [type(s) for s in (vec or {}).values()] == [type(s) for s in (ref or {}).values()]
+        assert [(i, type(s), format_scalar(s)) for i, s in (vec or {}).items()] == \
+            [(i, type(s), format_scalar(s)) for i, s in (ref or {}).items()]
     # each cell states its own (i, j, k) of a 3-dimensional table: a loaded
     # table may state a product coefficient only once
     mult = [[t // 9, t // 3 % 3, t % 3] + (cell if isinstance(cell, list) else [cell])
             for t, cell in enumerate(cell for row in grid for cell in row)]
     zero = ["0", "0"]
-    d = {"dim": 3, "mult": mult, "unit": (grid[0] * 3)[:3],
+    d = {"dim": 3, "mult": mult, "unit": ((grid[0] if grid else []) * 3)[:3],
          "star": [row + [zero] for row in star] + [[zero] * 3]}
     alg, alg_err = _outcome(algebra_from_dict, d)
     ref, ref_err = _outcome(_plain_algebra, d)
@@ -176,7 +218,8 @@ def _assert_same_loads(grid, star, backend):
 @settings(max_examples=200)
 @given(_cell_grids(), _cell_grids(shape=(2, 2)), st.sampled_from(("exact", "float")))
 def test_memoised_loads_agree_with_plain_parse_scalar(grid, star, backend):
-    _assert_same_loads(grid, star, backend)
+    (grid, shape), (star, _) = grid, star
+    _assert_same_loads(grid, star, backend, shape)
 
 
 @pytest.mark.parametrize("odd", _MALFORMED_CELLS, ids=repr)
@@ -321,22 +364,23 @@ def _all_dense_dict(qf):
         return json.loads(canonical_json(family_to_dict(qf)))
 
 
-def _assert_each_distinct_cell_parsed_once(d, monkeypatch):
-    def tables(obj):
-        """The distinct (re, im) pairs of each matrix, vector and mult table."""
-        for key, value in sorted(obj.items()):
-            if isinstance(value, dict) and "entries" in value:
-                yield {(re, im) for _, _, re, im in value["entries"]}
-            elif isinstance(value, dict):
-                yield from tables(value)
-            elif key == "mult":
-                yield {(re, im) for _, _, _, re, im in value}
-            elif key in ("unit", "haar_element"):
-                yield {tuple(cell) for cell in value}
-            elif key in ("star", "coproduct", "counit", "antipode", "haar_state", "alpha"):
-                yield {tuple(cell) for row in value for cell in row}
+def _tables(obj):
+    """The distinct (re, im) pairs of each matrix, vector and mult table."""
+    for key, value in sorted(obj.items()):
+        if isinstance(value, dict) and "entries" in value:
+            yield {(re, im) for _, _, re, im in value["entries"]}
+        elif isinstance(value, dict):
+            yield from _tables(value)
+        elif key == "mult":
+            yield {(re, im) for _, _, _, re, im in value}
+        elif key in ("unit", "haar_element"):
+            yield {tuple(cell) for cell in value}
+        elif key in ("star", "coproduct", "counit", "antipode", "haar_state", "alpha"):
+            yield {tuple(cell) for row in value for cell in row}
 
-    allowed = Counter(pair for table in tables(d) for pair in table)
+
+def _parse_calls(monkeypatch, load, d):
+    """``load(d, verify=False)`` and the parse_scalar calls it made, per pair."""
     calls = Counter()
 
     def counting_parse(re, im="0"):
@@ -345,10 +389,27 @@ def _assert_each_distinct_cell_parsed_once(d, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(fqg.serialize, "parse_scalar", counting_parse)
-        back = family_from_dict(d, verify=False)
+        back = load(d, verify=False)
+    return back, calls
+
+
+def _assert_each_distinct_cell_parsed_once(d, monkeypatch):
+    allowed = Counter(pair for table in _tables(d) for pair in table)
+    back, calls = _parse_calls(monkeypatch, family_from_dict, d)
     assert back.alpha.source_dim == back.source.dim
     assert calls and all(calls[pair] <= allowed[pair] for pair in calls), calls
     return back
+
+
+def test_loading_dense_s4_never_parses_a_zero_cell(monkeypatch):
+    g = function_algebra(named_group("S4"))
+    d = json.loads(canonical_json(quantum_group_to_dict(g)))
+    assert len(d["coproduct"]) == 576 and len(d["coproduct"][0]) == 24  # dense
+    back, calls = _parse_calls(monkeypatch, quantum_group_from_dict, d)
+    assert quantum_group_data_equal(back, g)
+    # each nonzero pair once per table that holds it; ["0", "0"] never
+    expected = Counter(pair for table in _tables(d) for pair in table if pair != ("0", "0"))
+    assert calls == expected and ("0", "0") not in calls
 
 
 def test_loading_a_composed_family_parses_each_distinct_cell_once(tmp_path, monkeypatch):
@@ -836,4 +897,49 @@ def test_sparse_writer_formats_each_scalar_as_the_reference_does(backend):
         assert matrix_to_sparse(coproduct) == _sparse_reference(coproduct)
     if backend == "float":
         texts = {tuple(e[2:]) for e in matrix_to_sparse(m)["entries"]}
+        assert {("1.0", "-0.0"), ("1.0", "0.0"), ("-0.0", "1.0")} <= texts
+
+
+def _dense_reference(m):
+    """The dense rows by the definition: each cell formatted on its own."""
+    return [[list(format_scalar(m.cols[c][r])) if r in m.cols[c] else ["0", "0"]
+             for c in range(m.source_dim)] for r in range(m.target_dim)]
+
+
+def _assert_unshared(lists):
+    """No two of ``lists`` are one list object, so a cell replaced by index
+    changes nowhere else."""
+    assert len({id(x) for x in lists}) == len(lists)
+
+
+def _random_matrices(rng):
+    """Seeded sparse matrices of the active backend, repeated scalars among
+    their entries; in the float backend with signed zeros."""
+    values = [scalar(1), scalar(-1), scalar(Fraction(1, 3), 2), scalar(0, Fraction(-5, 7))]
+    if type(values[0]) is CFloat:
+        values += [CFloat(1.0, -0.0), CFloat(1.0, 0.0), CFloat(-0.0, 1.0)]
+    for _ in range(25):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        yield LinearMap(cols, rows, [{r: rng.choice(values) for r in range(rows)
+                                      if rng.random() < 0.3} for _ in range(cols)])
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_dense_writers_format_each_cell_as_the_reference_does(backend):
+    rng = random.Random(7)
+    with use_backend(backend):
+        maps = list(_random_matrices(rng))
+        maps += [build(named_group(name)).coproduct for name in ("S3", "D4", "Q8")
+                 for build in (function_algebra, group_algebra)]
+        for m in maps:
+            rows, ref = matrix_to_dense(m), _dense_reference(m)
+            assert rows == ref
+            _assert_unshared(rows)
+            _assert_unshared([cell for row in rows for cell in row])
+            for c, col in enumerate(m.cols):
+                cells = vector_to_list(col, m.target_dim)
+                assert cells == [row[c] for row in ref]
+                _assert_unshared(cells)
+    if backend == "float":
+        texts = {tuple(cell) for m in maps for row in matrix_to_dense(m) for cell in row}
         assert {("1.0", "-0.0"), ("1.0", "0.0"), ("-0.0", "1.0")} <= texts
