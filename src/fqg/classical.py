@@ -11,7 +11,7 @@ summation identity, and the proof chain for families on the dual of Γ.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 from operator import itemgetter
 
 from .algebra import Element, InvalidDataError, StarAlgebra, hom_check, tensor_vec
@@ -371,31 +371,44 @@ def check_cyclic_identity(matrix: MagicMatrix) -> Report:
 
 
 def enumerate_automorphisms_brute(group: FiniteGroup):
-    """Independent oracle: scan all bijections fixing the identity (|Γ| ≤ 8)."""
+    """Independent oracle: every bijection ψ with ψ(e) = e and ψ(ab) =
+    ψ(a)ψ(b) for all a, b (|Γ| ≤ 8), sorted.  It reads the table and the
+    identity only, with no generators or element orders.
+
+    The bijection is built by backtracking, one image at a time in index
+    order.  Each equation ψ(ab) = ψ(a)ψ(b) is checked as soon as the last of
+    a, b and ab has an image, (x, x, x²) included, so no partial bijection
+    that breaks one is extended."""
     n = group.order
     if n > 8:
         raise InvalidDataError("full bijection scan is limited to order 8")
     tbl = group.table
     e = group.identity
     rest = [x for x in range(n) if x != e]
+    step = {e: -1} | {x: k for k, x in enumerate(rest)}
+    due = [[] for _ in rest]  # per step, the (a, b, ab) whose last image it sets
+    for a in rest:
+        for b in rest:
+            ab = tbl[a][b]
+            due[max(step[a], step[b], step[ab])].append((a, b, ab))
+    psi = [e] * n
+    taken = {e}
     found = []
-    for images in permutations(rest):
-        psi = [0] * n
-        psi[e] = e
-        for pos, x in enumerate(rest):
-            psi[x] = images[pos]
-        ok = True
-        for a in range(n):
-            pa = psi[a]
-            row = tbl[a]
-            for bb in range(n):
-                if psi[row[bb]] != tbl[pa][psi[bb]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+
+    def extend(k):
+        if k == len(rest):
             found.append(tuple(psi))
+            return
+        for y in rest:
+            if y in taken:
+                continue
+            psi[rest[k]] = y
+            if all(psi[ab] == tbl[psi[a]][psi[b]] for a, b, ab in due[k]):
+                taken.add(y)
+                extend(k + 1)
+                taken.discard(y)
+
+    extend(0)
     found.sort()
     return found
 

@@ -66,6 +66,19 @@ class FiniteGroup:
         self.label = label
         self._cache = {}
 
+    @classmethod
+    def _trusted(cls, table, identity, inverse, label="") -> "FiniteGroup":
+        """A group whose table (tuples of int tuples), identity and inverses
+        are known to be right, taken without any check."""
+        g = cls.__new__(cls)
+        g.order = len(table)
+        g.table = table
+        g.identity = identity
+        g.inverse = inverse
+        g.label = label
+        g._cache = {}
+        return g
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -238,14 +251,19 @@ def quaternion8() -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    """a x b on the pairs (i, j) = i·|b| + j.  The product of two groups is
+    a group, so its table, identity and inverses are built, not validated
+    again; where the identity is not index 0, the table goes through
+    :func:`group_from_table` to be reindexed."""
     n, m = a.order, b.order
     _check_order(n * m)
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for (i1, j1) in product(range(n), range(m)):
-        for (i2, j2) in product(range(n), range(m)):
-            table[i1 * m + j1][i2 * m + j2] = a.table[i1][i2] * m + b.table[j1][j2]
+    table = tuple(tuple(x * m + y for x in ra for y in rb) for ra in a.table for rb in b.table)
     label = "%sx%s" % (a.label or "?", b.label or "?")
-    return group_from_table(table, label)
+    identity = a.identity * m + b.identity
+    if identity != 0:
+        return group_from_table(table, label)
+    return FiniteGroup._trusted(table, identity, tuple(
+        x * m + y for x in a.inverse for y in b.inverse), label)
 
 
 def klein4() -> FiniteGroup:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .algebra import (InvalidDataError, StarAlgebra, hom_check, scalar_algebra, tensor_algebra,
                       tensor_vec)
 from .constructors import quantum_group_data_equal
-from .fourier import convolution_algebra, dual_pair
+from .fourier import DualPair, convolution_algebra, dual_pair
 from .hopf import QuantumGroup, check_hopf_morphism
 from .linalg import (LinearMap, flip_map, leg_apply, leg_compose, rank_of_vectors, vec_eq,
                      vec_scale)
 from .report import Check, Report, first_failure, sweep
-from .scalar import object_cache, scalar
+from .scalar import EXACT, backend_name, object_cache, scalar
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,33 @@ def check_convolution_preservation(qf: QuantumFamily) -> Report:
 # -- duality ---------------------------------------------------------------------
 
 
+def _dual_route(pair: DualPair) -> LinearMap:
+    """h(η)⁻¹·F̂∘Ŝ, which :func:`hat` composes with (F⊗id)∘α as its second
+    route; the first composes with F⁻¹."""
+    return pair.fourier_dual.compose(pair.dual.antipode).scale(pair.primal.haar_of_eta().inv())
+
+
+@object_cache
+def _routes_agree(pair: DualPair) -> bool:
+    """Whether F⁻¹ = h(η)⁻¹·F̂∘Ŝ: the two routes of :func:`hat` agree on
+    the pair itself, before any family is composed with them."""
+    return pair.fourier_inv == _dual_route(pair)
+
+
+def _dual_family_map(pair: DualPair, f_alpha: LinearMap) -> LinearMap:
+    """f∘F⁻¹ for f = (F⊗id)∘α, checked against the second route
+    f∘(h(η)⁻¹·F̂∘Ŝ); a mismatch raises AssertionError.  On the exact backend,
+    when :func:`_routes_agree` holds for the pair, f∘F⁻¹ equals the second
+    route for every f, so only the first is built."""
+    via_inverse = f_alpha.compose(pair.fourier_inv)
+    if backend_name() == EXACT and _routes_agree(pair):
+        return via_inverse
+    if via_inverse != f_alpha.compose(_dual_route(pair)):
+        raise AssertionError(
+            "the two dual-family formulas disagree; duality layer is inconsistent")
+    return via_inverse
+
+
 @object_cache
 def hat(qf: QuantumFamily) -> QuantumFamily:
     """The induced family on the dual, computed by both closed formulas.
@@ -156,20 +183,14 @@ def hat(qf: QuantumFamily) -> QuantumFamily:
     The two routes (through the dual transform composed with the dual
     antipode, and through conjugation by the transform alone) must agree for
     every linear map; a mismatch means the duality layer itself is broken.
+    On the exact backend they are compared once per dual pair, on the n x n
+    matrices F⁻¹ and h(η)⁻¹·F̂∘Ŝ (:func:`_routes_agree`); only where those
+    differ, and on the float backend, are they compared per family.
     """
-    g = qf.source
-    pair = dual_pair(g)
+    pair = dual_pair(qf.source)
     b = qf.target_algebra
     f_alpha = leg_compose(pair.fourier, qf.alpha, b.dim, 0)  # (F⊗id)∘α
-
-    via_inverse = f_alpha.compose(pair.fourier_inv)
-    via_dual = f_alpha.compose(pair.fourier_dual.compose(pair.dual.antipode)).scale(
-        g.haar_of_eta().inv())
-    if via_inverse != via_dual:
-        raise AssertionError(
-            "the two dual-family formulas disagree; duality layer is inconsistent")
-
-    return QuantumFamily(pair.dual, b, via_inverse, qf.hopf_on_target,
+    return QuantumFamily(pair.dual, b, _dual_family_map(pair, f_alpha), qf.hopf_on_target,
                          "hat(%s)" % qf.label)
 
 

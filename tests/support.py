@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: drawn perturbations of sparse tables,
-sparse accumulation, a multiply_vec counter and the benchmark's group
-ladder."""
+sparse accumulation, a multiply_vec counter, the benchmark's group ladder
+and a full bijection scan for automorphisms."""
 
 import ast
+from itertools import permutations
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -59,3 +60,20 @@ def benchmark_ladder_groups():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LADDER"]:
             return [name for names in ast.literal_eval(node.value).values() for name in names]
     raise AssertionError("no LADDER in perfbench/workloads.py")
+
+
+def automorphisms_by_full_scan(group):
+    """Every bijection ψ with ψ(e) = e and ψ(ab) = ψ(a)ψ(b), sorted, found
+    by testing each of the (|Γ| - 1)! bijections on the whole table."""
+    n = group.order
+    tbl = group.table
+    e = group.identity
+    rest = [x for x in range(n) if x != e]
+    found = []
+    for images in permutations(rest):
+        psi = [e] * n
+        for x, y in zip(rest, images):
+            psi[x] = y
+        if all(psi[tbl[a][b]] == tbl[psi[a]][psi[b]] for a in range(n) for b in range(n)):
+            found.append(tuple(psi))
+    return sorted(found)

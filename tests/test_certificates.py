@@ -18,11 +18,12 @@ import fqg.hopf
 from fqg.algebra import (InvalidDataError, StarAlgebra, _basis_generators, tensor_algebra,
                          tensor_vec, verify_star_algebra)
 from fqg.constructors import function_algebra, group_algebra
+from fqg.fixtures import translation_family
 from fqg.fourier import build_dual, verify_fourier_identities
 from fqg.groups import named_group
 from fqg.hopf import QuantumGroup, check_hopf_morphism, dual_algebra, verify_quantum_group
 from fqg.linalg import LinearMap
-from fqg.qfamily import _tensor_coproduct
+from fqg.qfamily import _pointwise, _tensor_coproduct
 from fqg.report import Check, first_failure
 from fqg.scalar import scalar
 
@@ -67,8 +68,8 @@ def _rebuilt(g, mult=None, star=None, unit=None, **maps):
 
 
 def _batteries(g):
-    """The reports of every battery with a certificate on a pairwise law:
-    the star algebra, the quantum group, the antipode as a Hopf morphism,
+    """The reports of every battery with a certificate: the star algebra,
+    the quantum group, the antipode as a Hopf morphism,
     and the Fourier identities when the Fourier matrix is invertible."""
     reports = [verify_star_algebra(g.algebra), verify_quantum_group(g),
                check_hopf_morphism(g, g, g.antipode)]
@@ -144,15 +145,16 @@ def test_certificates_agree_with_full_sweeps_on_mutants(case, part, data):
 
 
 # the certificates that pass on the unmutated cases: every law but one, as
-# S is anti-multiplicative, so on grp(S3) it is no algebra morphism; the
+# S is anti-multiplicative, so on grp(S3) it is no algebra morphism (each case
+# is cocommutative, so S does intertwine Δ); the
 # counit and antipode laws take the dual table only where the product table
 # states fewer entries than Δ: fun(Z3) (3 against 9), not grp(S3) (36
 # against 6) nor fun(Z2) (x) grp(Z3) (18 against 12)
 _CERTIFIED = {"associativity", "star_antimultiplicative", "coassociativity",
               "coproduct_multiplicative", "coproduct_star", "counit_multiplicative",
               "haar_invariance", "haar_tracial", "haar_element_absorbing",
-              "multiplicative", "counit_of_convolution", "fourier_convolution",
-              "fourier_dual_convolution"}
+              "multiplicative", "coproduct_intertwined", "counit_of_convolution",
+              "fourier_convolution", "fourier_dual_convolution"}
 _DUAL_TABLE = {"counit_law", "antipode_law"}
 PASSING = {
     "fun(Z3)": _CERTIFIED | _DUAL_TABLE,
@@ -360,3 +362,24 @@ def test_an_antipode_that_is_not_symmetric_takes_the_dual_table():
     certified = _assert_certificates_agree(g)
     assert all(r.passed for r in _batteries(_rebuilt(g)))
     assert certified["counit_law"] is certified["antipode_law"] is True
+
+
+def test_a_translation_is_multiplicative_but_does_not_intertwine_the_coproduct():
+    """The slice of the translation family of S3 at a point g != e is
+    δ_y ↦ δ_gy: an algebra automorphism of fun(S3), but Δ(δ_gy) sums over
+    the pairs with product gy, (T⊗T)Δ(δ_y) over the pairs (ga, gb) with ab =
+    y.  Tᵀ, λ_y ↦ λ_{g⁻¹y} on the dual grp(S3), is not multiplicative, so the
+    certificate refuses and the column comparison fails, with no witness."""
+    qf = translation_family(named_group("S3"))
+    g, m = qf.source, qf.target_algebra.dim
+    t = LinearMap(g.dim, g.dim, [_pointwise(qf.alpha, m)[j][1] for j in range(g.dim)])
+
+    def run():
+        return [check_hopf_morphism(_rebuilt(g), _rebuilt(g), t)]
+
+    verdicts, certified = _audited(run)
+    assert _verdicts(run()) == verdicts
+    assert certified["coproduct_intertwined"] is False
+    checks = {name: (ok, witness) for name, ok, witness in verdicts[0][1]}
+    assert checks["multiplicative"] == (True, ())
+    assert checks["coproduct_intertwined"] == (False, ())

@@ -17,13 +17,13 @@ from fqg.constructors import function_algebra, group_algebra
 from fqg.fixtures import (counit_degenerate_family, sign_twisted_dual_family,
                           translation_family, trivial_hopf_target)
 from fqg.fourier import dual_pair
-from fqg.groups import CATALOG, cyclic, klein4, named_group
+from fqg.groups import CATALOG, FiniteGroup, cyclic, klein4, named_group
 from fqg.hopf import QuantumGroup
 from fqg.linalg import LinearMap, vec_eq
 from fqg.qfamily import QuantumFamily, hat, identity_family
 from fqg.scalar import scalar, use_backend
 
-from support import SCALINGS, count_multiply_vec
+from support import SCALINGS, automorphisms_by_full_scan, count_multiply_vec
 
 AUT_ORDERS = {"Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4,
               "K4": 6, "S3": 6, "D4": 8, "Q8": 24, "S4": 24}
@@ -38,7 +38,28 @@ def test_automorphism_counts_match_brute_force_oracle():
             assert enumerate_automorphisms_brute(group) == auts, name
 
 
+ORACLE_GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "K4", "S3", "D4", "Q8",
+                 "Z2xZ4", "Z2xZ2xZ2")
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_pruned_oracle_matches_the_full_bijection_scan(name):
+    group = named_group(name)
+    assert enumerate_automorphisms_brute(group) == automorphisms_by_full_scan(group)
+
+
+def test_pruned_oracle_with_the_identity_off_index_0():
+    """Z4 as x·y = x + y + 2 mod 4, whose identity is 2: the two
+    automorphisms fix 0 and 2 and fix or swap 1 and 3."""
+    group = FiniteGroup([[(x + y + 2) % 4 for y in range(4)] for x in range(4)], "Z4+2")
+    assert group.identity == 2
+    auts = enumerate_automorphisms_brute(group)
+    assert auts == automorphisms_by_full_scan(group) == [(0, 1, 2, 3), (0, 3, 2, 1)]
+
+
 def test_brute_force_rejects_large_groups():
+    with pytest.raises(InvalidDataError, match="^full bijection scan is limited to order 8$"):
+        enumerate_automorphisms_brute(cyclic(9))
     with pytest.raises(InvalidDataError):
         enumerate_automorphisms_brute(named_group("S4"))
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fqg.algebra import _monomial
 from fqg.constructors import (function_algebra, group_algebra,
                               quantum_group_data_equal)
 from fqg.fourier import (build_dual, check_iteration_lemma, conv_adjoint,
@@ -85,6 +86,38 @@ def test_conv_adjoint_antimultiplicative_for_convolution():
             rhs = conv.multiply_vec(conv.star_vec({j: scalar(1)}),
                                     conv.star_vec({i: scalar(1)}))
             assert vec_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize("name, kind", [("D96", "fun"), ("S4", "fun"), ("S4", "grp"),
+                                        ("D24", "fun"), ("D24", "grp")])
+def test_convolution_terms_share_one_scalar(name, kind, monkeypatch):
+    """Every term of ⋆ is one scalar object, 1/n on fun(Γ) and 1 on grp(Γ),
+    and so on the dual of each (but D96's, left out for time): the factor-1
+    return of the exact product hands the one h(e_i e_j) value through.  So
+    the uniform test of ``_monomial`` passes on identity, with no scalar
+    comparison."""
+    g = (function_algebra if kind == "fun" else group_algebra)(named_group(name))
+    algebras = [g] if name == "D96" else [g, dual_pair(g).dual]
+    compared = []
+
+    def counted(method):
+        original = getattr(QQi, method)
+
+        def compare(x, y):
+            compared.append(method)
+            return original(x, y)
+        return compare
+
+    for method in ("__eq__", "__ne__"):
+        monkeypatch.setattr(QQi, method, counted(method))
+    for q in algebras:
+        conv = convolution_algebra(q)
+        terms = [c for row in conv.mult.values() for t in row.values() for c in t.values()]
+        assert terms and len({id(c) for c in terms}) == 1
+        assert _monomial(conv) == (True, True)
+    assert compared == []
+    if name == "D96":
+        assert len(terms) == 36864 and terms[0] == scalar(Fraction(1, 192))
 
 
 def test_dual_dimensions_and_invertibility():

@@ -1,9 +1,11 @@
 import pytest
 
 from fqg.algebra import InvalidDataError
-from fqg.groups import (CATALOG, cyclic, dihedral, direct_product,
+from fqg.groups import (CATALOG, FiniteGroup, cyclic, dihedral, direct_product,
                         group_from_table, klein4, named_group, quaternion8,
                         symmetric)
+
+from support import benchmark_ladder_groups
 
 
 def test_catalog_orders():
@@ -89,6 +91,41 @@ def test_klein4_and_products():
     z6 = direct_product(cyclic(2), cyclic(3))
     assert z6.order == 6 and z6.is_abelian()
     assert named_group("Z2xZ2").order == 4
+
+
+def _validated_product(a, b):
+    """a x b as the validating reader takes it, from the table written out."""
+    n, m = a.order, b.order
+    return group_from_table([[a.table[i1][i2] * m + b.table[j1][j2]
+                              for i2 in range(n) for j2 in range(m)]
+                             for i1 in range(n) for j1 in range(m)])
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2"] + sorted(
+    {name for name in benchmark_ladder_groups() if "x" in name}
+    | {"Z3xD4", "Z3xD8", "Z2xS4", "Z4xD6"}))
+def test_direct_product_equals_the_validated_table(name):
+    """direct_product builds the product of two validated groups without
+    validating it again; the validating reader gives the same group."""
+    factors = [named_group(part) for part in name.split("x")]
+    checked = factors[0]
+    for factor in factors[1:]:
+        checked = _validated_product(checked, factor)
+    group = named_group(name)
+    assert (group.order, group.table, group.identity, group.inverse) == \
+        (checked.order, checked.table, checked.identity, checked.inverse)
+    if name == "Z2xZ2":
+        assert klein4().table == group.table
+
+
+def test_direct_product_with_the_identity_off_index_0():
+    """A factor whose identity is not index 0: the product is reindexed, as
+    group_from_table does, so its identity is 0."""
+    shifted = FiniteGroup([[(x + y + 2) % 4 for y in range(4)] for x in range(4)], "Z4+2")
+    group = direct_product(shifted, cyclic(2))
+    checked = _validated_product(shifted, cyclic(2))
+    assert group.identity == 0
+    assert (group.table, group.inverse) == (checked.table, checked.inverse)
 
 
 def test_element_orders_and_exponent():

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import fqg.algebra
 import fqg.fourier
 import fqg.hopf
+import fqg.qfamily
 from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra, scalar_algebra
 from fqg.classical import enumerate_automorphisms, universal_classical_family
 from fqg.constructors import function_algebra, group_algebra
-from fqg.fourier import convolution_algebra, dual_pair, verify_fourier_identities
+from fqg.fourier import DualPair, convolution_algebra, dual_pair, verify_fourier_identities
 from fqg.fixtures import (broken_adjoint_family, counit_degenerate_family,
                           target_permuted_family, translation_family, trivial_hopf_target)
 from fqg.groups import cyclic, named_group
@@ -23,7 +24,7 @@ from fqg.qfamily import (QuantumFamily, check_action, check_family,
                          double_hat_formula_matches, hat, identity_family,
                          is_automorphism_family, slice_commutative,
                          verify_dual_equivalences)
-from fqg.scalar import QQi, scalar, use_backend
+from fqg.scalar import QQi, object_cache, scalar, use_backend
 
 from support import accumulate, nonzero, perturbed
 
@@ -95,6 +96,77 @@ def _random_family(coeffs):
 def test_hat_formulas_agree_for_arbitrary_linear_maps(coeffs):
     qf = _random_family(coeffs)
     hat(qf)  # raises if the two closed formulas disagree
+
+
+def _second_route(pair, f_alpha):
+    """f∘(h(η)⁻¹·F̂∘Ŝ), the route of ``hat`` through the dual transform."""
+    return f_alpha.compose(pair.fourier_dual.compose(pair.dual.antipode)).scale(
+        pair.primal.haar_of_eta().inv())
+
+
+def _f_alpha(pair, qf):
+    return leg_compose(pair.fourier, qf.alpha, qf.target_algebra.dim, 0)
+
+
+@pytest.mark.parametrize("name", ["Z3", "S3", "Q8"])
+def test_hat_routes_agree_once_per_pair(name, monkeypatch):
+    """On a verified pair F⁻¹ = h(η)⁻¹·F̂∘Ŝ holds, so hat builds only the
+    route through F⁻¹, which equals the second route; the per-pair test runs
+    once for all the families on the pair."""
+    original = fqg.qfamily._routes_agree.__wrapped__
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return original(pair)
+
+    monkeypatch.setattr(fqg.qfamily, "_routes_agree", object_cache(counted))
+    qf = universal_classical_family(named_group(name))
+    pair = dual_pair(qf.source)
+    for family in (_fresh(qf), identity_family(qf.source)):
+        f_alpha = _f_alpha(pair, family)
+        assert hat(family).alpha == f_alpha.compose(pair.fourier_inv) \
+            == _second_route(pair, f_alpha)
+    assert len(calls) == 1 and fqg.qfamily._routes_agree(pair)
+
+
+def test_hat_compares_per_family_when_the_pair_routes_differ():
+    """A pair whose F⁻¹ has entry (r, c) doubled fails the per-pair test, so
+    each family is compared on both routes: the map raises exactly when they
+    differ, which is when α(e_r) != 0."""
+    qf = universal_classical_family(named_group("S3"))
+    good = dual_pair(qf.source)
+    n = good.primal.dim
+    cols = [dict(c) for c in good.fourier_inv.cols]
+    r, c = next((r, c) for c, col in enumerate(cols) for r in col)
+    cols[c][r] = cols[c][r] * scalar(2)
+    bad = DualPair(good.primal, good.dual, good.fourier, LinearMap(n, n, cols),
+                   good.fourier_dual)
+    assert not fqg.qfamily._routes_agree(bad)
+    killed = LinearMap(n, qf.alpha.target_dim, [{} if j == r else col
+                                                for j, col in enumerate(qf.alpha.cols)])
+    for alpha, differ in ((qf.alpha, True), (killed, False)):
+        f_alpha = _f_alpha(bad, QuantumFamily(qf.source, qf.target_algebra, alpha))
+        via_inverse = f_alpha.compose(bad.fourier_inv)
+        assert (via_inverse != _second_route(bad, f_alpha)) is differ
+        if differ:
+            with pytest.raises(AssertionError, match="formulas disagree"):
+                fqg.qfamily._dual_family_map(bad, f_alpha)
+        else:
+            assert fqg.qfamily._dual_family_map(bad, f_alpha) == via_inverse
+
+
+def test_hat_routes_are_compared_per_family_on_the_float_backend(monkeypatch):
+    """The per-pair test rests on exact equality, so the float backend never
+    asks it and compares the two routes on every family."""
+    def refused(pair):
+        raise AssertionError("the per-pair route test is exact only")
+
+    monkeypatch.setattr(fqg.qfamily, "_routes_agree", refused)
+    with use_backend("float"):
+        qf = universal_classical_family(named_group("S3"))
+        pair = dual_pair(qf.source)
+        assert hat(qf).alpha == _second_route(pair, _f_alpha(pair, qf))
 
 
 @given(st.lists(entries, min_size=18, max_size=18))
@@ -583,7 +655,8 @@ def _fresh(qf):
 def test_every_multiplicative_law_consults_the_generator_certificate(monkeypatch):
     """Every *-homomorphism law with the product identity tries
     ``hom_on_generators`` first, whatever its target: the coproduct (through
-    the dual coproduct), the counit into ℂ, a Hopf morphism, a family, its
+    the dual coproduct), the counit into ℂ, a Hopf morphism (and its
+    coproduct law through the transpose on the duals), a family, its
     convolution law and ``fourier_convolution``, whether ⋆ is diagonal (that
     of grp(Γ)) or not (that of fun(Γ))."""
     original = fqg.algebra.hom_on_generators
@@ -613,7 +686,9 @@ def test_every_multiplicative_law_consults_the_generator_certificate(monkeypatch
     pair = dual_pair(g)
     assert consults(lambda: verify_fourier_identities(pair)) == [(pair.fourier, None)]
     ident = LinearMap.identity(g.dim, scalar(1))
-    assert consults(lambda: check_hopf_morphism(g, g, ident)) == [(ident, None)]
+    # a Hopf morphism T: its product law, then Δ through Tᵀ on the duals
+    assert consults(lambda: check_hopf_morphism(g, g, ident)) == [(ident, None),
+                                                                  (ident.transpose(), None)]
     target = (qf.alpha, qf.target_algebra)
     assert consults(lambda: check_family(_fresh(qf))) == [target]
     assert consults(lambda: check_convolution_preservation(_fresh(qf))) == [target]
