@@ -187,23 +187,6 @@ def _perm_group(perms, label) -> FiniteGroup:
     return group_from_table(table, label)
 
 
-def _perm_closure(gens):
-    n = len(gens[0])
-    ident = tuple(range(n))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[k]] for k in range(n))
-                if q not in elems:
-                    elems.add(q)
-                    fresh.append(q)
-        frontier = fresh
-    return elems
-
-
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidDataError("cyclic group order must be >= 1")
@@ -219,14 +202,22 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Symmetries of the regular n-gon (order 2n)."""
+    """Symmetries of the regular n-gon (order 2n), built from the product
+    rule.  The element (k, d), k in Z_n and d = ±1, is the vertex map
+    i -> k + d·i mod n, and (k1, d1)(k2, d2) = (k1 + d1·k2 mod n, d1·d2),
+    the composite of the two maps.  A vertex tuple is fixed by its images of
+    0 and 1, which are k and k + d, so sorting by that pair lists the
+    elements in the order of the sorted tuples, as :func:`_perm_group` would:
+    the identity (0, 1) comes first."""
     # the vertex permutation action is only faithful from n = 3 on
     if n < 3:
         raise InvalidDataError("dihedral requires n >= 3")
     _check_order(2 * n)
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    return _perm_group(_perm_closure([rot, ref]), "D%d" % n)
+    elems = sorted(((k, d) for k in range(n) for d in (1, -1)),
+                   key=lambda e: (e[0], (e[0] + e[1]) % n))
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[(k1 + d1 * k2) % n, d1 * d2] for k2, d2 in elems] for k1, d1 in elems]
+    return group_from_table(table, "D%d" % n)
 
 
 def quaternion8() -> FiniteGroup:

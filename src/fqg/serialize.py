@@ -246,6 +246,15 @@ def algebra_to_dict(a: StarAlgebra) -> dict:
     return d
 
 
+def _label(d: dict) -> str:
+    """The optional ``label`` of a file object: a JSON string, "" when
+    absent; anything else would reach a report as its subject."""
+    label = d.get("label", "")
+    if type(label) is not str:
+        raise InvalidDataError("label %.40r must be a string" % (label,))
+    return label
+
+
 def algebra_from_dict(d: dict) -> StarAlgebra:
     if type(d) is not dict:
         raise InvalidDataError("an algebra must be a JSON object, not %.40r" % (d,))
@@ -257,7 +266,7 @@ def algebra_from_dict(d: dict) -> StarAlgebra:
                                     or any(type(w) is not str for w in weights)):
             raise InvalidDataError("trace_weights %.40r must be a list of strings" % (weights,))
         if "blocks" in d and "mult" not in d:
-            return BlockAlgebra(d["blocks"], weights, d.get("label", ""))
+            return BlockAlgebra(d["blocks"], weights, _label(d))
         dim = exact_int(d["dim"], "dim")
         if dim < 1:
             raise InvalidDataError("dim %d is not positive" % dim)
@@ -272,7 +281,7 @@ def algebra_from_dict(d: dict) -> StarAlgebra:
             terms[k] = parse([re, im])  # StarAlgebra drops the zeros
         unit = vector_from_list(d["unit"], dim)
         star = matrix_from_json(d["star"], dim, dim)
-        return StarAlgebra(dim, mult, unit, star, d.get("label", ""))
+        return StarAlgebra(dim, mult, unit, star, _label(d))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InvalidDataError):
             raise
@@ -307,8 +316,7 @@ def quantum_group_from_dict(d: dict, verify: bool = True) -> QuantumGroup:
         eta = vector_from_list(d["haar_element"], n)
     else:
         eta = solve_haar_element(algebra, counit)
-    g = QuantumGroup(algebra, coproduct, counit, antipode, haar, eta,
-                     d.get("label", ""))
+    g = QuantumGroup(algebra, coproduct, counit, antipode, haar, eta, _label(d))
     if verify:
         rep = verify_quantum_group(g)
         if not rep.passed:
@@ -326,7 +334,7 @@ def group_from_dict(d: dict) -> FiniteGroup:
         table = d["table"]
         if len(table) != exact_int(d["order"], "order"):
             raise InvalidDataError("declared order disagrees with the table")
-        return group_from_table(table, d.get("label", ""))
+        return group_from_table(table, _label(d))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidDataError):
             raise
@@ -373,7 +381,7 @@ def family_from_dict(d: dict, verify: bool = True) -> QuantumFamily:
             h = d["hopf_on_B"]
             hopf = HopfOnTarget(matrix_from_json(h["coproduct"], m, m * m),
                                 matrix_from_json(h["counit"], m, 1))
-        return QuantumFamily(source, target, alpha, hopf, d.get("label", ""))
+        return QuantumFamily(source, target, alpha, hopf, _label(d))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidDataError):
             raise

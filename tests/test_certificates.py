@@ -152,9 +152,8 @@ def test_certificates_agree_with_full_sweeps_on_mutants(case, part, data):
 # against 6) nor fun(Z2) (x) grp(Z3) (18 against 12)
 _CERTIFIED = {"associativity", "star_antimultiplicative", "coassociativity",
               "coproduct_multiplicative", "coproduct_star", "counit_multiplicative",
-              "haar_invariance", "haar_tracial", "haar_element_absorbing",
-              "multiplicative", "coproduct_intertwined", "counit_of_convolution",
-              "fourier_convolution", "fourier_dual_convolution"}
+              "haar_invariance", "haar_element_absorbing", "multiplicative",
+              "coproduct_intertwined", "fourier_convolution", "fourier_dual_convolution"}
 _DUAL_TABLE = {"counit_law", "antipode_law"}
 PASSING = {
     "fun(Z3)": _CERTIFIED | _DUAL_TABLE,
@@ -207,12 +206,11 @@ def test_a_counit_with_two_nonzero_entries_on_fun_s3():
 
 def test_a_non_tracial_haar_state_on_grp_s3():
     """h(λ_1) = 1 as well as h(λ_e) = 1 on grp(S3): λ_2 λ_3 = λ_1 while
-    λ_3 λ_2 is not, so h is no trace and the generators show it."""
+    λ_3 λ_2 is not, so h is no trace and the sweep names (2, 3)."""
     g = group_algebra(named_group("S3"))
     cols = [dict(c) for c in g.haar_state.cols]
     cols[1] = {0: scalar(1)}
     bad = _rebuilt(g, haar_state=LinearMap(g.dim, 1, cols))
-    assert _assert_certificates_agree(bad)["haar_tracial"] is False
     check = _named_check(bad, "haar_tracial")
     assert (check.passed, tuple(check.witness)) == (False, (2, 3))
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from fqg.algebra import InvalidDataError
-from fqg.groups import (CATALOG, FiniteGroup, cyclic, dihedral, direct_product,
+from fqg.groups import (CATALOG, FiniteGroup, _perm_group, cyclic, dihedral, direct_product,
                         group_from_table, klein4, named_group, quaternion8,
                         symmetric)
 
@@ -83,6 +85,31 @@ def test_dihedral_4():
     assert sorted(d4.element_order(x) for x in range(8)) == [1, 2, 2, 2, 2, 2, 4, 4]
     with pytest.raises(InvalidDataError):
         dihedral(2)
+
+
+@pytest.mark.parametrize("m", [*range(3, 65), 96])
+def test_dihedral_is_the_group_of_its_vertex_maps(m):
+    """The product rule gives the maps i -> k ± i mod m as _perm_group
+    composes and orders them: the same table, identity, inverses and label."""
+    ref = _perm_group([tuple((k + d * i) % m for i in range(m))
+                       for k in range(m) for d in (1, -1)], "D%d" % m)
+    g = dihedral(m)
+    assert (g.table, g.identity, g.inverse, g.label) == (
+        ref.table, ref.identity, ref.inverse, ref.label)
+
+
+@pytest.mark.parametrize("build", [lambda: named_group("D513"),
+                                   lambda: named_group("D999999999"),
+                                   lambda: dihedral(10**9)])
+def test_dihedral_above_the_order_limit_is_refused_before_any_table(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDataError, match="exceeds the limit"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_klein4_and_products():

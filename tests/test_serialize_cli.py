@@ -86,6 +86,34 @@ def test_malformed_family_rejected():
                           "target": {"blocks": [1]}, "alpha": [["nope"]]})
 
 
+def _labelled_file(loader):
+    if loader is group_from_dict:
+        return group_to_dict(named_group("S3"))
+    if loader is family_from_dict:
+        return family_to_dict(counit_degenerate_family(function_algebra(named_group("S3"))))
+    return quantum_group_to_dict(function_algebra(named_group("S3")))
+
+
+@pytest.mark.parametrize("label", [5, True, {"a": 1}, None], ids=repr)
+@pytest.mark.parametrize("loader", [algebra_from_dict, quantum_group_from_dict,
+                                    family_from_dict, group_from_dict],
+                         ids=lambda f: f.__name__)
+def test_a_label_that_is_not_a_string_is_refused(loader, label, tmp_path, capsys):
+    """A label reaches a report as its subject: only a JSON string is taken,
+    and an absent one reads as ""."""
+    d = _labelled_file(loader)
+    with pytest.raises(InvalidDataError, match="label"):
+        loader(dict(d, label=label))
+    assert loader(dict(d, label="")).label == loader(
+        {k: v for k, v in d.items() if k != "label"}).label
+    if loader is quantum_group_from_dict:  # the fun(S3) file, through the CLI
+        path = tmp_path / "labelled.json"
+        path.write_text(canonical_json(dict(d, label=label)))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [input] label") and "Traceback" not in err
+
+
 # -- memoised cell parsing against a plain per-cell parse -----------------
 
 _NUMBERS = ("0", "1", "-1", "1/2", "-3/4", "0.25", "2e3", "1E-2", "7", "-0")
