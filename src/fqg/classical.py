@@ -14,7 +14,8 @@ from __future__ import annotations
 from itertools import product
 from operator import itemgetter
 
-from .algebra import Element, InvalidDataError, StarAlgebra, hom_check, tensor_vec
+from .algebra import (Element, InvalidDataError, StarAlgebra, _disjoint_supports, hom_check,
+                      tensor_vec)
 from .constructors import function_algebra
 from .groups import FiniteGroup, _perm_group, group_from_table
 from .hopf import QuantumGroup, dual_algebra
@@ -129,7 +130,13 @@ def _sum(vectors) -> dict:
 def _entry_checks(b: StarAlgebra, p, names):
     """The named entry relations of the matrix ``p`` of elements of ``b``, in
     the order given; shared by the pointwise, magic-unitary and dual-group
-    batteries."""
+    batteries.
+
+    On the exact backend, when ``b`` is diagonal (e_i e_j = [i = j] e_i), the
+    two orthogonality sweeps take a certificate: their products are
+    pointwise, so they vanish once the stated supports in each row, or each
+    column, are pairwise disjoint.  A failure and its witness always come
+    from the sweep."""
     n = len(p)
 
     def self_adjoint(xy):
@@ -143,6 +150,10 @@ def _entry_checks(b: StarAlgebra, p, names):
     def cells():
         return product(range(n), repeat=2)
 
+    def disjoint(lines):
+        # a diagonal product is pointwise: entries of disjoint supports give 0
+        return b._diag and all(map(_disjoint_supports, lines))
+
     # lazy index generators: each sweep stops at its first failure
     relations = {
         "entries_self_adjoint": (cells(), self_adjoint),
@@ -153,11 +164,13 @@ def _entry_checks(b: StarAlgebra, p, names):
         "row_orthogonality": (
             ((x, y, z) for x in range(n) for y in range(n) if p[x][y]
              for z in range(n) if z != y),
-            lambda w: vec_is_zero(b.multiply_vec(p[w[0]][w[1]], p[w[0]][w[2]]))),
+            lambda w: vec_is_zero(b.multiply_vec(p[w[0]][w[1]], p[w[0]][w[2]])),
+            lambda: disjoint(p)),
         "column_orthogonality": (
             ((x, y, z) for y in range(n) for x in range(n) if p[x][y]
              for z in range(n) if z != x),
-            lambda w: vec_is_zero(b.multiply_vec(p[w[0]][w[1]], p[w[2]][w[1]]))),
+            lambda w: vec_is_zero(b.multiply_vec(p[w[0]][w[1]], p[w[2]][w[1]])),
+            lambda: disjoint([row[y] for row in p] for y in range(n))),
     }
     return [sweep(name, *relations[name]) for name in names]
 
@@ -166,6 +179,14 @@ def _commute(b: StarAlgebra, p):
     """(x1, y1, x2, y2) ↦ whether p[x1][y1] and p[x2][y2] commute."""
     return lambda w: vec_eq(b.multiply_vec(p[w[0]][w[1]], p[w[2]][w[3]]),
                             b.multiply_vec(p[w[2]][w[3]], p[w[0]][w[1]]))
+
+
+@object_cache
+def _commutative(b: StarAlgebra) -> bool:
+    """Whether every two elements of ``b`` commute, decided once per algebra
+    on its basis products: the certificate of every commutation sweep over
+    entries of ``b``."""
+    return b.is_commutative()
 
 
 @object_cache
@@ -205,19 +226,46 @@ def check_magic_unitary(matrix: MagicMatrix) -> Report:
 @object_cache
 def _translation_invariant(matrix: MagicMatrix) -> bool:
     """Whether p[x][y]·p[a][b] = p[x][y]·p[xa][yb] for every nonzero p[x][y]
-    and all a, b.
+    and all a, b.  These are the equations of ``shift_relation``, and those
+    of ``localized_relation`` under other indices; see
+    :func:`check_order_properties` for the relations that follow from them.
 
-    For each such (x, y) the n² products p[x][y]·p[a][b] are formed once and
-    compared with each other; a mismatch stops the walk.  The product with an
-    empty p[a][b] is empty and is taken as such without the kernel.  These
-    are the equations of ``shift_relation``, and those of
-    ``localized_relation`` under other indices; see
-    :func:`check_order_properties` for the relations that follow from them."""
+    On a diagonal index algebra the matrix is read one point q at a time.
+    Let S_q(s) be the coefficient of e_q in p[s] for a cell s of Γ×Γ, and
+    L_q the cells where it is stated.  A diagonal product is pointwise and
+    the scalars have no zero divisors, so the relation holds iff S_q(t·s) =
+    S_q(s) for every t with S_q(t) nonzero and every cell s.  It suffices
+    that S_q(t·s) is stated and equal to S_q(s) for all t and s in L_q: then
+    translation by t maps the finite set of nonzero cells into itself, hence
+    onto itself, so it also maps the cells where S_q is zero among
+    themselves.  A stored zero coefficient only adds equations, so this is
+    one-sided.  The cost is Σ|L_q|² lookups and no products.
+
+    On any other index algebra, for each nonzero p[x][y] the n² products
+    p[x][y]·p[a][b] are formed once and compared with each other; a mismatch
+    stops the walk.  The product with an empty p[a][b] is empty and is taken
+    as such without the kernel."""
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
     n = grp.order
     tbl = grp.table
+    if b._diag:
+        points: dict = {}
+        for x, row in enumerate(p):
+            for y, e in enumerate(row):
+                for q, c in e.items():
+                    points.setdefault(q, {})[x, y] = c
+        for at in points.values():
+            cells = at.items()
+            for x, y in at:
+                tx, ty = tbl[x], tbl[y]
+                for (a, c), s in cells:
+                    moved = at.get((tx[a], ty[c]))
+                    # the same scalar object, as a built family mostly states, is equal
+                    if moved is not s and (moved is None or not moved == s):
+                        return False
+        return True
     for x in range(n):
         tx = tbl[x]
         for y in range(n):
@@ -277,13 +325,15 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
     commutations, projection domination along powers, the inductive shift
     relation, and the two-sided rewrite of the convolution relation.
 
-    On the exact backend the last three take a certificate.  The equations
-    of ``shift_relation`` are those of :func:`_translation_invariant`.
-    Translating k times turns p[x][y]·p[x^{k+1}][y^k u] into p[x][y]·p[x][u]
-    and p[x][y]·p[x^k][y^k] into p[x][y]², so once the matrix is also a
-    magic unitary (idempotent entries, orthogonal rows) ``inductive_relation``
-    and ``power_domination`` hold.  A failure and its witness always come
-    from the sweep."""
+    On the exact backend all but the first take a certificate.  The two
+    power commutations hold when the index algebra is commutative
+    (:func:`_commutative`).  The equations of ``shift_relation`` are those
+    of :func:`_translation_invariant`, read point by point on a diagonal
+    index algebra.  Translating k times turns p[x][y]·p[x^{k+1}][y^k u] into
+    p[x][y]·p[x][u] and p[x][y]·p[x^k][y^k] into p[x][y]², so once the
+    matrix is also a magic unitary (idempotent entries, orthogonal rows)
+    ``inductive_relation`` and ``power_domination`` hold.  A failure and its
+    witness always come from the sweep."""
     grp = matrix.group
     b = matrix.target
     p = matrix.entries
@@ -321,10 +371,12 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
               lambda xy: orders[xy[0]] == orders[xy[1]] or vec_is_zero(p[xy[0]][xy[1]])),
         sweep("power_row_commutation",
               ((x, y, xn, z) for x in range(n) for xn in pw[x][2:orders[x] + 2]
-               for y in range(n) if p[x][y] for z in range(n) if p[xn][z]), _commute(b, p)),
+               for y in range(n) if p[x][y] for z in range(n) if p[xn][z]), _commute(b, p),
+              certificate=lambda: _commutative(b)),
         sweep("power_column_commutation",
               ((y, x, z, xn) for x in range(n) for xn in pw[x][2:orders[x] + 2]
-               for y in range(n) if p[y][x] for z in range(n) if p[z][xn]), _commute(b, p)),
+               for y in range(n) if p[y][x] for z in range(n) if p[z][xn]), _commute(b, p),
+              certificate=lambda: _commutative(b)),
         sweep("power_domination",
               ((x, y, xn, yn) for x, y in live for xn, yn in zip(pw[x][2:], pw[y][2:])),
               dominated, certificate=translated_magic),
@@ -341,7 +393,11 @@ def check_order_properties(matrix: MagicMatrix) -> Report:
 @object_cache
 def check_cyclic_identity(matrix: MagicMatrix) -> Report:
     """On a cyclic group: the divisor summation identity for generators and
-    full entrywise commutation of the matrix."""
+    full entrywise commutation of the matrix.
+
+    On the exact backend ``entrywise_commutation`` passes without its sweep
+    when the index algebra is commutative (:func:`_commutative`); a failure
+    and its witness always come from the sweep."""
     grp = matrix.group
     n = grp.order
     generators = [x for x in range(n) if grp.element_order(x) == n]
@@ -362,7 +418,8 @@ def check_cyclic_identity(matrix: MagicMatrix) -> Report:
         sweep("power_sum_identity",
               ((x, d, s) for x in generators for d in divisors for s in range(n)), power_sum),
         sweep("entrywise_commutation",
-              (a1 + a2 for i, a1 in enumerate(flat) for a2 in flat[i + 1:]), _commute(b, p)),
+              (a1 + a2 for i, a1 in enumerate(flat) for a2 in flat[i + 1:]), _commute(b, p),
+              certificate=lambda: _commutative(b)),
     ]
     return Report("cyclic-identity", checks)
 

@@ -15,10 +15,11 @@ cells, and the parsed scalars are immutable, so equal cells share one.  A
 dense matrix or vector is read in one walk over its cells: a ["0", "0"]
 cell, the zero as the writers spell it, is passed over unparsed, and any
 other cell is parsed, its value dropped if it is zero ("0/1", "-0", "0.0"
-and the like).  The writers format each distinct scalar once per matrix or
-vector, and give every dense cell a list of its own.  A sparse matrix is
-built from its entries and the dimensions its algebras declare, never from
-its ``shape``, which only has to agree with them.
+and the like).  The writers format each distinct scalar once per matrix,
+vector or structure-constant table, and give every dense cell a list of its
+own.  A sparse matrix is built from its entries and the dimensions its
+algebras declare, never from its ``shape``, which only has to agree with
+them.
 Every input is bounded: exponents by ``scalar.MAX_EXPONENT``, group orders
 and block-algebra dimensions by ``groups.MAX_GROUP_ORDER``, the entries of a
 matrix written, or read in the sparse form, by :data:`MAX_ENTRIES`; a file
@@ -227,12 +228,13 @@ def vector_from_list(lst, dim: int) -> dict:
 
 
 def algebra_to_dict(a: StarAlgebra) -> dict:
+    text = _scalar_texts()
     mult_rows = []
     for i, row in sorted(a.mult.items()):
         for j, terms in sorted(row.items()):
-            for k, c in sorted(terms.items()):
-                re, im = format_scalar(c)
-                mult_rows.append([i, j, k, re, im])
+            # a one-term product, as every product of a group table, needs no sort
+            for k, c in sorted(terms.items()) if len(terms) > 1 else terms.items():
+                mult_rows.append([i, j, k, *text(c)])
     d = {
         "dim": a.dim,
         "label": a.label,

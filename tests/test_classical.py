@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra
-from fqg.classical import (MagicMatrix, automorphism_group,
+from fqg.algebra import BlockAlgebra, InvalidDataError, StarAlgebra, _disjoint_supports
+from fqg.classical import (MagicMatrix, _commutative, _entry_checks, _translation_invariant,
+                           automorphism_group,
                            check_cyclic_identity, check_dual_group_theorem,
                            check_dualact_consequences, check_magic_unitary,
                            check_order_properties, check_pointwise_relations,
@@ -311,19 +312,27 @@ def test_dual_group_theorem_negative_control_fails_at_idempotency():
     assert rep.check("coproduct_of_entries").passed
 
 
-# -- the translation certificate against full sweeps ------------------------------
+# -- the relation certificates against full sweeps ---------------------------------
 
-CERTIFIED = ("shift_relation", "localized_relation", "inductive_relation", "power_domination")
+CERTIFIED = ("shift_relation", "localized_relation", "inductive_relation", "power_domination",
+             "power_row_commutation", "power_column_commutation", "row_orthogonality",
+             "column_orthogonality", "entrywise_commutation")
+
+
+def _is_cyclic(group):
+    return any(group.element_order(x) == group.order for x in range(group.order))
 
 
 def _full_sweeps(m):
     """(passed, witness) of each certified relation from plain lexicographic
-    loops over its own equations, with no certificate in front."""
+    loops over its own equations, with no certificate in front;
+    ``entrywise_commutation`` on a cyclic group only."""
     grp, b, p = m.group, m.target, m.entries
     n, tbl, inv = grp.order, grp.table, grp.inverse
     mul = b.multiply_vec
     live = [(x, y) for x in range(n) for y in range(n) if p[x][y]]
     exponent = grp.exponent()
+    powers = [[grp.power(x, k) for k in range(2, grp.element_order(x) + 2)] for x in range(n)]
 
     def first(indices, pred):
         for w in indices:
@@ -331,7 +340,23 @@ def _full_sweeps(m):
                 return False, w
         return True, ()
 
-    return {
+    def commute(x1, y1, x2, y2):
+        return vec_eq(mul(p[x1][y1], p[x2][y2]), mul(p[x2][y2], p[x1][y1]))
+
+    sweeps = {
+        "power_row_commutation": first(
+            ((x, y, xn, z) for x in range(n) for xn in powers[x]
+             for y in range(n) if p[x][y] for z in range(n) if p[xn][z]), commute),
+        "power_column_commutation": first(
+            ((y, x, z, xn) for x in range(n) for xn in powers[x]
+             for y in range(n) if p[y][x] for z in range(n) if p[z][xn]), commute),
+        "row_orthogonality": first(
+            ((x, y, z) for x, y in live for z in range(n) if z != y),
+            lambda x, y, z: vec_eq(mul(p[x][y], p[x][z]), {})),
+        "column_orthogonality": first(
+            ((x, y, z) for y in range(n) for x in range(n) if p[x][y]
+             for z in range(n) if z != x),
+            lambda x, y, z: vec_eq(mul(p[x][y], p[z][y]), {})),
         "shift_relation": first(
             ((x, y, z, u) for x, y in live for z in range(n) for u in range(n)),
             lambda x, y, z, u: vec_eq(mul(p[x][y], p[z][u]),
@@ -350,11 +375,18 @@ def _full_sweeps(m):
              for x, y in live for k in range(2, exponent + 2)),
             lambda x, y, xn, yn: vec_eq(mul(p[x][y], p[xn][yn]), p[x][y])),
     }
+    if _is_cyclic(grp):
+        sweeps["entrywise_commutation"] = first(
+            (live[i] + w for i in range(len(live)) for w in live[i + 1:]), commute)
+    return sweeps
 
 
 def _certified_checks(m):
     fresh = MagicMatrix(m.group, m.target, m.entries)
-    checks = check_dualact_consequences(fresh).checks + check_order_properties(fresh).checks
+    checks = (check_dualact_consequences(fresh).checks + check_order_properties(fresh).checks
+              + check_magic_unitary(fresh).checks)
+    if _is_cyclic(m.group):
+        checks += check_cyclic_identity(fresh).checks
     return {c.name: (c.passed, tuple(c.witness)) for c in checks if c.name in CERTIFIED}
 
 
@@ -383,10 +415,24 @@ def _swapping_target(group):
     return MagicMatrix(group, b, entries)
 
 
+def _with_stored_zero(m):
+    """``m`` with a zero coefficient stored in the first p[x][z] at a point q
+    of a nonzero p[x][y], y != z, where p[x][z] states nothing at q.  Every
+    relation reads the same, but the stated supports of row x overlap."""
+    n = m.group.order
+    entries = [[dict(e) for e in row] for row in m.entries]
+    x, z, q = next((x, z, q) for x in range(n) for y in range(n) for q in entries[x][y]
+                   for z in range(n) if z != y and q not in entries[x][z])
+    entries[x][z][q] = scalar(0)
+    return MagicMatrix(m.group, m.target, entries)
+
+
 def _base_matrix(name):
     kind, group = name.split("-")
     if kind == "universal":
         return extract_matrix(universal_classical_family(named_group(group)))
+    if kind == "zero":
+        return _with_stored_zero(extract_matrix(universal_classical_family(named_group(group))))
     if kind == "translation":
         return extract_matrix(translation_family(named_group(group)))
     if kind == "identity":
@@ -395,7 +441,8 @@ def _base_matrix(name):
 
 
 ORACLE_MATRICES = (["universal-" + name for name in CATALOG]
-                   + ["translation-S3", "identity-S3", "swap-S3", "swap-D4", "swap-Q8"])
+                   + ["translation-S3", "identity-S3", "zero-S3",
+                      "swap-S3", "swap-D4", "swap-Q8", "swap-Z5"])
 
 
 def _single_entry_changes(m, rng, count):
@@ -434,18 +481,32 @@ def test_translation_certificate_agrees_with_full_sweeps(name):
 
 def test_swapping_target_witnesses():
     # p and q are projections whose products need the noncommutative path;
-    # the witnesses are the ones the lexicographic sweeps found when recorded
+    # the witnesses are the ones the lexicographic sweeps found when recorded,
+    # and the commutation certificates refuse the M_2 target
     expected = {
         "S3": {"localized_relation": (1, 2, 1, 3), "shift_relation": (1, 1, 2, 2)},
         "D4": {"power_domination": (3, 4, 5, 0), "inductive_relation": (3, 4, 1, 1)},
-        "Q8": {"inductive_relation": (1, 2, 1, 2)},
+        "Q8": {"inductive_relation": (1, 2, 1, 2), "power_row_commutation": (2, 1, 3, 3),
+               "power_column_commutation": (1, 2, 3, 3)},
+        "Z5": {"entrywise_commutation": (1, 1, 3, 3), "power_row_commutation": (1, 1, 3, 3)},
     }
     for name, pins in expected.items():
         m = _swapping_target(named_group(name))
         assert check_magic_unitary(m).passed, name
+        assert not _commutative(m.target)
         got = _certified_checks(m)
         for check, witness in pins.items():
             assert got[check] == (False, witness), (name, check)
+
+
+def test_a_stored_zero_makes_the_pointwise_certificates_refuse():
+    # the relations hold, but L_q and the stated row supports gain a cell:
+    # the certificates refuse and the sweeps pass
+    m = _base_matrix("zero-S3")
+    assert not _translation_invariant(m)
+    assert not all(map(_disjoint_supports, m.entries))
+    assert _translation_invariant(_base_matrix("universal-S3"))
+    assert all(passed for passed, _ in _certified_checks(m).values())
 
 
 def _fresh_universal_matrix(name):
@@ -455,8 +516,8 @@ def _fresh_universal_matrix(name):
 
 def test_translation_certificate_forms_each_product_once(monkeypatch):
     # the four certified sweeps on universal(S4) make 2 products per equation
-    # for each of live * n**2 equations and more; the certificate forms the
-    # live * n**2 products p[x][y] p[a][b] once
+    # for each of live * n**2 equations and more; with the certificates only
+    # the idempotency sweep of the magic-unitary battery forms products
     m = _fresh_universal_matrix("S4")
     n = m.group.order
     live = sum(1 for row in m.entries for e in row if e)
@@ -467,16 +528,35 @@ def test_translation_certificate_forms_each_product_once(monkeypatch):
     assert len(calls) <= 1.25 * live * n ** 2
 
 
-def test_translation_certificate_skips_empty_entries(monkeypatch):
-    # a product with an empty p[a][b] is empty: only the live x live products
-    # of two nonzero entries reach the kernel
-    from fqg.classical import _translation_invariant
-
+def test_diagonal_certificates_form_no_products(monkeypatch):
+    # over the diagonal fun(Aut S4) the translation relation is read point
+    # by point, the orthogonality sweeps off disjoint supports and the
+    # commutation sweeps off the commutative table: no product is formed
     m = _fresh_universal_matrix("S4")
-    live = sum(1 for row in m.entries for e in row if e)
+    z8 = _fresh_universal_matrix("Z8")
+    for matrix in (m, z8):
+        check_magic_unitary(matrix)  # memoised: its idempotency sweep forms products
     calls = count_multiply_vec(monkeypatch)
     assert _translation_invariant(m)
-    assert 0 < len(calls) <= live ** 2 == 21316
+    orthogonality = _entry_checks(m.target, m.entries, ("row_orthogonality",
+                                                        "column_orthogonality"))
+    assert all(c.passed for c in orthogonality)
+    assert check_order_properties(m).passed
+    assert check_cyclic_identity(z8).check("entrywise_commutation").passed
+    assert calls == []
+
+
+def test_translation_certificate_skips_empty_entries(monkeypatch):
+    # on the noncommutative M_2 target the certificate walks the products: a
+    # product with an empty p[a][b] is empty, so only the live x live
+    # products of two nonzero entries reach the kernel
+    calls = count_multiply_vec(monkeypatch)
+    for name in ("S3", "D4", "Q8"):
+        m = _swapping_target(named_group(name))
+        live = sum(1 for row in m.entries for e in row if e)
+        before = len(calls)
+        assert not _translation_invariant(m)
+        assert 0 < len(calls) - before <= live ** 2
 
 
 def test_float_backend_sweeps_the_translation_relations(monkeypatch):
@@ -489,6 +569,19 @@ def test_float_backend_sweeps_the_translation_relations(monkeypatch):
         assert check_order_properties(m).passed
     # shift_relation and localized_relation alone: 2 products per equation
     assert len(calls) >= 4 * live * n ** 2
+
+
+def test_float_backend_sweeps_the_orthogonality_and_commutation_relations(monkeypatch):
+    calls = count_multiply_vec(monkeypatch)
+    with use_backend("float"):
+        m = _fresh_universal_matrix("Z5")
+        for run in (lambda: _entry_checks(m.target, m.entries, ("row_orthogonality",)),
+                    lambda: _entry_checks(m.target, m.entries, ("column_orthogonality",)),
+                    lambda: [check_order_properties(m)],
+                    lambda: [check_cyclic_identity(m).check("entrywise_commutation")]):
+            before = len(calls)
+            assert all(c.passed for c in run())
+            assert len(calls) > before
 
 
 def test_podles_rank_eliminates_distinct_slices_only(monkeypatch):
