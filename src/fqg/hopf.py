@@ -465,22 +465,38 @@ def check_haar_antipode_identity(g: QuantumGroup) -> Report:
 
 def check_hopf_morphism(g: QuantumGroup, h: QuantumGroup, t: LinearMap) -> Report:
     """Whether T: G → H preserves product, unit, star, Δ, ε, S and the Haar
-    state.  The first three are the laws of :func:`hom_check` for
-    T: A → B, each witnessed by its first failing index; the others compare
+    state: the checks of :func:`morphism_star_hom_checks` followed by those
+    of :func:`morphism_coalgebra_checks`.  A T whose shape is not
+    dim H x dim G raises ValueError."""
+    for first, then in ((t.target_dim, h.dim), (g.dim, t.source_dim)):
+        if first != then:
+            raise ValueError("composition shape mismatch: %d vs %d" % (first, then))
+    return Report("hopf-morphism(%s -> %s)" % (g.label, h.label),
+                  morphism_star_hom_checks(g, h, t) + morphism_coalgebra_checks(g, h, t))
+
+
+def morphism_star_hom_checks(g: QuantumGroup, h: QuantumGroup, t: LinearMap) -> list:
+    """The *-homomorphism part of :func:`check_hopf_morphism`:
+    ``multiplicative``, ``unital`` and ``star_preserving``, the laws of
+    :func:`hom_check` for T: A → B, each witnessed by its first failing
+    index.  The shape of T is the caller's to check."""
+    a, b = g.algebra, h.algebra
+    return [hom_check("multiplicative", a, b, t, ("multiplicative",)),
+            hom_check("unital", a, b, t, ("unit",)),
+            hom_check("star_preserving", a, b, t, ("star",))]
+
+
+def morphism_coalgebra_checks(g: QuantumGroup, h: QuantumGroup, t: LinearMap) -> list:
+    """The coalgebra part of :func:`check_hopf_morphism`: each check compares
     one column e_j of G at a time, up to the first mismatch: Δ_H(T e_j) with
-    (T⊗T)Δ_G(e_j), applied leg by leg, then ε, S and h likewise.  A T whose
-    shape is not dim H x dim G raises ValueError.
+    (T⊗T)Δ_G(e_j), applied leg by leg, then ε, S and h likewise.  The shape
+    of T is the caller's to check.
 
     On the exact backend ``coproduct_intertwined`` first tries a certificate
     on the dual generators: read at e_a*⊗e_b*, Δ_H(T e_j) = (T⊗T)Δ_G(e_j)
     is Tᵀ(φψ) = Tᵀ(φ)Tᵀ(ψ) for Tᵀ from :func:`dual_algebra` of H to that of
     G, the same scalar equations, so :func:`hom_on_generators` decides it
     for Tᵀ.  A failure still comes from the column comparison."""
-    for first, then in ((t.target_dim, h.dim), (g.dim, t.source_dim)):
-        if first != then:
-            raise ValueError("composition shape mismatch: %d vs %d" % (first, then))
-    a, b = g.algebra, h.algebra
-
     def intertwined(name, h_map, g_side, certificate=None):
         # h_map(T e_j) against g_side(j), the image of e_j the other way round;
         # one sweep index (), so a failure keeps the witness ()
@@ -488,10 +504,7 @@ def check_hopf_morphism(g: QuantumGroup, h: QuantumGroup, t: LinearMap) -> Repor
                                                for j, col in enumerate(t.cols)),
                      certificate)
 
-    return Report("hopf-morphism(%s -> %s)" % (g.label, h.label), [
-        hom_check("multiplicative", a, b, t, ("multiplicative",)),
-        hom_check("unital", a, b, t, ("unit",)),
-        hom_check("star_preserving", a, b, t, ("star",)),
+    return [
         intertwined("coproduct_intertwined", h.coproduct, lambda j: leg_apply(
             t, leg_apply(t, g.coproduct.cols[j], g.dim, 1), h.dim, 0),
             lambda: hom_on_generators(dual_algebra(h), dual_algebra(g), t.transpose(),
@@ -499,4 +512,4 @@ def check_hopf_morphism(g: QuantumGroup, h: QuantumGroup, t: LinearMap) -> Repor
         intertwined("counit_intertwined", h.counit, g.counit.cols.__getitem__),
         intertwined("antipode_intertwined", h.antipode, lambda j: t.apply(g.antipode.cols[j])),
         intertwined("haar_intertwined", h.haar_state, g.haar_state.cols.__getitem__),
-    ])
+    ]

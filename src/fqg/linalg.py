@@ -426,7 +426,10 @@ def _eliminate(rows, ncols) -> list:
     row is scaled to a leading 1 and cleared from every other row that holds
     its column.  A row update visits only the pivot row's entries and
     computes each as a dense row would (:func:`_subtract_row`).  Returns the
-    pivot columns; the i-th of them leads ``rows[i]``.
+    pivot columns; the i-th of them leads ``rows[i]``.  On the exact backend
+    the rows then get one pass through the :class:`QQi` constructor, which
+    stores each integral component as an int where the arithmetic of the
+    loop may have left a Fraction.
     """
     sample = _any_scalar(rows)
     if sample is None or not ncols:
@@ -468,6 +471,10 @@ def _eliminate(rows, ncols) -> list:
                 continue
             _subtract_row(row, f, top.items(), zero)
         pivots.append(c)
+    if exact:
+        for row in rows:
+            for k, x in row.items():
+                row[k] = QQi(x.re, x.im)
     return pivots
 
 

@@ -60,7 +60,10 @@ class QQi:
     result that happens to be integral may stay a Fraction.  Both types
     compare, hash and print alike (``hash(1) == hash(Fraction(1))``,
     ``str(Fraction(3)) == "3"``), so equality, hashing, ``sort_key`` and
-    :func:`format_scalar` do not depend on which one a component is.
+    :func:`format_scalar` do not depend on which one a component is.  Where
+    values are produced rather than combined, integral components are ints
+    again: :meth:`inv` returns them so, and ``linalg._eliminate`` passes its
+    rows through the constructor once.
     """
 
     __slots__ = ("re", "im")
@@ -110,7 +113,7 @@ class QQi:
             raise ZeroDivisionError("inverse of zero scalar")
         if type(n) is int:  # then so are both components, and int / int is a float
             return QQi._raw(_exact(Fraction(self.re, n)), _exact(Fraction(-self.im, n)))
-        return QQi._raw(self.re / n, -self.im / n)
+        return QQi._raw(_exact(self.re / n), _exact(-self.im / n))
 
     def __truediv__(self, other):
         return self * other.inv()

@@ -15,17 +15,21 @@ from hypothesis import strategies as st
 import fqg.algebra
 import fqg.fourier
 import fqg.hopf
+import fqg.qfamily
 from fqg.algebra import (InvalidDataError, StarAlgebra, _basis_generators, tensor_algebra,
                          tensor_vec, verify_star_algebra)
+from fqg.classical import universal_classical_family
 from fqg.constructors import function_algebra, group_algebra
 from fqg.fixtures import translation_family
 from fqg.fourier import build_dual, verify_fourier_identities
-from fqg.groups import named_group
+from fqg.groups import CATALOG, named_group
 from fqg.hopf import QuantumGroup, check_hopf_morphism, dual_algebra, verify_quantum_group
-from fqg.linalg import LinearMap
-from fqg.qfamily import _pointwise, _tensor_coproduct
-from fqg.report import Check, first_failure
-from fqg.scalar import scalar
+from fqg.linalg import LinearMap, leg_compose
+from fqg.qfamily import (QuantumFamily, _pointwise, _tensor_coproduct, compose,
+                         double_hat_formula_matches, hat)
+from fqg.report import Check, Report, first_failure
+from fqg.scalar import scalar, use_backend
+from fqg.selftest import family_catalog
 
 from support import perturbed
 
@@ -381,3 +385,84 @@ def test_a_translation_is_multiplicative_but_does_not_intertwine_the_coproduct()
     checks = {name: (ok, witness) for name, ok, witness in verdicts[0][1]}
     assert checks["multiplicative"] == (True, ())
     assert checks["coproduct_intertwined"] == (False, ())
+
+
+# -- the double-hat identity, certified once per dual pair ----------------------
+
+
+def _double_hat_families(name):
+    """A catalog universal family, the entries of ``family_catalog()``, or
+    the composite of the Z5 universal family with itself."""
+    if name == "family-catalog":
+        return [fam for _, fam, _ in family_catalog()]
+    z5 = universal_classical_family(named_group("Z5"))
+    return [compose(z5, z5) if name == "compose-Z5"
+            else universal_classical_family(named_group(name))]
+
+
+def _double_hat_compared(qf):
+    """The full comparison: hat(hat(α)) built and compared with (S⊗id)∘α∘S."""
+    anti = qf.source.antipode
+    return hat(hat(qf)).alpha == leg_compose(anti, qf.alpha, qf.target_algebra.dim,
+                                             0).compose(anti)
+
+
+def _hat_refused(qf):
+    raise AssertionError("the certificate builds no hat")
+
+
+@pytest.mark.parametrize("name", list(CATALOG) + ["family-catalog", "compose-Z5"])
+def test_the_double_hat_certificate_agrees_with_the_full_comparison(name, monkeypatch):
+    """The identity holds for every linear α, the negatives of the family
+    catalog included, so the full comparison passes on each; the
+    certificate, asked with ``hat`` refused, passes on each without building
+    one."""
+    families = _double_hat_families(name)
+    assert all(_double_hat_compared(qf) is True for qf in families)
+    monkeypatch.setattr(fqg.qfamily, "hat", _hat_refused)
+    assert all(double_hat_formula_matches(qf) is True for qf in families)
+
+
+def _failing_lemma(pair):
+    return Report("fourier-iteration", [Check("iterate_is_scaled_antipode", False, ("matrix",))])
+
+
+def _asked_too_late(*args):
+    raise AssertionError("h(η) = 0 is decided first")
+
+
+@pytest.mark.parametrize("case", ["float", "lemma", "unverified", "haar-of-eta"])
+def test_the_double_hat_identity_is_compared_where_its_certificate_refuses(case, monkeypatch):
+    """On the float backend, on a pair whose iteration lemma fails, on a
+    source that fails verification and on one with h(η) = 0, hat(hat(α)) is
+    built and compared.  The last two are no quantum groups, so ``hat`` is
+    replaced by the identity there; S3's universal family commutes with S,
+    so the comparison still passes."""
+    with use_backend("float" if case == "float" else "exact"):
+        qf = universal_classical_family(named_group("S3"))
+        s = qf.source
+        built = []
+        hat_of = fqg.qfamily.hat
+        if case == "lemma":
+            monkeypatch.setattr(fqg.qfamily, "check_iteration_lemma", _failing_lemma)
+        elif case != "float":
+            eta, counit = s.haar_element, s.counit
+            if case == "unverified":
+                counit = LinearMap(s.dim, 1, [{0: scalar(1)}] * s.dim)
+            else:
+                eta = {}
+                monkeypatch.setattr(fqg.qfamily, "verify_quantum_group", _asked_too_late)
+                monkeypatch.setattr(fqg.qfamily, "check_iteration_lemma", _asked_too_late)
+            g = QuantumGroup(s.algebra, s.coproduct, counit, s.antipode, s.haar_state, eta,
+                             case)
+            qf = QuantumFamily(g, qf.target_algebra, qf.alpha)
+            assert (g.haar_of_eta().is_zero()) is (case == "haar-of-eta")
+            hat_of = lambda family: family  # noqa: E731
+
+        def recorded(family):
+            built.append(family)
+            return hat_of(family)
+
+        monkeypatch.setattr(fqg.qfamily, "hat", recorded)
+        assert double_hat_formula_matches(qf) is True
+    assert len(built) == 2 and built[0] is qf

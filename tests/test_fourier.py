@@ -165,6 +165,14 @@ def test_iteration_lemma_exact_values():
         assert once == g.antipode.scale(scalar(Fraction(1, 5)))
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_inverse_fourier_matrix_of_the_catalog_holds_ints(name):
+    for build in (function_algebra, group_algebra):
+        inv = dual_pair(build(named_group(name))).fourier_inv
+        assert all(type(c) is int for col in inv.cols for s in col.values()
+                   for c in (s.re, s.im))
+
+
 def test_double_dual_is_the_primal_on_the_nose():
     for name in ("Z4", "S3"):
         for build in (function_algebra, group_algebra):

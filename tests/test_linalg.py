@@ -181,6 +181,29 @@ def test_inverse_roundtrip(rows):
     assert m.compose(inv) == LinearMap.identity(3, ONE)
 
 
+def _int_components(m):
+    return all(type(c) is int for col in m.cols for s in col.values() for c in (s.re, s.im))
+
+
+def test_the_inverse_of_an_integer_unimodular_matrix_holds_ints():
+    """Blocks [[2, 1], [1, 1]] and [[3, 2], [1, 1]] on the diagonal, mixed by
+    a unitriangular integer matrix: det 1, and the pivots 2 and 3 make the
+    elimination pass through Fractions."""
+    n = 8
+    blocks = LinearMap.from_rows([[QQi(v) for v in row] for row in (
+        [2, 1, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 3, 2, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 2, 1, 0, 0], [0, 0, 0, 0, 1, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 3, 2], [0, 0, 0, 0, 0, 0, 1, 1])])
+    mix = LinearMap.from_rows([[QQi(0 if c < r else 1 if c == r else (r + 2 * c) % 5 - 2)
+                                for c in range(n)] for r in range(n)])
+    m = mix.compose(blocks)
+    assert _int_components(m)
+    inv = m.inverse()
+    assert inv.compose(m) == LinearMap.identity(n, ONE) == m.compose(inv)
+    assert _int_components(inv)
+
+
 @given(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=2, max_size=5))
 def test_nullspace_annihilates_and_has_complementary_dimension(rows):
     vecs = [{i: x for i, x in enumerate(row) if not x.is_zero()} for row in rows]

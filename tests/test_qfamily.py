@@ -452,6 +452,69 @@ def test_slice_names_the_first_law_its_map_breaks(law):
         slice_commutative(qf)
 
 
+def _recorded_slice_checks(monkeypatch):
+    """Record each slice check of ``slice_commutative``: ("coalgebra", ψ) for
+    the coalgebra laws alone and ("hopf", ψ, names) for the whole
+    ``check_hopf_morphism`` report."""
+    calls = []
+    coalgebra, hopf = fqg.qfamily.morphism_coalgebra_checks, fqg.qfamily.check_hopf_morphism
+
+    def coalgebra_only(g, h, t):
+        calls.append(("coalgebra", t))
+        return coalgebra(g, h, t)
+
+    def in_full(g, h, t):
+        report = hopf(g, h, t)
+        calls.append(("hopf", t, tuple(c.name for c in report.checks)))
+        return report
+
+    monkeypatch.setattr(fqg.qfamily, "morphism_coalgebra_checks", coalgebra_only)
+    monkeypatch.setattr(fqg.qfamily, "check_hopf_morphism", in_full)
+    return calls
+
+
+def test_slices_of_a_composite_are_verified_once_per_distinct_map(monkeypatch):
+    """S3∘S3 has 36 slices, the 6 automorphisms each 6 times over; each
+    distinct one runs only the coalgebra laws, since the family is a unital
+    *-homomorphism."""
+    uf = universal_classical_family(named_group("S3"))
+    calls = _recorded_slice_checks(monkeypatch)
+    slices = slice_commutative(compose(uf, uf))
+    assert len(slices) == 36
+    assert [kind for kind, *_ in calls] == ["coalgebra"] * 6
+    checked = [t for _, t in calls]
+    assert all(any(s == t for t in checked) for s in slices)
+    assert all(a != b for i, a in enumerate(checked) for b in checked[:i])
+
+
+def test_slices_of_a_family_that_is_no_star_hom_check_all_seven_laws(monkeypatch):
+    """Over fun(Z2), slice 0 of this family is the identity of grp(Z3) and
+    slice 1 breaks the product, so ``unital_star_hom`` fails: slice 0 runs
+    all seven laws and passes, slice 1 is refused for its product."""
+    grp3 = group_algebra(cyclic(3))
+    one = scalar(1)
+    b = function_algebra(cyclic(2)).algebra
+    cols = [{j * 2: one, j * 2 + 1: scalar(2) if j == 2 else one} for j in range(3)]
+    qf = QuantumFamily(grp3, b, LinearMap(3, 6, cols))
+    assert not check_family(qf).check("unital_star_hom").passed
+    calls = _recorded_slice_checks(monkeypatch)
+    with pytest.raises(InvalidDataError, match="^slice 1 is not multiplicative"):
+        slice_commutative(qf)
+    laws = ("multiplicative", "unital", "star_preserving", "coproduct_intertwined",
+            "counit_intertwined", "antipode_intertwined", "haar_intertwined")
+    assert [(kind, names) for kind, _, names in calls] == [("hopf", laws)] * 2
+
+
+def test_slices_are_checked_in_full_on_the_float_backend(monkeypatch):
+    """Neither the star-hom certificate nor the dedupe applies on the float
+    backend: each of the 16 slices of Z5∘Z5 runs all seven laws."""
+    with use_backend("float"):
+        uf = universal_classical_family(named_group("Z5"))
+        calls = _recorded_slice_checks(monkeypatch)
+        assert len(slice_commutative(compose(uf, uf))) == 16
+    assert [kind for kind, *_ in calls] == ["hopf"] * 16
+
+
 def test_translation_family_is_star_hom_with_podles_but_not_conv():
     qf = translation_family(named_group("S3"))
     rep = check_family(qf)

@@ -119,7 +119,8 @@ def test_components_agree_with_fraction_reference(a, b):
         n = ar * ar + ai * ai
         inv = x.inv()
         assert _agrees(inv, (ar / n, -ai / n))
-        assert {type(inv.re), type(inv.im)} <= {int, Fraction}
+        for comp, ref in ((inv.re, ar / n), (inv.im, -ai / n)):
+            assert type(comp) is (int if ref.denominator == 1 else Fraction)
 
 
 def test_integral_fraction_and_int_components_are_one_value():
@@ -137,6 +138,11 @@ def test_inverse_divides_exactly():
     assert format_scalar(half) == ("1/2", "0")
     minus_i = QQi(0, 1).inv()
     assert (minus_i.re, minus_i.im) == (0, -1) and type(minus_i.im) is int
+    # the inverse of a Fraction is an int when integral: 1/(1/24) = 24
+    inv = QQi(Fraction(1, 24)).inv()
+    assert (inv.re, inv.im) == (24, 0) and type(inv.re) is type(inv.im) is int
+    inv = QQi(Fraction(1, 2), Fraction(1, 2)).inv()
+    assert (inv.re, inv.im) == (1, -1) and type(inv.re) is type(inv.im) is int
 
 
 # -- products by a unit ----------------------------------------------------------
